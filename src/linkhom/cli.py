@@ -3,8 +3,7 @@
 Subcommands: bracket, jones, kh, homfly, graph poly, graph kh, stable,
 verify.  Output is deterministic for fixed inputs and flags; exit code 0
 on success, 1 on a computation defect or failed verification, 2 on usage
-errors.  The LINKHOM_THREADS environment variable sets the worker count
-for homology blocks (results are identical for any value).
+errors.
 """
 
 from __future__ import annotations

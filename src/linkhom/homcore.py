@@ -8,9 +8,8 @@ torsion invariant factors come out exactly.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from math import gcd
 from typing import Mapping
 
@@ -102,20 +101,53 @@ class SparseIntMatrix:
         return f"SparseIntMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
+_BEST_PIVOT = (0, False, 1)  # no fill-in and a unit entry: nothing beats it
+_PIVOT_SCAN = 4  # rows of the shortest length compared per pivot
+
+
 def _snf_diagonal(m: SparseIntMatrix) -> list[int]:
-    """Diagonalize by integer row/column operations; returns the diagonal."""
+    """Diagonalize by integer row/column operations; returns the diagonal.
+
+    Pivot rule (Markowitz-style): among at most ``_PIVOT_SCAN`` of the
+    shortest rows, take the entry with the least key ``(cost, |v| != 1,
+    |v|)``, where ``cost = (row length - 1) * (column length - 1)`` bounds
+    the fill-in; the scan stops at once on a key of ``(0, False, 1)``.
+    If that entry is not a unit, the pivot is instead the least ``|v|``
+    (then the least cost) over a few rows of each length, up to the first
+    length that offers a unit: a non-unit pivot costs Euclid steps and
+    lets the entries grow.  Rows are kept in buckets by length, so the
+    shortest ones are found without a scan of every row.
+
+    The pivot column is cleared by row operations, then the pivot row by
+    column operations.  Once the column holds only the pivot, a column
+    operation changes no row but the pivot row, and with a pivot of 1
+    every other entry of that row becomes 0.  So a unit pivot's row is
+    dropped whole, with the same result as the column operations.
+    """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in m.entries.items():
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
+    by_len: dict[int, dict[int, None]] = {}
+    for r, rw in rows.items():
+        by_len.setdefault(len(rw), {})[r] = None
     diag: list[int] = []
+
+    def relen(r: int, old: int, new: int):
+        # move row r from the bucket of length old to that of length new
+        bucket = by_len[old]
+        del bucket[r]
+        if not bucket:
+            del by_len[old]
+        if new:
+            by_len.setdefault(new, {})[r] = None
 
     def row_op(r2: int, r1: int, q: int):
         # row r2 -= q * row r1
-        row1 = rows[r1]
-        row2 = rows.setdefault(r2, {})
-        for c, v in row1.items():
+        row2 = rows[r2]
+        old = len(row2)
+        for c, v in rows[r1].items():
             nv = row2.get(c, 0) - q * v
             if nv:
                 if c not in row2:
@@ -125,41 +157,48 @@ def _snf_diagonal(m: SparseIntMatrix) -> list[int]:
                 if c in row2:
                     del row2[c]
                     cols[c].discard(r2)
+        if len(row2) != old:
+            relen(r2, old, len(row2))
         if not row2:
-            rows.pop(r2, None)
+            del rows[r2]
 
-    while rows:
-        # Markowitz-style pivot choice: scan the shortest rows, prefer
-        # low fill then small |entry|.
-        min_len = min(len(rw) for rw in rows.values())
+    def choose_pivot() -> tuple[int, int]:
+        min_len = min(by_len)
         best = None
-        scanned = 0
-        for r, rw in rows.items():
-            if len(rw) != min_len:
-                continue
-            for c, v in rw.items():
-                cost = (min_len - 1) * (len(cols[c]) - 1)
-                key = (cost, abs(v) != 1, abs(v))
+        for r in islice(by_len[min_len], _PIVOT_SCAN):
+            for c, v in rows[r].items():
+                key = ((min_len - 1) * (len(cols[c]) - 1), abs(v) != 1, abs(v))
                 if best is None or key < best[0]:
                     best = (key, r, c)
-            scanned += 1
-            if scanned >= 32 and best is not None:
-                break
-        _, pr, pc = best
+                    if key == _BEST_PIVOT:
+                        return r, c
+        if best[0][1]:
+            best = None
+            for length in sorted(by_len):
+                for r in islice(by_len[length], _PIVOT_SCAN):
+                    for c, v in rows[r].items():
+                        key = (abs(v), (length - 1) * (len(cols[c]) - 1))
+                        if best is None or key < best[0]:
+                            best = (key, r, c)
+                if best[0][0] == 1:
+                    break
+        return best[1], best[2]
 
+    while rows:
+        pr, pc = choose_pivot()
         while True:
-            pv = rows[pr][pc]
+            prow = rows[pr]
+            pv = prow[pc]
             if pv < 0:
-                for c in list(rows[pr]):
-                    rows[pr][c] = -rows[pr][c]
+                for c in prow:
+                    prow[c] = -prow[c]
                 pv = -pv
             # clear the pivot column
             moved = False
             for r2 in list(cols[pc]):
                 if r2 == pr:
                     continue
-                v = rows[r2][pc]
-                q = v // pv
+                q = rows[r2][pc] // pv
                 if q:
                     row_op(r2, pr, q)
                 if pc in rows.get(r2, {}):  # nonzero remainder, smaller than pivot
@@ -168,43 +207,39 @@ def _snf_diagonal(m: SparseIntMatrix) -> list[int]:
                     break
             if moved:
                 continue
-            # column is clear; clear the pivot row via column operations,
-            # which now only touch row pr
-            prow = rows[pr]
-            other = [c for c in prow if c != pc]
-            done = True
-            for c2 in other:
-                v = prow[c2]
-                q = v // prow[pc]
-                nv = v - q * prow[pc]
+            if pv == 1:
+                break
+            # clear the pivot row via column operations, which now only
+            # touch row pr
+            old = len(prow)
+            for c2 in [c for c in prow if c != pc]:
+                nv = prow[c2] % pv
                 if nv:
                     prow[c2] = nv
                 else:
                     del prow[c2]
                     cols[c2].discard(pr)
-            leftover = [c for c in prow if c != pc]
-            if leftover:
-                # some remainder is smaller than the pivot: switch pivot column
-                pc = min(leftover, key=lambda c: abs(prow[c]))
-                done = False
-            if done:
+            if len(prow) != old:
+                relen(pr, old, len(prow))
+            if len(prow) == 1:
                 break
+            # some remainder is smaller than the pivot: switch pivot column
+            pc = min((c for c in prow if c != pc), key=lambda c: prow[c])
 
-        diag.append(abs(rows[pr][pc]))
-        del rows[pr][pc]
-        cols[pc].discard(pr)
-        if not rows[pr]:
-            del rows[pr]
-        if not cols[pc]:
-            del cols[pc]
+        diag.append(pv)
+        relen(pr, len(prow), 0)
+        for c in rows.pop(pr):
+            cols[c].discard(pr)
+        del cols[pc]
     return diag
 
 
 def smith_normal_form(m: SparseIntMatrix) -> tuple[tuple[int, ...], int]:
     """Invariant factors (divisibility-chained) and the rank."""
     diag = _snf_diagonal(m)
-    # pairwise gcd/lcm passes turn an arbitrary diagonal into the chain
-    d = sorted(diag)
+    # pairwise gcd/lcm passes turn an arbitrary diagonal into the chain;
+    # a 1 divides everything, so only the other factors take part
+    d = sorted(f for f in diag if f != 1)
     changed = True
     while changed:
         changed = False
@@ -216,7 +251,7 @@ def smith_normal_form(m: SparseIntMatrix) -> tuple[tuple[int, ...], int]:
                     d[i], d[j] = g, a // g * b
                     changed = True
         d.sort()
-    return tuple(d), len(d)
+    return (1,) * (len(diag) - len(d)) + tuple(d), len(diag)
 
 
 def matrix_rank(m: SparseIntMatrix) -> int:
@@ -322,13 +357,6 @@ class HomologyTable:
         return "\n".join(lines) + "\n"
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("LINKHOM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def graded_homology(c: GradedComplex, check: bool = True) -> HomologyTable:
     """Homology per (i, j) block: free rank and torsion from Smith forms."""
     if check:
@@ -344,13 +372,6 @@ def graded_homology(c: GradedComplex, check: bool = True) -> HomologyTable:
             blk = c.diff.get(key)
             snf_cache[key] = ((), 0) if blk is None or blk.is_zero() else smith_normal_form(blk)
         return snf_cache[key]
-
-    nthreads = _thread_count()
-    if nthreads > 1:
-        todo = sorted(set(c.diff))
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(lambda k: (k, smith_normal_form(c.diff[k])), todo))
-        snf_cache.update({k: v for k, v in results})
 
     s, l = c.shift
     entries: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}

@@ -372,23 +372,19 @@ def les_check(d: Diagram, crossing: int) -> LesReport:
     if not bracket_ok:
         violations.append("bracket additivity failed")
 
-    t = unnormalized_homology(d)
-    t0 = unnormalized_homology(d0)
-    t1 = unnormalized_homology(d1)
+    cx, c0, c1 = (build_khovanov_complex(x) for x in (d, d0, d1))
+    t, t0, t1 = (graded_homology(x) for x in (cx, c0, c1))
     rank_ok = True
     for (i, j) in t.entries:
         if t.rank(i, j) > t0.rank(i, j) + t1.rank(i - 1, j - 1):
             rank_ok = False
             violations.append(f"rank bound violated at ({i},{j})")
 
-    cone_ok = _cone_structure_ok(d, d0, d1, crossing, violations)
+    cone_ok = _cone_structure_ok(cx, c0, c1, crossing, violations)
     return LesReport(bracket_ok, rank_ok, cone_ok, violations)
 
 
-def _cone_structure_ok(d, d0, d1, nu: int, violations: list[str]) -> bool:
-    cx = build_khovanov_complex(d)
-    c0 = build_khovanov_complex(d0)
-    c1 = build_khovanov_complex(d1)
+def _cone_structure_ok(cx, c0, c1, nu: int, violations: list[str]) -> bool:
     basis = cx._basis
     basis0 = c0._basis
     basis1 = c1._basis

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from linkhom.corpus import corpus_diagrams
+from linkhom.graphhom import Multigraph, build_Pn_complex
 from linkhom.homcore import (
     GradedComplex,
     HomologyTable,
@@ -15,6 +17,8 @@ from linkhom.homcore import (
     poincare_polynomial,
     smith_normal_form,
 )
+from linkhom.khovanov import build_khovanov_complex
+from linkhom.linkdiag import braid_closure
 from linkhom.polyalg import LaurentPoly
 
 
@@ -115,6 +119,95 @@ def test_snf_invariant_under_permutation():
         rng.shuffle(rp)
         rng.shuffle(cp)
         assert smith_normal_form(m) == smith_normal_form(m.permuted(rp, cp))
+
+
+def unimodular_transform(rng, a, steps):
+    """Apply random elementary row operations (swap, negate, add a small
+    multiple of another row) to the dense matrix ``a`` in place."""
+    n = len(a)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        op = rng.random()
+        if op < 0.1:
+            a[i], a[j] = a[j], a[i]
+        elif op < 0.2:
+            a[i] = [-x for x in a[i]]
+        else:
+            k = rng.choice([-2, -1, 1, 2])
+            a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def test_snf_medium_matrices_known_answer():
+    # M = U D V with U, V unimodular, so M's invariant factors are D's
+    rng = random.Random(2006)
+    for _ in range(12):
+        rows, cols = rng.randint(20, 80), rng.randint(20, 80)
+        rank = min(rows, cols) - rng.randint(1, 6)
+        factors = [1] * (rank - 6) + [2, 2, 4, 4, 12, 12]
+        a = [[0] * cols for _ in range(rows)]
+        for k, f in enumerate(factors):
+            a[k][k] = f
+        unimodular_transform(rng, a, 2 * rows)
+        a = transpose(a)
+        unimodular_transform(rng, a, 2 * cols)
+        a = transpose(a)
+        m = mat(rows, cols, {(r, c): v for r, row in enumerate(a) for c, v in enumerate(row) if v})
+        assert smith_normal_form(m) == (tuple(factors), rank)
+        assert matrix_rank(m) == rank
+
+
+def rank_mod_p(m, p):
+    """Rank over GF(p) by sparse row echelon form, independent of the SNF."""
+    rows: dict[int, dict[int, int]] = {}
+    for (r, c), v in m.entries.items():
+        if v % p:
+            rows.setdefault(r, {})[c] = v % p
+    pivots: dict[int, dict[int, int]] = {}  # leading column -> row with leading 1
+    for row in sorted(rows.values(), key=len):
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                break
+            f = row[lead]
+            for c, v in piv.items():
+                nv = (row.get(c, 0) - f * v) % p
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+    return len(pivots)
+
+
+PRISM = Multigraph(6, ((1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (1, 4), (2, 5), (3, 6)))
+THETA = Multigraph(6, ((1, 3), (3, 2), (1, 4), (4, 2), (1, 5), (5, 6), (6, 2)))
+
+
+def test_snf_torsion_matches_mod_p_ranks():
+    # universal coefficients: rank over GF(p) counts the factors p does not divide
+    complexes = [build_khovanov_complex(braid_closure(b)) for b in corpus_diagrams(max_crossings=7)]
+    complexes += [
+        build_Pn_complex(g, n, variant)
+        for g in (PRISM, THETA)
+        for n in (1, 2)
+        for variant in ("zero", "xn")
+    ]
+    seen = {2: 0, 3: 0}
+    for cplx in complexes:
+        for blk in cplx.diff.values():
+            if blk.is_zero():
+                continue
+            factors, _ = smith_normal_form(blk)
+            for p in (2, 3):
+                assert rank_mod_p(blk, p) == sum(1 for f in factors if f % p), cplx.source
+                seen[p] += sum(1 for f in factors if f % p == 0)
+    assert seen[2] and seen[3]  # both primes meet torsion
 
 
 def two_term_complex(entry):
