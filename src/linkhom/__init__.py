@@ -57,6 +57,7 @@ from .khovanov import (
 from .linkdiag import (
     BraidWord,
     Diagram,
+    InputError,
     braid_closure,
     conjugate,
     edge_event,

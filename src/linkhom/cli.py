@@ -3,7 +3,7 @@
 Subcommands: bracket, jones, kh, homfly, graph poly, graph kh, stable,
 verify.  Output is deterministic for fixed inputs and flags; exit code 0
 on success, 1 on a computation defect or failed verification, 2 on usage
-errors.
+errors and malformed input.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .khovanov import (
     stable_poincare,
     width_report,
 )
-from .linkdiag import Diagram, braid_closure, parse_braid, parse_pd
+from .linkdiag import Diagram, InputError, braid_closure, parse_braid, parse_pd
 from .verify import SUITES, run_suite
 
 
@@ -284,6 +284,9 @@ def run(argv, out=None, err=None) -> int:
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as e:
         print(f"usage error: {e}", file=err)
+        return 2
+    except InputError as e:
+        print(f"input error: {e}", file=err)
         return 2
     except (ValueError, ArithmeticError) as e:
         print(f"computation error: {e}", file=err)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .homcore import GradedComplex, HomologyTable, SparseIntMatrix, graded_homology
+from .linkdiag import InputError
 from .polyalg import LaurentPoly, RationalFn
 
 __all__ = [
@@ -58,10 +59,10 @@ class Multigraph:
 
     def __post_init__(self):
         if self.n_vertices < 0:
-            raise ValueError("negative vertex count")
+            raise InputError("negative vertex count")
         for u, v in self.edges:
             if not (1 <= u <= self.n_vertices and 1 <= v <= self.n_vertices):
-                raise ValueError(f"edge ({u},{v}) out of range")
+                raise InputError(f"edge ({u},{v}) out of range")
 
     @property
     def n_edges(self) -> int:
@@ -100,6 +101,13 @@ def cycle_graph(k: int) -> Multigraph:
     return Multigraph(k, edges)
 
 
+def _parse_int(tok: str, ln: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise InputError(f"malformed number {tok!r} in line {ln!r}") from None
+
+
 def parse_graph(text: str) -> Multigraph:
     """Parse "v N" then "e u v" lines; edge order is line order."""
     n = None
@@ -111,20 +119,20 @@ def parse_graph(text: str) -> Multigraph:
         toks = ln.split()
         if toks[0] == "v":
             if n is not None:
-                raise ValueError("duplicate vertex-count line")
+                raise InputError("duplicate vertex-count line")
             if len(toks) != 2:
-                raise ValueError(f"malformed vertex line {ln!r}")
-            n = int(toks[1])
+                raise InputError(f"malformed vertex line {ln!r}")
+            n = _parse_int(toks[1], ln)
         elif toks[0] == "e":
             if n is None:
-                raise ValueError("edge line before vertex count")
+                raise InputError("edge line before vertex count")
             if len(toks) != 3:
-                raise ValueError(f"malformed edge line {ln!r}")
-            edges.append((int(toks[1]), int(toks[2])))
+                raise InputError(f"malformed edge line {ln!r}")
+            edges.append((_parse_int(toks[1], ln), _parse_int(toks[2], ln)))
         else:
-            raise ValueError(f"unrecognized line {ln!r}")
+            raise InputError(f"unrecognized line {ln!r}")
     if n is None:
-        raise ValueError("missing vertex-count line")
+        raise InputError("missing vertex-count line")
     return Multigraph(n, tuple(edges))
 
 
@@ -559,9 +567,6 @@ def build_Qn_complex(g: Multigraph, n: int, window: tuple[int, int]) -> GradedCo
     by x.  Exact inside the window since differentials preserve degree."""
     if n > 2:
         raise ValueError("need n <= 2 so the merge exponent 2-n is nonnegative")
-    # degree j = k(s)(n-1) + |s| - total; rewrite via the shared builder:
-    # its grading uses j' = |s| + k(s) - total' with merge bump 2-n, and
-    # j = j' + k (n-2) ... handled by enumerating degrees directly below.
     return _qn_cube(g, n, window)
 
 

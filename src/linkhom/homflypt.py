@@ -116,17 +116,6 @@ class HeckeElement:
         """Multiply by the wide edge E_i = T_i + q^2 on the right."""
         return self.right_gen(i) + self.scaled(_q2())
 
-    def mul(self, other: "HeckeElement") -> "HeckeElement":
-        if self.n != other.n:
-            raise ValueError("strand count mismatch")
-        out = HeckeElement(self.n, {})
-        for w, c in other.coeffs.items():
-            term = self.scaled(c)
-            for gen in _reduced_word(w):
-                term = term.right_gen(gen)
-            out = out + term
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, HeckeElement) and self.n == other.n and self.coeffs == other.coeffs
 
@@ -147,22 +136,6 @@ def _qinv2() -> RationalFn:
 
 def _one_minus_q2() -> RationalFn:
     return RationalFn.from_poly(LaurentPoly.from_terms(TQ, {(0, 0): 1, (0, 2): -1}))
-
-
-def _reduced_word(w: Perm) -> list[int]:
-    """A reduced word for w: repeatedly clear the leftmost descent."""
-    w = list(w)
-    rev: list[int] = []
-    while True:
-        for pos in range(len(w) - 1):
-            if w[pos] > w[pos + 1]:
-                w[pos], w[pos + 1] = w[pos + 1], w[pos]
-                rev.append(pos + 1)
-                break
-        else:
-            break
-    rev.reverse()
-    return rev
 
 
 def hecke_normal_form(b: BraidWord) -> HeckeElement:

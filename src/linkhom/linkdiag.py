@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
+    "InputError",
     "BraidWord",
     "Crossing",
     "Diagram",
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 
+class InputError(ValueError):
+    """Malformed input: braid text, a PD code or a graph that cannot be read."""
+
+
 @dataclass(frozen=True)
 class BraidWord:
     strands: int
@@ -45,10 +50,10 @@ class BraidWord:
 
     def __post_init__(self):
         if self.strands < 1:
-            raise ValueError("a braid needs at least one strand")
+            raise InputError("a braid needs at least one strand")
         for w in self.letters:
             if w == 0 or abs(w) >= self.strands:
-                raise ValueError(f"letter {w} out of range for {self.strands} strands")
+                raise InputError(f"letter {w} out of range for {self.strands} strands")
 
     def permutation(self) -> tuple[int, ...]:
         """One-line permutation of strand positions induced by the braid."""
@@ -83,17 +88,17 @@ def parse_braid(text: str) -> BraidWord:
     """Parse "<p>: w1 w2 ... wm" into a braid word."""
     head, sep, tail = text.partition(":")
     if not sep:
-        raise ValueError(f"malformed braid text {text!r}: missing ':'")
+        raise InputError(f"malformed braid text {text!r}: missing ':'")
     try:
         strands = int(head.strip())
     except ValueError:
-        raise ValueError(f"malformed strand count {head.strip()!r}") from None
+        raise InputError(f"malformed strand count {head.strip()!r}") from None
     letters = []
     for tok in tail.split():
         try:
             letters.append(int(tok))
         except ValueError:
-            raise ValueError(f"malformed letter {tok!r}") from None
+            raise InputError(f"malformed letter {tok!r}") from None
     return BraidWord(strands, tuple(letters))
 
 
@@ -225,13 +230,16 @@ def parse_pd(text: str) -> Diagram:
     """
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
-        raise ValueError("empty PD input")
+        raise InputError("empty PD input")
     quads = []
     for ln in lines:
         toks = ln.replace(",", " ").split()
         if toks[0].upper() != "X" or len(toks) != 5:
-            raise ValueError(f"malformed PD line {ln!r}")
-        quads.append(tuple(int(t) for t in toks[1:]))
+            raise InputError(f"malformed PD line {ln!r}")
+        try:
+            quads.append(tuple(int(t) for t in toks[1:]))
+        except ValueError:
+            raise InputError(f"malformed PD line {ln!r}") from None
 
     counts: dict[int, int] = {}
     for q in quads:
@@ -239,7 +247,7 @@ def parse_pd(text: str) -> Diagram:
             counts[arc] = counts.get(arc, 0) + 1
     for arc, n in counts.items():
         if n != 2:
-            raise ValueError(f"arc {arc} appears {n} times, expected 2")
+            raise InputError(f"arc {arc} appears {n} times, expected 2")
 
     # direction[h] for slot handles (crossing index, slot index): +1 out, -1 in
     direction: dict[tuple[int, int], int] = {}
@@ -265,7 +273,7 @@ def parse_pd(text: str) -> Diagram:
                     direction[h1] = -d2
                     changed = True
                 elif d1 is not None and d2 is not None and d1 == d2:
-                    raise ValueError(f"inconsistent orientation at arc {arc}")
+                    raise InputError(f"inconsistent orientation at arc {arc}")
         for ci, q in enumerate(quads):
             db, dd = direction.get((ci, 1)), direction.get((ci, 3))
             if db is not None and dd is None:
@@ -275,7 +283,7 @@ def parse_pd(text: str) -> Diagram:
                 direction[(ci, 1)] = -dd
                 changed = True
             elif db is not None and dd is not None and db == dd:
-                raise ValueError(f"inconsistent over-strand orientation at crossing {ci}")
+                raise InputError(f"inconsistent over-strand orientation at crossing {ci}")
 
     total = 2 * len(quads)
     for ci, q in enumerate(quads):
@@ -289,7 +297,7 @@ def parse_pd(text: str) -> Diagram:
                 direction[(ci, 1)] = -1
                 direction[(ci, 3)] = +1
             else:
-                raise ValueError(f"cannot infer over-strand orientation at crossing {ci}")
+                raise InputError(f"cannot infer over-strand orientation at crossing {ci}")
 
     crossings = []
     for ci, q in enumerate(quads):

@@ -9,7 +9,7 @@ internally as doubled integers (the exponent 3/2 is stored as 3).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from typing import Mapping, Union
 
 Exponent = Union[int, Fraction]
@@ -18,8 +18,6 @@ __all__ = [
     "LaurentPoly",
     "RationalFn",
     "quantum_integer",
-    "coefficient",
-    "substitute",
 ]
 
 
@@ -121,12 +119,6 @@ class LaurentPoly:
             return (0,) * self.arity
         cols = zip(*self.terms.keys())
         return tuple(min(col) for col in cols)
-
-    def max_exps(self) -> tuple[int, ...]:
-        if not self.terms:
-            return (0,) * self.arity
-        cols = zip(*self.terms.keys())
-        return tuple(max(col) for col in cols)
 
     def lex_leading(self) -> tuple[tuple[int, ...], int]:
         k = max(self.terms)
@@ -731,15 +723,3 @@ def quantum_integer(k: int, var: str = "q") -> LaurentPoly:
     if k < 0:
         raise ValueError("quantum integer defined for k >= 0")
     return LaurentPoly.from_terms((var,), {k - 1 - 2 * i: 1 for i in range(k)})
-
-
-def coefficient(p: LaurentPoly, exps) -> int:
-    return p.coefficient(exps)
-
-
-def substitute(p, which: str, value):
-    return p.substitute(which, value)
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)

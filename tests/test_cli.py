@@ -132,3 +132,24 @@ def test_determinism_across_invocations():
     assert code == 0
     code, again, _ = invoke(argv)
     assert again == first
+
+
+@pytest.mark.parametrize("text", ["2: 1 x", "2: 1 5"], ids=["bad-letter", "letter-out-of-range"])
+def test_malformed_braid_exits_2(text):
+    code, out, err = invoke(["kh", text])
+    assert code == 2 and not out
+    assert err.startswith("input error:")
+
+
+def test_malformed_pd_exits_2(tmp_path):
+    pd = tmp_path / "short.pd"
+    pd.write_text("X 1 2 3\n")
+    code, _, err = invoke(["kh", str(pd)])
+    assert code == 2 and err.startswith("input error:")
+
+
+def test_graph_edge_out_of_range_exits_2(tmp_path):
+    gfile = tmp_path / "bad.g"
+    gfile.write_text("v 3\ne 1 7\n")
+    code, _, err = invoke(["graph", "kh", str(gfile), "--theory", "pn"])
+    assert code == 2 and err.startswith("input error:")

@@ -6,11 +6,12 @@ import random
 import pytest
 
 from linkhom.corpus import corpus_diagrams
-from linkhom.graphhom import Multigraph, build_Pn_complex
+from linkhom.graphhom import Multigraph, _enhanced_cube, build_Pn_complex, build_Qn_complex
 from linkhom.homcore import (
     GradedComplex,
     HomologyTable,
     SparseIntMatrix,
+    _unit_residue,
     euler_characteristic,
     graded_homology,
     matrix_rank,
@@ -312,3 +313,142 @@ def test_torsion_chain_large_entries():
 def test_rank_only_helper():
     m = mat(2, 3, {(0, 0): 2, (1, 2): 5})
     assert matrix_rank(m) == 2
+
+
+def per_block_homology(c):
+    """Oracle: a Smith form of every block on its own."""
+    snf = {k: smith_normal_form(b) for k, b in c.diff.items()}
+    s, l = c.shift
+    out = {}
+    for (i, j) in set(c.dims) | set(c.diff):
+        dim = c.dim(i, j)
+        if dim:
+            factors_in, rank_in = snf.get((i - 1, j), ((), 0))
+            free = dim - snf.get((i, j), ((), 0))[1] - rank_in
+            torsion = tuple(f for f in factors_in if f > 1)
+            if free or torsion:
+                out[(i + s, j + l)] = (free, torsion)
+    return out
+
+
+def assert_unit_free_residue(cplx, expected):
+    # a smaller chain complex, with the same homology and no ±1 entry
+    r = _unit_residue(cplx)
+    assert r.verify_d_squared() == []
+    for (i, j), blk in r.diff.items():
+        assert (blk.rows, blk.cols) == (r.dim(i + 1, j), r.dim(i, j))
+        assert all(abs(v) != 1 for v in blk.entries.values())
+    assert euler_characteristic(r) == euler_characteristic(cplx)
+    assert r.total_dim() <= cplx.total_dim()
+    assert per_block_homology(r) == expected
+
+
+def test_homology_matches_per_block_oracle_on_cube_complexes():
+    complexes = []
+    for b in corpus_diagrams(max_crossings=8):
+        d = braid_closure(b)
+        complexes += [build_khovanov_complex(d), build_khovanov_complex(d, normalized=True)]
+    d = braid_closure(corpus_diagrams(max_crossings=8)[-1])
+    complexes.append(build_khovanov_complex(d, irange=(1, 3)))
+    complexes.append(build_khovanov_complex(d, jwindow=(-1, 3), normalized=True))
+    for g in (PRISM, THETA):
+        complexes += [build_Pn_complex(g, n, variant) for n in (1, 2) for variant in ("zero", "xn")]
+        complexes += [build_Qn_complex(g, 1, (0, 1)), _enhanced_cube(g, (2, 3))]
+    torsion = 0
+    for cplx in complexes:
+        expected = per_block_homology(cplx)
+        assert graded_homology(cplx).entries == expected, cplx.source
+        assert_unit_free_residue(cplx, expected)
+        torsion += sum(len(t) for _, t in expected.values())
+    assert torsion
+
+
+def change_basis(rng, diff, dims, key):
+    """A random unimodular change of basis of the chain group at ``key``:
+    the block into it takes the row operation, the block out of it the
+    inverse column operation."""
+    i, j = key
+    into, out = diff.get((i - 1, j)), diff.get((i, j))
+    a, b = rng.sample(range(dims[key]), 2)
+    op = rng.random()
+    if op < 0.1:  # swap generators a and b
+        if into is not None:
+            into[a], into[b] = into[b], into[a]
+        if out is not None:
+            for row in out:
+                row[a], row[b] = row[b], row[a]
+    elif op < 0.2:  # negate generator a
+        if into is not None:
+            into[a] = [-x for x in into[a]]
+        if out is not None:
+            for row in out:
+                row[a] = -row[a]
+    else:  # a += k b
+        k = rng.choice([-2, -1, 1, 2])
+        if into is not None:
+            into[a] = [x + k * y for x, y in zip(into[a], into[b])]
+        if out is not None:
+            for row in out:
+                row[b] -= k * row[a]
+
+
+def invariant_factors(orders):
+    # the k-th largest power of each prime goes into the k-th largest factor
+    out = [1] * len(orders)
+    powers: dict[int, list[int]] = {}
+    for n in orders:
+        p = 2
+        while n > 1:
+            q = 1
+            while n % p == 0:
+                n, q = n // p, q * p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    for qs in powers.values():
+        for k, q in enumerate(sorted(qs, reverse=True)):
+            out[-1 - k] *= q
+    return tuple(f for f in out if f > 1)
+
+
+def test_homology_known_answer_random_complexes():
+    # direct sums of Z, Z --1--> Z and Z --n--> Z, then a change of basis
+    rng = random.Random(4)
+    for trial in range(30):
+        degrees = list(range(rng.choice([4, 5])))
+        if trial % 3 == 0:
+            degrees.remove(rng.choice(degrees[1:-1]))  # a gap in i
+        expected = {}
+        gens = {}  # (i, j) -> number of generators so far
+        arrows = []  # (i, j, source generator, target generator, n)
+        for j in (0, 2):
+            for i in degrees:
+                for _ in range(rng.randint(0, 2)):
+                    gens[(i, j)] = gens.get((i, j), 0) + 1
+                    free, tors = expected.get((i, j), (0, []))
+                    expected[(i, j)] = (free + 1, tors)
+                if i + 1 not in degrees:
+                    continue
+                orders = [1] * rng.randint(0, 4) + [rng.choice([2, 3, 4, 6, 12]) for _ in range(rng.randint(0, 2))]
+                for n in orders:
+                    src, dst = gens.get((i, j), 0), gens.get((i + 1, j), 0)
+                    gens[(i, j)], gens[(i + 1, j)] = src + 1, dst + 1
+                    arrows.append((i, j, src, dst, n))
+                    if n > 1:
+                        free, tors = expected.get((i + 1, j), (0, []))
+                        expected[(i + 1, j)] = (free, tors + [n])
+        diff = {}
+        for i, j, src, dst, n in arrows:
+            blk = diff.setdefault((i, j), [[0] * gens[(i, j)] for _ in range(gens[(i + 1, j)])])
+            blk[dst][src] = n
+        for _ in range(3 * len(gens)):
+            key = rng.choice(sorted(k for k, n in gens.items() if n > 1))
+            change_basis(rng, diff, gens, key)
+        cplx = GradedComplex(dims=dict(gens))
+        for key, blk in diff.items():
+            data = {(r, c): v for r, row in enumerate(blk) for c, v in enumerate(row) if v}
+            cplx.diff[key] = mat(len(blk), len(blk[0]), data)
+        want = {k: (f, invariant_factors(t)) for k, (f, t) in expected.items() if f or t}
+        assert graded_homology(cplx).entries == want
+        assert per_block_homology(cplx) == want
+        assert_unit_free_residue(cplx, want)
