@@ -11,16 +11,25 @@ spanning subgraphs:
  * the per-degree polynomial complex, one copy of Z[x] per component
    with variables indexed by the smallest vertex (n <= 2);
  * the enhanced-state complex, nonnegative labels on components, whose
-   per-degree Euler characteristics give the series J_G.
+   per-degree Euler characteristics give the series J_G; it is the
+   per-degree polynomial complex for n = 2.
+
+All three are short specs for the shared cube engine
+(``homcore.cube_complex``): components are the parts of a spanning
+subgraph, numbered by their least vertex, and a generator labels each
+component with an exponent.  Block (i, j) lists the subgraphs with i
+edges by increasing mask, each with its labelings of one exponent sum in
+lexicographic order; positions are worked out from offsets and ranks,
+and each edge shape (component counts, where each component lands, the
+component the edge touches) has its map tabulated once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .homcore import GradedComplex, HomologyTable, SparseIntMatrix, graded_homology
+from .homcore import CubeSpec, CubeStates, GradedComplex, HomologyTable, cube_complex, graded_homology
 from .linkdiag import InputError
 from .polyalg import LaurentPoly, RationalFn
 
@@ -146,49 +155,10 @@ class GraphState:
         return len(self.components)
 
 
-class _GraphStates:
-    """Component data per spanning subgraph, components indexed by their
-    smallest vertex."""
-
-    def __init__(self, g: Multigraph):
-        self.g = g
-        self._cache: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
-
-    def state(self, mask: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(component count, vertex -> component index, component -> min vertex)."""
-        cached = self._cache.get(mask)
-        if cached is not None:
-            return cached
-        n = self.g.n_vertices
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for pos, (u, v) in enumerate(self.g.edges):
-            if (mask >> pos) & 1:
-                ru, rv = find(u - 1), find(v - 1)
-                if ru != rv:
-                    if ru > rv:
-                        ru, rv = rv, ru
-                    parent[rv] = ru
-        comp = [0] * n
-        mins: list[int] = []
-        root_to: dict[int, int] = {}
-        for x in range(n):
-            r = find(x)
-            c = root_to.get(r)
-            if c is None:
-                c = len(mins)
-                root_to[r] = c
-                mins.append(x)
-            comp[x] = c
-        out = (len(mins), tuple(comp), tuple(mins))
-        self._cache[mask] = out
-        return out
+def _graph_states(g: Multigraph) -> CubeStates:
+    """Components of every spanning subgraph: a present edge joins its
+    ends, vertex v is element v - 1."""
+    return CubeStates(g.n_vertices, [((), ((u - 1, v - 1),)) for u, v in g.edges])
 
 
 def graph_state(g: Multigraph, bits) -> GraphState:
@@ -196,7 +166,7 @@ def graph_state(g: Multigraph, bits) -> GraphState:
     for pos, b in enumerate(bits):
         if b:
             mask |= 1 << pos
-    count, comp, _ = _GraphStates(g).state(mask)
+    count, comp, _ = _graph_states(g).state(mask)
     groups: list[list[int]] = [[] for _ in range(count)]
     for vertex in range(g.n_vertices):
         groups[comp[vertex]].append(vertex + 1)
@@ -205,7 +175,7 @@ def graph_state(g: Multigraph, bits) -> GraphState:
 
 def dichromatic(g: Multigraph) -> LaurentPoly:
     """State sum over spanning subgraphs of (-1)^|s| q^|s| v^k(s)."""
-    states = _GraphStates(g)
+    states = _graph_states(g)
     acc: dict[tuple[int, int], int] = {}
     for mask in range(1 << g.n_edges):
         i = mask.bit_count()
@@ -238,7 +208,7 @@ def dichromatic_delete_contract(g: Multigraph) -> LaurentPoly:
 
 def tutte(g: Multigraph) -> LaurentPoly:
     """State sum (x-1)^(k(s)-k(E)) (y-1)^(|s|-N+k(s))."""
-    states = _GraphStates(g)
+    states = _graph_states(g)
     k_full = states.state((1 << g.n_edges) - 1)[0]
     xm1 = LaurentPoly.from_terms(XY, {(1, 0): 1, (0, 0): -1})
     ym1 = LaurentPoly.from_terms(XY, {(0, 1): 1, (0, 0): -1})
@@ -252,14 +222,12 @@ def tutte(g: Multigraph) -> LaurentPoly:
 
 def tutte_recursive(g: Multigraph) -> LaurentPoly:
     """Bridge/loop deletion-contraction route."""
-    states = _GraphStates(g)
-
     def is_loop(h: Multigraph, k: int) -> bool:
         u, v = h.edges[k]
         return u == v
 
     def is_bridge(h: Multigraph, k: int) -> bool:
-        full = _GraphStates(h)
+        full = _graph_states(h)
         all_mask = (1 << h.n_edges) - 1
         return full.state(all_mask)[0] < full.state(all_mask ^ (1 << k))[0]
 
@@ -305,7 +273,7 @@ def specialize_Qn(g: Multigraph, n: int, window: tuple[int, int]) -> LaurentPoly
     lo, hi = window
     if lo > hi:
         raise ValueError("empty window")
-    states = _GraphStates(g)
+    states = _graph_states(g)
     acc = {e: 0 for e in range(lo, hi + 1)}
     for mask in range(1 << g.n_edges):
         i = mask.bit_count()
@@ -337,75 +305,13 @@ def build_Pn_complex(g: Multigraph, n: int, variant: str = "zero") -> GradedComp
         raise ValueError("need n >= 1")
     if variant not in ("zero", "xn"):
         raise ValueError("variant must be 'zero' or 'xn'")
-    states = _GraphStates(g)
-    m = g.n_edges
-
-    basis: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
-    pos: dict[tuple[int, int], dict[tuple[int, tuple[int, ...]], int]] = {}
-    for mask in range(1 << m):
-        i = mask.bit_count()
-        k = states.state(mask)[0]
-        for exps in itertools.product(range(n + 1), repeat=k):
-            j = sum(n - a for a in exps) + n * i
-            key = (i, j)
-            lst = basis.setdefault(key, [])
-            pos.setdefault(key, {})[(mask, exps)] = len(lst)
-            lst.append((mask, exps))
-
-    cplx = GradedComplex(source=f"pn-complex:n={n}:{variant}")
-    cplx.dims = {key: len(lst) for key, lst in basis.items()}
-    blocks: dict[tuple[int, int], SparseIntMatrix] = {}
-
-    def block(i: int, j: int) -> SparseIntMatrix:
-        key = (i, j)
-        blk = blocks.get(key)
-        if blk is None:
-            blk = SparseIntMatrix(cplx.dims.get((i + 1, j), 0), cplx.dims.get((i, j), 0))
-            blocks[key] = blk
-        return blk
-
-    for mask in range(1 << m):
-        i = mask.bit_count()
-        k, comp, mins = states.state(mask)
-        for e in range(m):
-            if (mask >> e) & 1:
-                continue
-            tmask = mask | (1 << e)
-            tk, tcomp, _ = states.state(tmask)
-            sign = -1 if (mask & ((1 << e) - 1)).bit_count() & 1 else 1
-            image = [tcomp[mins[s]] for s in range(k)]
-            u, v = g.edges[e]
-            cu, cv = comp[u - 1], comp[v - 1]
-            loop_edge = cu == cv
-            if loop_edge and variant == "zero":
-                continue
-            for exps in itertools.product(range(n + 1), repeat=k):
-                j = sum(n - a for a in exps) + n * i
-                tvals = [0] * tk
-                if loop_edge:
-                    # 1 -> X^n, X^a -> 0 for a >= 1, identity elsewhere
-                    if exps[cu] != 0:
-                        continue
-                    for s in range(k):
-                        tvals[image[s]] = exps[s]
-                    tvals[image[cu]] = n
-                else:
-                    total = exps[cu] + exps[cv]
-                    if total > n:
-                        continue
-                    for s in range(k):
-                        if s != cu and s != cv:
-                            tvals[image[s]] = exps[s]
-                    tvals[image[cu]] = total
-                target = tuple(tvals)
-                dst = pos.get((i + 1, j), {}).get((tmask, target))
-                src = pos.get((i, j), {}).get((mask, exps))
-                if dst is None or src is None:
-                    continue
-                block(i, j).add_at(dst, src, sign)
-
-    cplx.diff = {key: blk for key, blk in blocks.items() if not blk.is_zero()}
-    return cplx
+    spec = CubeSpec(
+        top=n,
+        grading=(n, n, 1),  # j = n i + sum of (n - a) over the parts
+        merge=lambda x, y: (x + y,) if x + y <= n else (),
+        inside=(lambda x: (n,) if x == 0 else ()) if variant == "xn" else (lambda x: ()),
+    )
+    return cube_complex(spec, _graph_states(g), source=f"pn-complex:n={n}:{variant}")
 
 
 def Pn_homology(g: Multigraph, n: int, variant: str = "zero") -> HomologyTable:
@@ -467,88 +373,12 @@ def polygon_reference(k: int, n: int) -> HomologyTable:
 # ---------------------------------------------------------------------------
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of the given length and sum, in
-    lexicographic order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _enhanced_cube(g: Multigraph, window: tuple[int, int]) -> GradedComplex:
     """Enhanced-state cube: states carry nonnegative labels on components,
     i = |s| and j = |s| + k(s) - |labels|.  Adding an edge merges labels
-    additively, or increments the label of the component it lands in."""
-    lo, hi = window
-    if lo > hi:
-        raise ValueError("empty degree window")
-    states = _GraphStates(g)
-    m = g.n_edges
-
-    basis: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
-    pos: dict[tuple[int, int], dict[tuple[int, tuple[int, ...]], int]] = {}
-    for mask in range(1 << m):
-        i = mask.bit_count()
-        k = states.state(mask)[0]
-        for j in range(lo, hi + 1):
-            labels_total = i + k - j
-            if labels_total < 0:
-                continue
-            key = (i, j)
-            for labels in _compositions(labels_total, k):
-                lst = basis.setdefault(key, [])
-                pos.setdefault(key, {})[(mask, labels)] = len(lst)
-                lst.append((mask, labels))
-
-    cplx = GradedComplex(source="enhanced")
-    cplx.dims = {key: len(lst) for key, lst in basis.items()}
-    blocks: dict[tuple[int, int], SparseIntMatrix] = {}
-
-    def block(i: int, j: int) -> SparseIntMatrix:
-        key = (i, j)
-        blk = blocks.get(key)
-        if blk is None:
-            blk = SparseIntMatrix(cplx.dims.get((i + 1, j), 0), cplx.dims.get((i, j), 0))
-            blocks[key] = blk
-        return blk
-
-    for (i, j), lst in basis.items():
-        for (mask, labels) in lst:
-            src = pos[(i, j)][(mask, labels)]
-            k, comp, mins = states.state(mask)
-            for e in range(m):
-                if (mask >> e) & 1:
-                    continue
-                tmask = mask | (1 << e)
-                tk, tcomp, _ = states.state(tmask)
-                sign = -1 if (mask & ((1 << e) - 1)).bit_count() & 1 else 1
-                image = [tcomp[mins[s]] for s in range(k)]
-                u, v = g.edges[e]
-                cu, cv = comp[u - 1], comp[v - 1]
-                tvals = [0] * tk
-                if cu == cv:
-                    for s in range(k):
-                        tvals[image[s]] = labels[s]
-                    tvals[image[cu]] += 1
-                else:
-                    for s in range(k):
-                        if s != cu and s != cv:
-                            tvals[image[s]] = labels[s]
-                    tvals[image[cu]] = labels[cu] + labels[cv]
-                dst = pos.get((i + 1, j), {}).get((tmask, tuple(tvals)))
-                if dst is None:
-                    continue
-                block(i, j).add_at(dst, src, sign)
-
-    cplx.diff = {key: blk for key, blk in blocks.items() if not blk.is_zero()}
-    return cplx
+    additively, or increments the label of the component it lands in.
+    This is the per-degree polynomial complex for n = 2."""
+    return _qn_cube(g, 2, window, "enhanced")
 
 
 def build_enhanced_complex(g: Multigraph, j: int) -> GradedComplex:
@@ -567,74 +397,20 @@ def build_Qn_complex(g: Multigraph, n: int, window: tuple[int, int]) -> GradedCo
     by x.  Exact inside the window since differentials preserve degree."""
     if n > 2:
         raise ValueError("need n <= 2 so the merge exponent 2-n is nonnegative")
-    return _qn_cube(g, n, window)
+    return _qn_cube(g, n, window, f"qn-complex:n={n}")
 
 
-def _qn_cube(g: Multigraph, n: int, window: tuple[int, int]) -> GradedComplex:
+def _qn_cube(g: Multigraph, n: int, window: tuple[int, int], source: str) -> GradedComplex:
     lo, hi = window
     if lo > hi:
         raise ValueError("empty degree window")
-    states = _GraphStates(g)
-    m = g.n_edges
-    bump = 2 - n
-
-    basis: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
-    pos: dict[tuple[int, int], dict[tuple[int, tuple[int, ...]], int]] = {}
-    for mask in range(1 << m):
-        i = mask.bit_count()
-        k = states.state(mask)[0]
-        for j in range(lo, hi + 1):
-            total = k * (n - 1) + i - j
-            if total < 0:
-                continue
-            key = (i, j)
-            for exps in _compositions(total, k):
-                lst = basis.setdefault(key, [])
-                pos.setdefault(key, {})[(mask, exps)] = len(lst)
-                lst.append((mask, exps))
-
-    cplx = GradedComplex(source=f"qn-complex:n={n}")
-    cplx.dims = {key: len(lst) for key, lst in basis.items()}
-    blocks: dict[tuple[int, int], SparseIntMatrix] = {}
-
-    def block(i: int, j: int) -> SparseIntMatrix:
-        key = (i, j)
-        blk = blocks.get(key)
-        if blk is None:
-            blk = SparseIntMatrix(cplx.dims.get((i + 1, j), 0), cplx.dims.get((i, j), 0))
-            blocks[key] = blk
-        return blk
-
-    for (i, j), lst in basis.items():
-        for (mask, exps) in lst:
-            src = pos[(i, j)][(mask, exps)]
-            k, comp, mins = states.state(mask)
-            for e in range(m):
-                if (mask >> e) & 1:
-                    continue
-                tmask = mask | (1 << e)
-                tk, tcomp, _ = states.state(tmask)
-                sign = -1 if (mask & ((1 << e) - 1)).bit_count() & 1 else 1
-                image = [tcomp[mins[s]] for s in range(k)]
-                u, v = g.edges[e]
-                cu, cv = comp[u - 1], comp[v - 1]
-                tvals = [0] * tk
-                if cu == cv:
-                    for s in range(k):
-                        tvals[image[s]] = exps[s]
-                    tvals[image[cu]] += 1
-                else:
-                    for s in range(k):
-                        if s != cu and s != cv:
-                            tvals[image[s]] = exps[s]
-                    tvals[image[cu]] = exps[cu] + exps[cv] + bump
-                dst = pos.get((i + 1, j), {}).get((tmask, tuple(tvals)))
-                if dst is None:
-                    continue
-                block(i, j).add_at(dst, src, sign)
-
-    cplx.diff = {key: blk for key, blk in blocks.items() if not blk.is_zero()}
-    return cplx
+    spec = CubeSpec(
+        top=None,
+        grading=(1, n - 1, 1),  # j = i + k (n - 1) - sum of exponents
+        merge=lambda x, y: (x + y + 2 - n,),
+        inside=lambda x: (x + 1,),
+    )
+    return cube_complex(spec, _graph_states(g), window=window, source=source)
 
 
 def Qn_homology(g: Multigraph, n: int, window: tuple[int, int]) -> HomologyTable:
@@ -643,7 +419,7 @@ def Qn_homology(g: Multigraph, n: int, window: tuple[int, int]) -> HomologyTable
 
 def dichromatic_DG(g: Multigraph) -> RationalFn:
     """(1 + t^-1 q)^m P(q, (1 + t^-1 q)/(1 - q)), exactly."""
-    states = _GraphStates(g)
+    states = _graph_states(g)
     m = g.n_edges
     one_plus = LaurentPoly.from_terms(TQ, {(0, 0): 1, (-1, 1): 1})
     one_minus_q = LaurentPoly.from_terms(TQ, {(0, 0): 1, (0, 1): -1})

@@ -10,6 +10,11 @@ neighbouring blocks lose only row x and column y.  Then Smith normal
 forms of the small residual blocks give the free ranks and torsion
 invariant factors.  The Smith normal form and the cancellation share one
 sparse elimination core.
+
+The Khovanov and graph complexes come from one cube engine,
+``cube_complex``: a ``CubeStates`` table gives the parts (circles or
+components) at each vertex of the cube, and a ``CubeSpec`` gives the
+labels on parts, the grading and the merge, split and inside maps.
 """
 
 from __future__ import annotations
@@ -19,12 +24,16 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd
-from typing import Container, Iterable, Mapping
+from operator import itemgetter
+from typing import Callable, Container, Iterable, Mapping
 
 from .polyalg import LaurentPoly
 
 __all__ = [
     "SparseIntMatrix",
+    "CubeStates",
+    "CubeSpec",
+    "cube_complex",
     "smith_normal_form",
     "matrix_rank",
     "GradedComplex",
@@ -62,34 +71,35 @@ class SparseIntMatrix:
         else:
             self.entries.pop((r, c), None)
 
+    @classmethod
+    def adopt(cls, rows: int, cols: int, entries: dict[tuple[int, int], int]) -> "SparseIntMatrix":
+        """A matrix that takes ``entries`` over as its own, without a copy.
+
+        The checks of ``add_at`` run once over the whole dict: an index out
+        of range raises ValueError, and zero values are dropped in place.
+        """
+        m = cls(rows, cols)
+        if entries:
+            row_of, col_of = itemgetter(0), itemgetter(1)
+            if (
+                min(map(row_of, entries)) < 0
+                or max(map(row_of, entries)) >= rows
+                or min(map(col_of, entries)) < 0
+                or max(map(col_of, entries)) >= cols
+            ):
+                raise ValueError(f"index out of range for {rows}x{cols}")
+            if 0 in entries.values():
+                for key in [key for key, v in entries.items() if not v]:
+                    del entries[key]
+        m.entries = entries
+        return m
+
     @property
     def nnz(self) -> int:
         return len(self.entries)
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def by_columns(self) -> dict[int, dict[int, int]]:
-        out: dict[int, dict[int, int]] = {}
-        for (r, c), v in self.entries.items():
-            out.setdefault(c, {})[r] = v
-        return out
-
-    def compose_is_zero(self, first: "SparseIntMatrix") -> bool:
-        """True iff self @ first == 0 (self applied after first)."""
-        if first.cols and self.rows and first.rows != self.cols:
-            raise ValueError("shape mismatch in composition")
-        rows_of_self: dict[int, dict[int, int]] = {}
-        for (r, c), v in self.entries.items():
-            rows_of_self.setdefault(c, {})[r] = v
-        for col_entries in first.by_columns().values():
-            acc: dict[int, int] = {}
-            for mid, v in col_entries.items():
-                for r, w in rows_of_self.get(mid, {}).items():
-                    acc[r] = acc.get(r, 0) + v * w
-            if any(acc.values()):
-                return False
-        return True
 
     def permuted(self, row_perm: list[int], col_perm: list[int]) -> "SparseIntMatrix":
         out = SparseIntMatrix(self.rows, self.cols)
@@ -363,17 +373,284 @@ class GradedComplex:
         return blk
 
     def verify_d_squared(self) -> list[tuple[int, int]]:
+        """The blocks (i, j) whose composite with block (i+1, j) is not 0.
+
+        The blocks are walked strand by strand (one j, increasing i), and
+        each is grouped by column once: as the first map of one composite
+        and as the second map of the composite before it.
+        """
         bad = []
-        for (i, j), first in self.diff.items():
-            second = self.diff.get((i + 1, j))
-            if second is None or second.is_zero() or first.is_zero():
-                continue
-            if not second.compose_is_zero(first):
-                bad.append((i, j))
+        prev = None  # (key, block, its columns) of the last block seen
+        for i, j in sorted(self.diff, key=lambda k: (k[1], k[0])):
+            second = self.diff[(i, j)]
+            by_col: defaultdict[int, dict[int, int]] = defaultdict(dict)
+            for (r, c), v in second.entries.items():
+                by_col[c][r] = v
+            if prev is not None and prev[0] == (i - 1, j):
+                first, first_cols = prev[1], prev[2]
+                if first.entries and second.entries and first.rows != second.cols:
+                    raise ValueError(f"shape mismatch in composition at ({i - 1},{j})")
+                for col in first_cols.values():
+                    acc: dict[int, int] = {}
+                    for mid, v in col.items():
+                        out = by_col.get(mid)
+                        if out:
+                            for r, w in out.items():
+                                acc[r] = acc.get(r, 0) + v * w
+                    if any(acc.values()):
+                        bad.append((i - 1, j))
+                        break
+            prev = ((i, j), second, by_col)
         return sorted(bad)
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
+
+
+class CubeStates:
+    """The parts of a finite set at every vertex of a cube, cached per vertex.
+
+    The elements are 0..size-1.  At vertex ``mask``, coordinate ``pos``
+    joins the element pairs ``joins[pos][(mask >> pos) & 1]``; the parts
+    are the classes of joined elements, numbered by their least element.
+    Khovanov cubes join arc labels into circles (each crossing joins two
+    pairs, by its smoothing), graph cubes join edge ends into components
+    (an edge joins its ends when present and nothing when absent).
+    """
+
+    def __init__(self, size: int, joins):
+        self.size = size
+        self.joins = joins
+        self._cache: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
+
+    def state(self, mask: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(part count, element -> part, part -> least element)."""
+        cached = self._cache.get(mask)
+        if cached is not None:
+            return cached
+        parent = list(range(self.size))
+        for pos, pairs in enumerate(self.joins):
+            for a, b in pairs[(mask >> pos) & 1]:
+                # union-find with path halving, written out: this is hot
+                while parent[a] != a:
+                    parent[a] = parent[parent[a]]
+                    a = parent[a]
+                while parent[b] != b:
+                    parent[b] = parent[parent[b]]
+                    b = parent[b]
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
+        # every root is the least element of its class
+        part = [0] * self.size
+        mins: list[int] = []
+        for x in range(self.size):
+            r = parent[x]
+            while parent[r] != r:
+                r = parent[r]
+            if r == x:
+                part[x] = len(mins)
+                mins.append(x)
+            else:
+                part[x] = part[r]
+        out = (len(mins), tuple(part), tuple(mins))
+        self._cache[mask] = out
+        return out
+
+
+@dataclass(frozen=True)
+class CubeSpec:
+    """One theory's generators and edge maps on a cube of part states.
+
+    A generator of a state is a labeling of its parts by integers 0..top
+    (any integer >= 0 when ``top`` is None).  With i the state's cube
+    degree, k its part count and t the sum of its labels, the generator
+    has degree j = a i + b k - c t, for ``grading`` = (a, b, c).  An edge
+    adds one coordinate and merges two parts, splits one, or runs inside
+    one; its map carries every other label to the matching target part,
+    and ``merge(x, y)`` lists the labels of the merged part, ``split(x)``
+    the label pairs of the two new parts (lower-numbered part first), and
+    ``inside(x)`` the new labels of the part, each with coefficient 1.
+    Every map must keep j.
+    """
+
+    top: int | None
+    grading: tuple[int, int, int]
+    merge: Callable[[int, int], Iterable[int]]
+    split: Callable[[int], Iterable[tuple[int, int]]] | None = None
+    inside: Callable[[int], Iterable[int]] | None = None
+
+
+def cube_complex(
+    spec: CubeSpec,
+    states: CubeStates,
+    columns: tuple[int, int] | None = None,
+    window: tuple[int, int] | None = None,
+    source: str = "",
+) -> GradedComplex:
+    """The cube complex of ``spec`` over the vertices of ``states``.
+
+    Cube degrees ``columns`` = (lo, hi) are kept (all by default), with
+    the edges from degree lo up to degree hi, and only the generators of
+    degree j in ``window`` when it is given.
+
+    Generator order: block (i, j) lists the states of cube degree i by
+    increasing mask, and each state's labelings of the one label sum that
+    gives j in lexicographic order.  So a generator's position is its
+    state's offset for that label sum plus the rank of its labeling, found
+    by arithmetic, with no lookup per generator.
+
+    Edge shapes: an edge's map on labelings depends only on the part
+    counts, where each source part lands (``image``) and the part the
+    edge touches, not on the state.  Each shape's map is tabulated once
+    per label sum, as the target label sum and (target rank, source rank,
+    value) triples, and replayed on every edge of that shape with the edge's cube
+    sign (-1)^(number of set coordinates below it), which makes every
+    square anticommute.  The tables live for one call.
+
+    A block's entries go straight into one dict, keyed by ints taken from
+    one shared list so that equal indices share one object.  No key is
+    written twice: a column and a row fix the source and the target state,
+    hence the edge, and each table sums repeated targets of one labeling.
+    """
+    a, b, c = spec.grading
+    top = spec.top
+    if top is None and window is None:
+        raise ValueError("unbounded labels need a degree window")
+    n = len(states.joins)
+    col_lo, col_hi = (0, n) if columns is None else columns
+    by_col: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(1 << n):
+        by_col[mask.bit_count()].append(mask)
+    state = states.state
+    # the element whose part an edge touches: joined when its coordinate is 1
+    anchor = [pairs[1][0][0] for pairs in states.joins]
+
+    labelings: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    ranks: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+
+    def labels(k: int, t: int) -> list[tuple[int, ...]]:
+        # the labelings of k parts with label sum t, in lexicographic order
+        out = labelings.get((k, t))
+        if out is None:
+            if k == 0:
+                out = [()] if t == 0 else []
+            else:
+                first = t if top is None else min(t, top)
+                out = [(x,) + rest for x in range(first + 1) for rest in labels(k - 1, t - x)]
+            labelings[(k, t)] = out
+        return out
+
+    def rank(lab: tuple[int, ...]) -> int:
+        key = (len(lab), sum(lab))
+        table = ranks.get(key)
+        if table is None:
+            table = ranks[key] = {x: r for r, x in enumerate(labels(*key))}
+        return table[lab]
+
+    cplx = GradedComplex(source=source)
+    dims = cplx.dims
+    ints: list[int] = []  # ints[p] is p: one object per index value
+
+    def place(i: int) -> dict[int, list[list[int] | None]]:
+        # per state of cube degree i, per label sum t: the indices of its
+        # generators in block (i, j(t)), or None where it has none
+        out = {}
+        for mask in by_col[i]:
+            k = state(mask)[0]
+            base = a * i + b * k
+            t_hi = top * k if top is not None else (base - window[0]) // c
+            slots: list[list[int] | None] = []
+            for t in range(t_hi + 1):
+                j = base - c * t
+                if window is not None and not window[0] <= j <= window[1]:
+                    slots.append(None)
+                    continue
+                count = len(labels(k, t))
+                if not count:
+                    slots.append(None)
+                    continue
+                off = dims.get((i, j), 0)
+                dims[(i, j)] = off + count
+                if len(ints) < off + count:
+                    ints.extend(range(len(ints), off + count))
+                slots.append(ints[off:off + count])
+            out[mask] = slots
+        return out
+
+    def edge_group(k: int, shape, t: int):
+        # the edge map of one shape on the labelings of label sum t
+        tk, p, image = shape
+        shift, rem = divmod(a + b * (tk - k), c)
+        if rem:
+            raise ValueError("an edge map cannot keep the degree")
+        if tk == k - 1:
+            q = next(s for s in range(k) if s != p and image[s] == image[p])
+            slots, rule = (image[p],), lambda lab: ((v,) for v in spec.merge(lab[p], lab[q]))
+        elif tk == k + 1 and spec.split is not None:
+            hole = (set(range(tk)) - set(image)).pop()
+            slots, rule = tuple(sorted((image[p], hole))), lambda lab: spec.split(lab[p])
+        elif tk == k and spec.inside is not None:
+            slots, rule = (image[p],), lambda lab: ((v,) for v in spec.inside(lab[p]))
+        else:
+            raise ValueError(f"no edge map from {k} parts to {tk}")
+        entries = []
+        for r, lab in enumerate(labels(k, t)):
+            acc: dict[int, int] = {}
+            for new in rule(lab):
+                target = [0] * tk
+                for s, x in enumerate(lab):
+                    target[image[s]] = x
+                for slot, x in zip(slots, new):
+                    target[slot] = x
+                if sum(target) != t + shift:
+                    raise ValueError("an edge map does not keep the degree")
+                tr = rank(tuple(target))
+                acc[tr] = acc.get(tr, 0) + 1
+            entries += [(tr, r, v) for tr, v in acc.items() if v]
+        if not entries:
+            return ()
+        return t + shift, tuple(entries), tuple((tr, r, -v) for tr, r, v in entries)
+
+    tables: dict[tuple, dict[int, tuple]] = {}  # edge shape -> label sum -> group
+    col = place(col_lo) if col_lo <= col_hi else {}
+    for i in range(col_lo, min(col_hi, n)):
+        nxt = place(i + 1)
+        blocks: dict[int, dict[tuple[int, int], int]] = {}
+        for mask, slots in col.items():
+            k, part, mins = state(mask)
+            base = a * i + b * k
+            src = [
+                (t, cols, blocks.setdefault(base - c * t, {}))
+                for t, cols in enumerate(slots)
+                if cols is not None
+            ]
+            for e in range(n):
+                bit = 1 << e
+                if mask & bit:
+                    continue
+                tmask = mask | bit
+                tk, tpart, _ = state(tmask)
+                shape = (tk, part[anchor[e]], tuple(map(tpart.__getitem__, mins)))
+                table = tables.get(shape)
+                if table is None:
+                    table = tables[shape] = {}
+                negative = (mask & (bit - 1)).bit_count() & 1
+                target = nxt[tmask]
+                for t, cols, blk in src:
+                    group = table.get(t)
+                    if group is None:
+                        group = table[t] = edge_group(k, shape, t)
+                    if group:
+                        rows = target[group[0]]
+                        for tr, r, v in group[2] if negative else group[1]:
+                            blk[rows[tr], cols[r]] = v
+        for j, entries in blocks.items():
+            if entries:
+                cplx.diff[(i, j)] = SparseIntMatrix.adopt(dims.get((i + 1, j), 0), dims[(i, j)], entries)
+        col = nxt
+    return cplx
 
 
 @dataclass

@@ -1,9 +1,15 @@
 """Kauffman bracket, Jones polynomial, and integral Khovanov homology.
 
-The cube of resolutions is built per (i, j) block: bases are enumerated
-on demand (circles sorted by minimal arc label, tensor labelings in
-lexicographic order with 1 < X), and the merge/split differentials are
-assembled with the usual alternating signs so every square of the cube
+The cube of resolutions is built by the shared cube engine
+(``homcore.cube_complex``) from a short spec: circles are the parts of a
+resolution, numbered by their least arc label; a generator labels each
+circle 1 or X, and j = i + (circles) - 2 (number of X).  Block (i, j)
+lists the resolutions of i one-smoothings by increasing mask, each with
+its labelings in lexicographic order (1 < X, circle 0 first), and a
+generator's position is worked out from its resolution's offset and its
+labeling's rank.  The merge m and split Delta are tabulated once per edge
+shape (circle counts, where each circle lands, the circle the crossing
+touches) and replayed with the alternating cube signs, so every square
 anticommutes.
 """
 
@@ -13,9 +19,11 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .homcore import (
+    CubeSpec,
+    CubeStates,
     GradedComplex,
     HomologyTable,
-    SparseIntMatrix,
+    cube_complex,
     graded_homology,
     poincare_polynomial,
 )
@@ -44,64 +52,21 @@ __all__ = [
 Q = ("q",)
 
 
-class _StateTable:
-    """Per-diagram cache of circle data for every total resolution."""
-
-    def __init__(self, d: Diagram):
-        self.diagram = d
-        self.n = d.n_crossings
-        elements = sorted(set(d.arc_labels()) | set(d.loops))
-        self.size = len(elements)
-        index = {label: k for k, label in enumerate(elements)}
-        self.joins0 = []
-        self.joins1 = []
-        for x in d.crossings:
-            (a0, b0), (c0, d0) = x.joins(0)
-            (a1, b1), (c1, d1) = x.joins(1)
-            self.joins0.append((index[a0], index[b0], index[c0], index[d0]))
-            self.joins1.append((index[a1], index[b1], index[c1], index[d1]))
-        self._cache: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
-
-    def state(self, mask: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(circle count, element -> circle index, circle -> min element)."""
-        cached = self._cache.get(mask)
-        if cached is not None:
-            return cached
-        parent = list(range(self.size))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for pos in range(self.n):
-            j = self.joins1[pos] if (mask >> pos) & 1 else self.joins0[pos]
-            for a, b in ((j[0], j[1]), (j[2], j[3])):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    if ra > rb:
-                        ra, rb = rb, ra
-                    parent[rb] = ra
-        cidx = [0] * self.size
-        mins: list[int] = []
-        root_to_circle: dict[int, int] = {}
-        for x in range(self.size):
-            r = find(x)
-            c = root_to_circle.get(r)
-            if c is None:
-                c = len(mins)
-                root_to_circle[r] = c
-                mins.append(x)
-            cidx[x] = c
-        out = (len(mins), tuple(cidx), tuple(mins))
-        self._cache[mask] = out
-        return out
+def _states(d: Diagram) -> CubeStates:
+    """Circles of every total resolution: each crossing joins two pairs of
+    arc labels, by its smoothing."""
+    elements = sorted(set(d.arc_labels()) | set(d.loops))
+    index = {label: k for k, label in enumerate(elements)}
+    joins = [
+        tuple(tuple((index[a], index[b]) for a, b in x.joins(bit)) for bit in (0, 1))
+        for x in d.crossings
+    ]
+    return CubeStates(len(elements), joins)
 
 
 def kauffman_bracket(d: Diagram) -> LaurentPoly:
     """State sum: sum over resolutions of (-1)^|e| q^|e| (q+q^-1)^c."""
-    st = _StateTable(d)
+    st = _states(d)
     n = d.n_crossings
     acc: dict[int, int] = {}
     for mask in range(1 << n):
@@ -157,11 +122,14 @@ def jones_skein_check(l_plus: Diagram, l_minus: Diagram, l_zero: Diagram) -> boo
     return lhs == rhs
 
 
-def _columns(n: int) -> list[list[int]]:
-    by_pop: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        by_pop[mask.bit_count()].append(mask)
-    return by_pop
+# Labels 0 and 1 stand for 1 and X: m(1 1) = 1, m(1 X) = m(X 1) = X,
+# m(X X) = 0, Delta(1) = 1 X + X 1, Delta(X) = X X, and j = i + k - 2 #X.
+_KHOVANOV = CubeSpec(
+    top=1,
+    grading=(1, 1, 2),
+    merge=lambda x, y: (x + y,) if x + y <= 1 else (),
+    split=lambda x: ((1, 1),) if x else ((0, 1), (1, 0)),
+)
 
 
 def build_khovanov_complex(
@@ -176,119 +144,26 @@ def build_khovanov_complex(
     indices; when ``normalized`` the output shift (-n_minus, n_plus - 2
     n_minus) is recorded for homology reporting.
     """
-    st = _StateTable(d)
     n = d.n_crossings
-    if irange is None:
-        col_lo, col_hi = 0, n
-    else:
-        col_lo, col_hi = max(0, irange[0] - 1), min(n, irange[1] + 1)
-    by_pop = _columns(n)
-
-    basis: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    pos: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    for i in range(col_lo, col_hi + 1):
-        for mask in by_pop[i]:
-            count = st.state(mask)[0]
-            for lmask in range(1 << count):
-                j = i + count - 2 * lmask.bit_count()
-                if jwindow is not None and not (jwindow[0] <= j <= jwindow[1]):
-                    continue
-                key = (i, j)
-                lst = basis.setdefault(key, [])
-                pos.setdefault(key, {})[(mask, lmask)] = len(lst)
-                lst.append((mask, lmask))
-
-    cplx = GradedComplex(source=f"khovanov:{d.provenance}:{n}cr")
-    cplx.dims = {k: len(v) for k, v in basis.items()}
+    columns = None if irange is None else (max(0, irange[0] - 1), min(n, irange[1] + 1))
+    cplx = cube_complex(_KHOVANOV, _states(d), columns, jwindow, f"khovanov:{d.provenance}:{n}cr")
     if normalized:
         cplx.shift = (-d.n_minus, d.n_plus - 2 * d.n_minus)
-
-    blocks: dict[tuple[int, int], SparseIntMatrix] = {}
-
-    def block(i: int, j: int) -> SparseIntMatrix:
-        key = (i, j)
-        blk = blocks.get(key)
-        if blk is None:
-            blk = SparseIntMatrix(cplx.dims.get((i + 1, j), 0), cplx.dims.get((i, j), 0))
-            blocks[key] = blk
-        return blk
-
-    for i in range(col_lo, min(col_hi - 1, n - 1) + 1):
-        for mask in by_pop[i]:
-            count, cidx, mins = st.state(mask)
-            for nu in range(n):
-                if (mask >> nu) & 1:
-                    continue
-                tmask = mask | (1 << nu)
-                tcount, tcidx, tmins = st.state(tmask)
-                sign = -1 if (mask & ((1 << nu) - 1)).bit_count() & 1 else 1
-                image = [tcidx[mins[s]] for s in range(count)]
-                if tcount == count - 1:
-                    seen: dict[int, int] = {}
-                    pair = None
-                    for s, t in enumerate(image):
-                        if t in seen:
-                            pair = (seen[t], s)
-                            break
-                        seen[t] = s
-                    s1, s2 = pair
-                    tm = image[s1]
-                    for lmask in range(1 << count):
-                        x1 = (lmask >> (count - 1 - s1)) & 1
-                        x2 = (lmask >> (count - 1 - s2)) & 1
-                        if x1 and x2:
-                            continue  # m(X (x) X) = 0
-                        tl = 0
-                        for s in range(count):
-                            if s == s2:
-                                continue
-                            bit = x1 | x2 if s == s1 else (lmask >> (count - 1 - s)) & 1
-                            if bit:
-                                tl |= 1 << (tcount - 1 - image[s])
-                        j = i + count - 2 * lmask.bit_count()
-                        src_pos = pos.get((i, j), {}).get((mask, lmask))
-                        dst_pos = pos.get((i + 1, j), {}).get((tmask, tl))
-                        if src_pos is None or dst_pos is None:
-                            continue
-                        block(i, j).add_at(dst_pos, src_pos, sign)
-                else:
-                    src_of = [cidx[tmins[t]] for t in range(tcount)]
-                    seen2: dict[int, int] = {}
-                    tpair = None
-                    for t, s in enumerate(src_of):
-                        if s in seen2:
-                            tpair = (seen2[s], t)
-                            break
-                        seen2[s] = t
-                    t1, t2 = tpair
-                    s_star = src_of[t1]
-                    for lmask in range(1 << count):
-                        x = (lmask >> (count - 1 - s_star)) & 1
-                        base = 0
-                        for s in range(count):
-                            if s == s_star:
-                                continue
-                            if (lmask >> (count - 1 - s)) & 1:
-                                base |= 1 << (tcount - 1 - image[s])
-                        terms = [(1, 1)] if x else [(0, 1), (1, 0)]
-                        j = i + count - 2 * lmask.bit_count()
-                        src_pos = pos.get((i, j), {}).get((mask, lmask))
-                        if src_pos is None:
-                            continue
-                        for xa, xb in terms:
-                            tl = base
-                            if xa:
-                                tl |= 1 << (tcount - 1 - t1)
-                            if xb:
-                                tl |= 1 << (tcount - 1 - t2)
-                            dst_pos = pos.get((i + 1, j), {}).get((tmask, tl))
-                            if dst_pos is None:
-                                continue
-                            block(i, j).add_at(dst_pos, src_pos, sign)
-
-    cplx.diff = {k: b for k, b in blocks.items() if not b.is_zero()}
-    cplx._basis = basis  # kept for structural checks
     return cplx
+
+
+def _generators(d: Diagram) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """Each generator of ``build_khovanov_complex(d)`` as (state mask,
+    labeling bits with circle 0 highest), per block in the complex's order."""
+    st = _states(d)
+    n = d.n_crossings
+    out: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for mask in sorted(range(1 << n), key=int.bit_count):
+        i = mask.bit_count()
+        count = st.state(mask)[0]
+        for lmask in range(1 << count):
+            out.setdefault((i, i + count - 2 * lmask.bit_count()), []).append((mask, lmask))
+    return out
 
 
 def khovanov_homology(
@@ -380,14 +255,13 @@ def les_check(d: Diagram, crossing: int) -> LesReport:
             rank_ok = False
             violations.append(f"rank bound violated at ({i},{j})")
 
-    cone_ok = _cone_structure_ok(cx, c0, c1, crossing, violations)
+    cone_ok = _cone_structure_ok((d, d0, d1), (cx, c0, c1), crossing, violations)
     return LesReport(bracket_ok, rank_ok, cone_ok, violations)
 
 
-def _cone_structure_ok(cx, c0, c1, nu: int, violations: list[str]) -> bool:
-    basis = cx._basis
-    basis0 = c0._basis
-    basis1 = c1._basis
+def _cone_structure_ok(diagrams, complexes, nu: int, violations: list[str]) -> bool:
+    basis, basis0, basis1 = (_generators(x) for x in diagrams)
+    cx, c0, c1 = complexes
 
     def compress(mask: int) -> int:
         low = mask & ((1 << nu) - 1)

@@ -264,6 +264,24 @@ def test_d_squared_violation_reported():
         graded_homology(c)
 
 
+def test_d_squared_violations_in_two_strands():
+    # strand j=1 fails at (1, 1), strand j=4 at (0, 4); strand j=2 is a
+    # chain complex, and (2, 1) -> (3, 1) has nothing after it
+    c = GradedComplex()
+    for key in ((0, 1), (1, 1), (2, 1), (3, 1), (0, 2), (1, 2), (2, 2), (0, 4), (1, 4), (2, 4)):
+        c.dims[key] = 2
+    c.diff[(0, 1)] = mat(2, 2, {(0, 0): 1})
+    c.diff[(1, 1)] = mat(2, 2, {(0, 1): 2})
+    c.diff[(2, 1)] = mat(2, 2, {(1, 0): 3, (1, 1): 1})
+    c.diff[(0, 2)] = mat(2, 2, {(0, 0): 1, (1, 0): 1})
+    c.diff[(1, 2)] = mat(2, 2, {(0, 0): 1, (0, 1): -1})
+    c.diff[(0, 4)] = mat(2, 2, {(0, 0): 1, (1, 1): 1})
+    c.diff[(1, 4)] = mat(2, 2, {(0, 1): 5})
+    assert c.verify_d_squared() == [(0, 4), (1, 1)]
+    with pytest.raises(ValueError, match=r"\[\(0, 4\), \(1, 1\)\]"):
+        graded_homology(c)
+
+
 def test_homology_invariant_under_basis_permutation():
     rng = random.Random(23)
     for _ in range(15):
