@@ -25,7 +25,7 @@ from .graphhom import (
     tutte,
 )
 from .homcore import HomologyTable, poincare_polynomial
-from .homflypt import homfly_F, homfly_G, homfly_skein_form, specialize_Gn
+from .homflypt import _normalize_G, homfly_F, homfly_skein_form, specialize_Gn
 from .khovanov import (
     jones_unnormalized,
     kauffman_bracket,
@@ -160,7 +160,7 @@ def _cmd_kh(args, out) -> int:
 def _cmd_homfly(args, out) -> int:
     b = parse_braid(args.braid)
     f = homfly_F(b)
-    g = homfly_G(b)
+    g = _normalize_G(f, b)
     rows: list[tuple[str, str]] = []
     if args.var == "qt":
         rows.append(("F", f.value.render()))

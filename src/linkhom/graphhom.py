@@ -423,10 +423,15 @@ def dichromatic_DG(g: Multigraph) -> RationalFn:
     m = g.n_edges
     one_plus = LaurentPoly.from_terms(TQ, {(0, 0): 1, (-1, 1): 1})
     one_minus_q = LaurentPoly.from_terms(TQ, {(0, 0): 1, (0, 1): -1})
-    total = RationalFn.zero(TQ)
+    # components k -> {edges kept i: signed count (-1)^i of such states}
+    by_k: dict[int, dict[int, int]] = {}
     for mask in range(1 << m):
         i = mask.bit_count()
-        k = states.state(mask)[0]
-        num = LaurentPoly.monomial(TQ, (0, i), -1 if i & 1 else 1) * one_plus ** (m + k)
-        total = total + RationalFn(num, one_minus_q ** k)
-    return total
+        counts = by_k.setdefault(states.state(mask)[0], {})
+        counts[i] = counts.get(i, 0) + (-1 if i & 1 else 1)
+    top = max(by_k)
+    num = LaurentPoly.zero(TQ)
+    for k, counts in by_k.items():
+        signed = LaurentPoly.from_terms(TQ, {(0, i): c for i, c in counts.items()})
+        num = num + signed * one_plus ** (m + k) * one_minus_q ** (top - k)
+    return RationalFn(num, one_minus_q ** top)

@@ -3,9 +3,13 @@
 Elements of the algebra are expanded on the permutation basis T_w; the
 quadratic relation T_i^2 = q^2 + (1 - q^2) T_i (eigenvalues 1 and -q^2)
 and the inverse expansion T_i^-1 = q^-2 T_i - q^-2 + 1 follow from the
-skein normalization used throughout.  The trace eliminates one strand at
-a time: a basis permutation either fixes the last point (contributing a
-circle factor) or factors uniquely through the top transposition.
+skein normalization used throughout.  Neither brings in a denominator,
+so coefficients are Laurent polynomials in t and q.  The trace
+eliminates one strand at a time: a basis permutation either fixes the
+last point (closing a free circle, of value d = (1 + t^-1 q)/(1 - q^2))
+or factors uniquely through the top transposition.  Terms are kept apart
+by the number k of circles closed, so the trace is sum_k P_k d^k with
+Laurent P_k, formed as one fraction over (1 - q^2)^K and reduced once.
 
 Wide edges E_i (trivalent resolutions between strands i and i+1) expand
 as T_i + q^2, which lets braid words over sigma/E letters be evaluated
@@ -38,15 +42,17 @@ TQ = ("t", "q")
 Perm = tuple[int, ...]
 
 
-def _one() -> RationalFn:
-    return RationalFn.one(TQ)
+_ONE = LaurentPoly.one(TQ)
+_Q2 = LaurentPoly.monomial(TQ, (0, 2))
+_QINV2 = LaurentPoly.monomial(TQ, (0, -2))
+_ONE_MINUS_Q2 = LaurentPoly.from_terms(TQ, {(0, 0): 1, (0, 2): -1})
+_ONE_MINUS_QINV2 = LaurentPoly.from_terms(TQ, {(0, 0): 1, (0, -2): -1})
+_ONE_PLUS_TINV_Q = LaurentPoly.from_terms(TQ, {(0, 0): 1, (-1, 1): 1})
 
 
 def loop_value() -> RationalFn:
     """Value of a disjoint free circle: (1 + t^-1 q) / (1 - q^2)."""
-    num = LaurentPoly.from_terms(TQ, {(0, 0): 1, (-1, 1): 1})
-    den = LaurentPoly.from_terms(TQ, {(0, 0): 1, (0, 2): -1})
-    return RationalFn(num, den)
+    return RationalFn(_ONE_PLUS_TINV_Q, _ONE_MINUS_Q2)
 
 
 def alpha_value() -> RationalFn:
@@ -55,23 +61,26 @@ def alpha_value() -> RationalFn:
 
 
 class HeckeElement:
-    """Linear combination of permutation basis elements T_w."""
+    """Linear combination of permutation basis elements T_w, with
+    coefficients in Z[t^+-1, q^+-1]."""
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs: dict[Perm, RationalFn] | None = None):
+    def __init__(self, n: int, coeffs: dict[Perm, LaurentPoly | RationalFn] | None = None):
         if n < 1:
             raise ValueError("need at least one strand")
         self.n = n
-        self.coeffs: dict[Perm, RationalFn] = {}
+        self.coeffs: dict[Perm, LaurentPoly] = {}
         if coeffs:
             for w, c in coeffs.items():
-                if not c.is_zero():
+                if isinstance(c, RationalFn):
+                    c = c.as_poly()
+                if c:
                     self.coeffs[w] = c
 
     @classmethod
     def identity(cls, n: int) -> "HeckeElement":
-        return cls(n, {tuple(range(1, n + 1)): _one()})
+        return cls(n, {tuple(range(1, n + 1)): _ONE})
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         if self.n != other.n:
@@ -82,16 +91,16 @@ class HeckeElement:
             acc[w] = c if v is None else v + c
         return HeckeElement(self.n, acc)
 
-    def scaled(self, c: RationalFn) -> "HeckeElement":
+    def scaled(self, c: LaurentPoly) -> "HeckeElement":
         return HeckeElement(self.n, {w: v * c for w, v in self.coeffs.items()})
 
     def right_gen(self, i: int) -> "HeckeElement":
         """Multiply by T_i on the right."""
         if not 1 <= i < self.n:
             raise ValueError(f"generator index {i} out of range")
-        acc: dict[Perm, RationalFn] = {}
+        acc: dict[Perm, LaurentPoly] = {}
 
-        def bump(w: Perm, c: RationalFn):
+        def bump(w: Perm, c: LaurentPoly):
             v = acc.get(w)
             acc[w] = c if v is None else v + c
 
@@ -102,19 +111,17 @@ class HeckeElement:
             if w[i - 1] < w[i]:
                 bump(swapped, c)
             else:
-                bump(swapped, c * _q2())
-                bump(w, c * _one_minus_q2())
+                bump(swapped, c * _Q2)
+                bump(w, c * _ONE_MINUS_Q2)
         return HeckeElement(self.n, acc)
 
     def right_gen_inverse(self, i: int) -> "HeckeElement":
         """Multiply by T_i^-1 = q^-2 T_i - q^-2 + 1 on the right."""
-        ti = self.right_gen(i).scaled(_qinv2())
-        rest = self.scaled(_one() - _qinv2())
-        return ti + rest
+        return self.right_gen(i).scaled(_QINV2) + self.scaled(_ONE_MINUS_QINV2)
 
     def right_wide(self, i: int) -> "HeckeElement":
         """Multiply by the wide edge E_i = T_i + q^2 on the right."""
-        return self.right_gen(i) + self.scaled(_q2())
+        return self.right_gen(i) + self.scaled(_Q2)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HeckeElement) and self.n == other.n and self.coeffs == other.coeffs
@@ -124,18 +131,6 @@ class HeckeElement:
             return f"HeckeElement({self.n}: 0)"
         parts = [f"T{w}*({c})" for w, c in sorted(self.coeffs.items())]
         return f"HeckeElement({self.n}: " + " + ".join(parts) + ")"
-
-
-def _q2() -> RationalFn:
-    return RationalFn.from_poly(LaurentPoly.monomial(TQ, (0, 2)))
-
-
-def _qinv2() -> RationalFn:
-    return RationalFn.from_poly(LaurentPoly.monomial(TQ, (0, -2)))
-
-
-def _one_minus_q2() -> RationalFn:
-    return RationalFn.from_poly(LaurentPoly.from_terms(TQ, {(0, 0): 1, (0, 2): -1}))
 
 
 def hecke_normal_form(b: BraidWord) -> HeckeElement:
@@ -196,33 +191,44 @@ def markov_trace(h: HeckeElement) -> HomflyValue:
     return HomflyValue(_trace(h.coeffs, h.n))
 
 
-def _trace(coeffs: dict[Perm, RationalFn], p: int) -> RationalFn:
-    if p == 1:
-        total = RationalFn.zero(TQ)
-        for _, c in coeffs.items():
-            total = total + c
-        return total
-    d = loop_value()
-    lower: dict[Perm, RationalFn] = {}
+def _trace(coeffs: dict[Perm, LaurentPoly], n: int) -> RationalFn:
+    """Sum of P_k d^k over one reduced fraction, where P_k collects the
+    terms that closed k free circles on the way down from n strands."""
+    # (permutation, circles closed so far) -> coefficient
+    level: dict[tuple[Perm, int], LaurentPoly] = {(w, 0): c for w, c in coeffs.items()}
+    for p in range(n, 1, -1):
+        lower: dict[tuple[Perm, int], LaurentPoly] = {}
 
-    def bump(w: Perm, c: RationalFn):
-        v = lower.get(w)
-        lower[w] = c if v is None else v + c
+        def bump(key: tuple[Perm, int], c: LaurentPoly):
+            v = lower.get(key)
+            lower[key] = c if v is None else v + c
 
-    for w, c in coeffs.items():
-        if w[p - 1] == p:
-            bump(w[:-1], c * d)
-            continue
-        k = w.index(p) + 1
-        # w = u . s_(p-1) . (s_(p-2) ... s_k) with u fixing p
-        u = list(w[:k - 1]) + list(w[k:])
-        u = tuple(u[: p - 1])
-        elem = HeckeElement(p - 1, {u: c})
-        for gen in range(p - 2, k - 1, -1):
-            elem = elem.right_gen(gen)
-        for w2, c2 in elem.coeffs.items():
-            bump(w2, c2)
-    return _trace(lower, p - 1)
+        # terms through the top transposition at the same slot and circle
+        # count share the generators they are carried through
+        through: dict[tuple[int, int], dict[Perm, LaurentPoly]] = {}
+        for (w, k), c in level.items():
+            if w[p - 1] == p:
+                bump((w[:-1], k + 1), c)
+                continue
+            slot = w.index(p) + 1
+            # w = u . s_(p-1) . (s_(p-2) ... s_slot) with u fixing p
+            u = w[:slot - 1] + w[slot:]
+            through.setdefault((slot, k), {})[u] = c
+        for (slot, k), terms in through.items():
+            elem = HeckeElement(p - 1, terms)
+            for gen in range(p - 2, slot - 1, -1):
+                elem = elem.right_gen(gen)
+            for w2, c2 in elem.coeffs.items():
+                bump((w2, k), c2)
+        level = {key: c for key, c in lower.items() if c}
+    by_circles: dict[int, LaurentPoly] = {}
+    for (_, k), c in level.items():
+        by_circles[k] = by_circles[k] + c if k in by_circles else c
+    top = max(by_circles, default=0)
+    num = LaurentPoly.zero(TQ)
+    for k, c in by_circles.items():
+        num = num + c * _ONE_PLUS_TINV_Q ** k * _ONE_MINUS_Q2 ** (top - k)
+    return RationalFn(num, _ONE_MINUS_Q2 ** top)
 
 
 def homfly_F(b: BraidWord) -> HomflyValue:
@@ -238,11 +244,15 @@ def _omega(b: BraidWord) -> int:
 def homfly_G(b: BraidWord) -> HomflyValue:
     """Markov-invariant normalization sqrt(alpha)^omega F with
     omega = n+ - n- - strands + 1."""
-    f = homfly_F(b).value
+    return _normalize_G(homfly_F(b), b)
+
+
+def _normalize_G(f: HomflyValue, b: BraidWord) -> HomflyValue:
+    """G from the F value of the same braid."""
     omega = _omega(b)
     parity = omega & 1
     half_pairs = (omega - parity) // 2
-    value = f * (alpha_value() ** half_pairs)
+    value = f.value * (alpha_value() ** half_pairs)
     return HomflyValue(value, sqrt_alpha=parity, omega=omega)
 
 

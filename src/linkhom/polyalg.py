@@ -4,12 +4,21 @@ Everything is computed over arbitrary-precision integers; there is no
 floating point anywhere in this package.  Polynomials carry one or two
 named variables and admit half-integer exponents, which are stored
 internally as doubled integers (the exponent 3/2 is stored as 3).
+
+``LaurentPoly`` arithmetic is plain dict arithmetic on integer
+coefficients.  The polynomial gcd runs only where a ``RationalFn`` is
+formed: each constructor call reduces its fraction to the canonical form
+once, and the ring operations on ``RationalFn`` build one new fraction
+each.  Callers that add up many fractions therefore sum numerators over
+a common denominator as ``LaurentPoly`` and form a single ``RationalFn``
+at the end, as ``substitute`` does (over den^E * num^N).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 from typing import Mapping, Union
 
 Exponent = Union[int, Fraction]
@@ -156,13 +165,9 @@ class LaurentPoly:
             a, b = self, other
         for ka, ca in a.terms.items():
             for kb, cb in b.terms.items():
-                k = tuple(x + y for x, y in zip(ka, kb))
-                v = acc.get(k, 0) + ca * cb
-                if v:
-                    acc[k] = v
-                else:
-                    acc.pop(k, None)
-        return LaurentPoly(self.vars, acc)
+                k = tuple(map(add, ka, kb))
+                acc[k] = acc.get(k, 0) + ca * cb
+        return LaurentPoly(self.vars, acc)  # drops the terms that cancelled
 
     def scale(self, c: int) -> "LaurentPoly":
         if not c:
@@ -171,8 +176,11 @@ class LaurentPoly:
 
     def shift(self, exps) -> "LaurentPoly":
         """Multiply by the monomial with the given exponents."""
-        k0 = _key(self.arity, exps)
-        return LaurentPoly(self.vars, {tuple(a + b for a, b in zip(k, k0)): c for k, c in self.terms.items()})
+        return self._shift_half(_key(self.arity, exps))
+
+    def _shift_half(self, k0: tuple[int, ...]) -> "LaurentPoly":
+        """Multiply by the monomial with the given half-step exponents."""
+        return LaurentPoly(self.vars, {tuple(map(add, k, k0)): c for k, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -192,7 +200,9 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.vars == other.vars and self.terms == other.terms
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash((self.vars, frozenset(self.terms.items())))
@@ -236,6 +246,18 @@ class LaurentPoly:
         The remaining variables of self must appear among the variables of
         ``value``; the result is expressed in ``value.vars``.
         """
+        out = RationalFn(*self._substitute_parts(which, value))
+        if out.den.is_one():
+            return out.num
+        return out
+
+    def _substitute_parts(self, which: str, value) -> tuple["LaurentPoly", "LaurentPoly"]:
+        """Unreduced numerator and denominator of ``substitute``.
+
+        With value = num/den, a term c*m*x^e becomes c*m*num^(N+e)*den^(E-e)
+        over the common denominator den^E * num^N, where E and N are the
+        largest positive and negative exponents of ``which`` (or 0).
+        """
         if which not in self.vars:
             raise ValueError(f"unknown variable {which!r}")
         vvars = value.vars
@@ -244,36 +266,30 @@ class LaurentPoly:
             if v not in vvars:
                 raise ValueError(f"variable {v!r} missing from substitution value")
         pos = self.vars.index(which)
-        rest_pos = {v: vvars.index(v) for v in rest}
+        rest_pos = [(self.vars.index(v), vvars.index(v)) for v in rest]
         if isinstance(value, RationalFn):
             num, den = value.num, value.den
         else:
             num, den = value, LaurentPoly.one(vvars)
-        result = RationalFn.zero(vvars)
-        pow_cache: dict[int, RationalFn] = {}
-
-        def vpow(e_half: int) -> RationalFn:
-            if e_half & 1:
-                raise ValueError("cannot substitute into a half-integer exponent")
-            e = e_half // 2
-            if e not in pow_cache:
-                if e >= 0:
-                    pow_cache[e] = RationalFn(num ** e, den ** e)
-                else:
-                    if num.is_zero():
-                        raise ZeroDivisionError("substitution produces division by zero")
-                    pow_cache[e] = RationalFn(den ** (-e), num ** (-e))
-            return pow_cache[e]
-
+        # exponent of ``which`` -> the rest of each term, in value.vars
+        by_exp: dict[int, dict[tuple[int, ...], int]] = {}
         for k, c in self.terms.items():
-            mono_exps = [0] * len(vvars)
-            for v in rest:
-                mono_exps[rest_pos[v]] = k[self.vars.index(v)]
-            mono = LaurentPoly(vvars, {tuple(mono_exps): c})
-            result = result + vpow(k[pos]) * RationalFn(mono, LaurentPoly.one(vvars))
-        if result.den.is_one():
-            return result.num
-        return result
+            if k[pos] & 1:
+                raise ValueError("cannot substitute into a half-integer exponent")
+            mono = [0] * len(vvars)
+            for src, dst in rest_pos:
+                mono[dst] = k[src]
+            by_exp.setdefault(k[pos] // 2, {})[tuple(mono)] = c
+        big_e = max(max(by_exp, default=0), 0)
+        big_n = max(-min(by_exp, default=0), 0)
+        if big_n and num.is_zero():
+            raise ZeroDivisionError("substitution produces division by zero")
+        num_pows = _powers(num, big_n + big_e)
+        den_pows = _powers(den, big_n + big_e)
+        total = LaurentPoly.zero(vvars)
+        for e, mono_terms in by_exp.items():
+            total = total + LaurentPoly(vvars, mono_terms) * num_pows[big_n + e] * den_pows[big_e - e]
+        return total, den_pows[big_e] * num_pows[big_n]
 
     # ---------- rendering ----------
 
@@ -323,6 +339,14 @@ class LaurentPoly:
             entry["c"] = self.terms[k]
             terms.append(entry)
         return {"vars": list(self.vars), "half_steps": True, "terms": terms}
+
+
+def _powers(p: LaurentPoly, top: int) -> list[LaurentPoly]:
+    """[p^0, p^1, ..., p^top]."""
+    out = [LaurentPoly.one(p.vars)]
+    for _ in range(top):
+        out.append(out[-1] * p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +575,7 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if poly.is_zero():
         return poly
     # normalize minimal exponents to zero and the lex-greatest coefficient positive
-    m = poly.min_exps()
-    poly = poly.shift(tuple(Fraction(-e, 2) for e in m))
+    poly = poly._shift_half(tuple(-e for e in poly.min_exps()))
     if poly.lex_leading()[1] < 0:
         poly = -poly
     return poly
@@ -589,16 +612,17 @@ class RationalFn:
         # strip the monomial parts
         mn = num.min_exps()
         md = den.min_exps()
-        unit = tuple(Fraction(a - b, 2) for a, b in zip(mn, md))
-        nshift = num.shift(tuple(Fraction(-e, 2) for e in mn))
-        dshift = den.shift(tuple(Fraction(-e, 2) for e in md))
-        g = laurent_gcd(nshift, dshift)
-        if not g.is_one():
-            nshift = nshift.divide_exact(g)
-            dshift = dshift.divide_exact(g)
-        if dshift.lex_leading()[1] < 0:
-            nshift, dshift = -nshift, -dshift
-        return nshift.shift(unit), dshift
+        unit = tuple(a - b for a, b in zip(mn, md))
+        nshift = num._shift_half(tuple(-e for e in mn))
+        dshift = den._shift_half(tuple(-e for e in md))
+        if not dshift.is_one():
+            g = laurent_gcd(nshift, dshift)
+            if not g.is_one():
+                nshift = nshift.divide_exact(g)
+                dshift = dshift.divide_exact(g)
+            if dshift.lex_leading()[1] < 0:
+                nshift, dshift = -nshift, -dshift
+        return nshift._shift_half(unit), dshift
 
     # ---------- constructors ----------
 
@@ -679,20 +703,21 @@ class RationalFn:
         )
 
     def __hash__(self) -> int:
+        # equal to the hash of the numerator when that is the whole value,
+        # since such a value compares equal to its LaurentPoly
+        if self.den.is_one():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     # ---------- substitution ----------
 
     def substitute(self, which: str, value):
-        n = self.num.substitute(which, value)
-        d = self.den.substitute(which, value)
-        if isinstance(n, LaurentPoly):
-            n = RationalFn.from_poly(n)
-        if isinstance(d, LaurentPoly):
-            d = RationalFn.from_poly(d)
-        if d.is_zero():
+        # (a/b) / (c/d) as one fraction
+        a, b = self.num._substitute_parts(which, value)
+        c, d = self.den._substitute_parts(which, value)
+        if c.is_zero():
             raise ZeroDivisionError("substitution produces division by zero")
-        out = n / d
+        out = RationalFn(a * d, b * c)
         if out.den.is_one():
             return out.num
         return out

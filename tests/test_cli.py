@@ -70,6 +70,23 @@ def test_homfly_command():
     assert "G(a,q)" in data
 
 
+@pytest.mark.parametrize("extra", [[], ["--var", "at", "--specialize", "3", "--format", "json"]])
+def test_homfly_command_traces_once(monkeypatch, extra):
+    import linkhom.homflypt as homflypt
+
+    calls = []
+    trace = homflypt.markov_trace
+
+    def counted(h):
+        calls.append(h.n)
+        return trace(h)
+
+    monkeypatch.setattr(homflypt, "markov_trace", counted)
+    code, _, _ = invoke(["homfly", "3: 1 -2 1 -2"] + extra)
+    assert code == 0
+    assert calls == [3]
+
+
 def test_graph_poly_commands(tmp_path):
     gfile = tmp_path / "tri.g"
     gfile.write_text("v 3\ne 1 2\ne 2 3\ne 1 3\n")

@@ -289,3 +289,42 @@ def test_dichromatic_dg_round_trip():
             subbed = RationalFn.from_poly(subbed)
         expected = RationalFn.from_poly(dichromatic(g)) * vq ** g.n_edges
         assert subbed == expected
+
+
+def ref_dichromatic_DG(g):
+    """The fold dichromatic_DG replaced: one reduced RationalFn per state,
+    added one at a time, with components counted by a fresh union-find."""
+    TQ = ("t", "q")
+    m = g.n_edges
+    one_plus = LaurentPoly.from_terms(TQ, {(0, 0): 1, (-1, 1): 1})
+    one_minus_q = LaurentPoly.from_terms(TQ, {(0, 0): 1, (0, 1): -1})
+    total = RationalFn.zero(TQ)
+    for kept in itertools.product((0, 1), repeat=m):
+        parent = list(range(g.n_vertices + 1))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for bit, (u, v) in zip(kept, g.edges):
+            if bit:
+                parent[find(u)] = find(v)
+        k = len({find(x) for x in range(1, g.n_vertices + 1)})
+        i = sum(kept)
+        num = LaurentPoly.monomial(TQ, (0, i), -1 if i & 1 else 1) * one_plus ** (m + k)
+        total = total + RationalFn(num, one_minus_q ** k)
+    return total
+
+
+def test_dichromatic_dg_matches_termwise_fold():
+    rng = random.Random(2006)
+    graphs = [random_graph(rng, max_vertices=5, max_edges=6) for _ in range(30)]
+    graphs.append(Multigraph(2, ((1, 1), (1, 2), (1, 2), (2, 2))))
+    assert any(u == v for g in graphs for u, v in g.edges)
+    assert any(len(set(g.edges)) < len(g.edges) for g in graphs)
+    for g in graphs:
+        dg = dichromatic_DG(g)
+        ref = ref_dichromatic_DG(g)
+        assert dg == ref
+        assert dg.render() == ref.render()

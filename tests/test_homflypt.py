@@ -298,3 +298,100 @@ def test_appendix_identities_model_two():
 def test_specialization_bad_n():
     with pytest.raises(ValueError):
         specialize_Gn(G("2: 1"), 0)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Hecke trace with RationalFn coefficients, each sum and
+# product reduced on its own, and one circle factor d applied per strand.
+# ---------------------------------------------------------------------------
+
+
+def ref_right_gen(coeffs, i):
+    q2, one_minus_q2 = rf(tq({(0, 2): 1})), rf(tq({(0, 0): 1, (0, 2): -1}))
+    acc = {}
+    for w, c in coeffs.items():
+        s = list(w)
+        s[i - 1], s[i] = s[i], s[i - 1]
+        s = tuple(s)
+        if w[i - 1] < w[i]:
+            parts = [(s, c)]
+        else:
+            parts = [(s, c * q2), (w, c * one_minus_q2)]
+        for key, v in parts:
+            acc[key] = acc[key] + v if key in acc else v
+    return {w: c for w, c in acc.items() if not c.is_zero()}
+
+
+def ref_add(a, b):
+    acc = dict(a)
+    for w, c in b.items():
+        acc[w] = acc[w] + c if w in acc else c
+    return {w: c for w, c in acc.items() if not c.is_zero()}
+
+
+def ref_scaled(coeffs, x):
+    return {w: c * x for w, c in coeffs.items()}
+
+
+def ref_expand(strands, tokens):
+    q2, qinv2 = rf(tq({(0, 2): 1})), rf(tq({(0, -2): 1}))
+    coeffs = {tuple(range(1, strands + 1)): RationalFn.one(TQ)}
+    for tok in tokens:
+        if isinstance(tok, str):
+            coeffs = ref_add(ref_right_gen(coeffs, int(tok[1:])), ref_scaled(coeffs, q2))
+        elif tok > 0:
+            coeffs = ref_right_gen(coeffs, tok)
+        else:
+            gen = ref_scaled(ref_right_gen(coeffs, -tok), qinv2)
+            coeffs = ref_add(gen, ref_scaled(coeffs, RationalFn.one(TQ) - qinv2))
+    return coeffs
+
+
+def ref_trace(coeffs, p):
+    if p == 1:
+        total = RationalFn.zero(TQ)
+        for c in coeffs.values():
+            total = total + c
+        return total
+    d = loop_value()
+    lower = {}
+    for w, c in coeffs.items():
+        if w[p - 1] == p:
+            lower = ref_add(lower, {w[:-1]: c * d})
+            continue
+        k = w.index(p) + 1
+        elem = {w[:k - 1] + w[k:]: c}
+        for gen in range(p - 2, k - 1, -1):
+            elem = ref_right_gen(elem, gen)
+        lower = ref_add(lower, elem)
+    return ref_trace(lower, p - 1)
+
+
+def random_tokens(rng, strands, max_len=10):
+    tokens = []
+    for _ in range(rng.randint(0, max_len)):
+        i = rng.randint(1, strands - 1)
+        tokens.append(rng.choice([i, -i, f"E{i}"]))
+    return tokens
+
+
+def test_hecke_trace_matches_rational_reference():
+    rng = random.Random(2006)
+    cases = [(1, [])] + [(s, random_tokens(rng, s)) for s in [2, 3, 4, 5] * 10]
+    assert any(isinstance(t, str) for _, ts in cases for t in ts)
+    for strands, tokens in cases:
+        h = wide_edge_expand(strands, tokens)
+        ref = ref_expand(strands, tokens)
+        assert h.coeffs.keys() == ref.keys()
+        for w, c in h.coeffs.items():
+            assert isinstance(c, LaurentPoly)
+            assert c == ref[w] and c.render() == ref[w].render()
+        value = markov_trace(h).value
+        want = ref_trace(ref, strands)
+        assert value == want
+        assert value.render() == want.render()
+
+
+def test_hecke_element_rejects_a_denominator():
+    with pytest.raises(ValueError):
+        HeckeElement(2, {(1, 2): loop_value()})

@@ -190,3 +190,84 @@ def test_pow_negative_monomial():
     assert m ** -2 == qp({-4: 1})
     with pytest.raises(ValueError):
         qp({0: 1, 2: 1}) ** -1
+
+
+def test_mixed_type_equality_and_hash():
+    rng = random.Random(5)
+    for _ in range(20):
+        p = _random_poly(rng, QT)
+        r = RationalFn.from_poly(p)
+        assert r == p and p == r
+        assert not (r != p) and not (p != r)
+        assert hash(r) == hash(p)
+        assert len({p, r}) == 1
+    f = RationalFn(tq({(0, 0): 1}), tq({(0, 0): 1, (0, 1): 1}))
+    assert f != f.num and f.num != f
+    assert len({f, f.num}) == 2
+
+
+def _termwise_substitute(p, which, value):
+    """Reference: one reduced RationalFn per term, added one at a time."""
+    vvars = value.vars
+    if isinstance(value, LaurentPoly):
+        value = RationalFn.from_poly(value)
+    pos = p.vars.index(which)
+    total = RationalFn.zero(vvars)
+    for k, c in p.terms.items():
+        mono = [0] * len(vvars)
+        for i, v in enumerate(p.vars):
+            if v != which:
+                mono[vvars.index(v)] = k[i]
+        total = total + value ** (k[pos] // 2) * RationalFn.from_poly(LaurentPoly(vvars, {tuple(mono): c}))
+    return total.num if total.is_poly() else total
+
+
+def _termwise_substitute_fn(f, which, value):
+    n = _termwise_substitute(f.num, which, value)
+    d = _termwise_substitute(f.den, which, value)
+    out = (n if isinstance(n, RationalFn) else RationalFn.from_poly(n)) / d
+    return out.num if out.is_poly() else out
+
+
+def test_substitute_matches_termwise_fold():
+    rng = random.Random(17)
+    QA = ("q", "a")
+    values = [
+        LaurentPoly.monomial(Q, -3, -1),
+        qp({-1: 1, 2: -2}),
+        RationalFn(qp({0: 1, 1: 1}), qp({0: 1, 2: -1})),
+        RationalFn(qp({1: 2}), qp({0: 3, 1: 1})),
+        LaurentPoly.monomial(QA, (1, -2), -1),
+        RationalFn(LaurentPoly.from_terms(QA, {(1, 0): 1}), LaurentPoly.from_terms(QA, {(0, 1): 1, (1, 1): -1})),
+    ]
+    negative = 0
+    for _ in range(30):
+        a = _random_poly(rng, QT, nterms=5, span=3)
+        b = _random_poly(rng, QT, nterms=3, span=2)
+        negative += any(k[0] < 0 for k in a.terms)
+        for value in values:
+            got = a.substitute("t", value)
+            want = _termwise_substitute(a, "t", value)
+            assert type(got) is type(want)
+            assert got == want and got.render() == want.render()
+            # a rational value in (q, a) makes both sides run large
+            # bivariate gcds here; it is covered on LaurentPoly inputs
+            if b.is_zero() or value is values[-1]:
+                continue
+            f = RationalFn(a, b)
+            try:
+                want = _termwise_substitute_fn(f, "t", value)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    f.substitute("t", value)
+                continue
+            got = f.substitute("t", value)
+            assert type(got) is type(want)
+            assert got == want and got.render() == want.render()
+    assert negative > 10
+
+
+def test_substitute_zero_into_negative_exponent():
+    with pytest.raises(ZeroDivisionError):
+        tq({(-1, 0): 1, (1, 1): 1}).substitute("t", LaurentPoly.zero(Q))
+    assert tq({(0, 1): 3, (2, 0): 1}).substitute("t", LaurentPoly.zero(Q)) == qp({1: 3})
