@@ -60,11 +60,9 @@ from .linkdiag import (
     InputError,
     braid_closure,
     conjugate,
-    edge_event,
     mirror,
     parse_braid,
     parse_pd,
-    resolve_all,
     resolve_crossing,
     stabilize,
 )

@@ -9,6 +9,7 @@ errors and malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -85,7 +86,9 @@ def _emit_table(table: HomologyTable, fmt: str, out) -> None:
         print(table.pretty(), end="", file=out)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing does not change it."""
     ap = argparse.ArgumentParser(prog="linkhom", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

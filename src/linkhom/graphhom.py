@@ -35,9 +35,7 @@ from .polyalg import LaurentPoly, RationalFn
 
 __all__ = [
     "Multigraph",
-    "GraphState",
     "parse_graph",
-    "graph_state",
     "dichromatic",
     "dichromatic_delete_contract",
     "tutte",
@@ -145,32 +143,10 @@ def parse_graph(text: str) -> Multigraph:
     return Multigraph(n, tuple(edges))
 
 
-@dataclass(frozen=True)
-class GraphState:
-    mask: int
-    components: tuple[tuple[int, ...], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.components)
-
-
 def _graph_states(g: Multigraph) -> CubeStates:
     """Components of every spanning subgraph: a present edge joins its
     ends, vertex v is element v - 1."""
     return CubeStates(g.n_vertices, [((), ((u - 1, v - 1),)) for u, v in g.edges])
-
-
-def graph_state(g: Multigraph, bits) -> GraphState:
-    mask = 0
-    for pos, b in enumerate(bits):
-        if b:
-            mask |= 1 << pos
-    count, comp, _ = _graph_states(g).state(mask)
-    groups: list[list[int]] = [[] for _ in range(count)]
-    for vertex in range(g.n_vertices):
-        groups[comp[vertex]].append(vertex + 1)
-    return GraphState(mask, tuple(tuple(grp) for grp in groups))
 
 
 def dichromatic(g: Multigraph) -> LaurentPoly:

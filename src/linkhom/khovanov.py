@@ -152,20 +152,6 @@ def build_khovanov_complex(
     return cplx
 
 
-def _generators(d: Diagram) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """Each generator of ``build_khovanov_complex(d)`` as (state mask,
-    labeling bits with circle 0 highest), per block in the complex's order."""
-    st = _states(d)
-    n = d.n_crossings
-    out: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for mask in sorted(range(1 << n), key=int.bit_count):
-        i = mask.bit_count()
-        count = st.state(mask)[0]
-        for lmask in range(1 << count):
-            out.setdefault((i, i + count - 2 * lmask.bit_count()), []).append((mask, lmask))
-    return out
-
-
 def khovanov_homology(
     d: Diagram,
     jwindow: tuple[int, int] | None = None,
@@ -255,53 +241,59 @@ def les_check(d: Diagram, crossing: int) -> LesReport:
             rank_ok = False
             violations.append(f"rank bound violated at ({i},{j})")
 
-    cone_ok = _cone_structure_ok((d, d0, d1), (cx, c0, c1), crossing, violations)
+    cone_ok = _cone_structure_ok(d, (cx, c0, c1), crossing, violations)
     return LesReport(bracket_ok, rank_ok, cone_ok, violations)
 
 
-def _cone_structure_ok(diagrams, complexes, nu: int, violations: list[str]) -> bool:
-    basis, basis0, basis1 = (_generators(x) for x in diagrams)
+def _cone_structure_ok(d: Diagram, complexes, nu: int, violations: list[str]) -> bool:
+    """The complex cx of d against the complexes c0, c1 of its two
+    resolutions at crossing nu: entries between states with bit nu = 0
+    must be c0's, those between states with bit nu = 1 must be c1's times
+    the sign fix (-1)^(bits above nu) of each end, and none may run from
+    bit nu = 1 to bit nu = 0.
+
+    Generators are matched by position alone.  Block (i, j) lists the
+    states of degree i by increasing mask, each with its comb(k, t)
+    labelings in one fixed order, and a resolution keeps the order of the
+    other crossings and of each state's circles.  Dropping bit nu keeps the
+    order of the masks, so the generators of cx's block (i, j) with bit
+    nu = 0 are, in order, c0's block (i, j), and those with bit nu = 1 are
+    c1's block (i - 1, j - 1).
+    """
     cx, c0, c1 = complexes
-
-    def compress(mask: int) -> int:
-        low = mask & ((1 << nu) - 1)
-        high = mask >> (nu + 1)
-        return low | (high << nu)
-
-    def sfix(mask: int) -> int:
-        return -1 if (mask >> (nu + 1)).bit_count() & 1 else 1
-
-    pos0 = {key: {bc: k for k, bc in enumerate(lst)} for key, lst in basis0.items()}
-    pos1 = {key: {bc: k for k, bc in enumerate(lst)} for key, lst in basis1.items()}
+    st = _states(d)
+    # per block of cx, per position: (face bit, index in that face's block, sign fix)
+    where: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    filled: dict[tuple[int, int, int], int] = {}
+    for mask in sorted(range(1 << d.n_crossings), key=int.bit_count):
+        i = mask.bit_count()
+        k = st.state(mask)[0]
+        bit = (mask >> nu) & 1
+        sign = -1 if (mask >> (nu + 1)).bit_count() & 1 else 1
+        for t in range(k + 1):
+            key = (i, i + k - 2 * t)
+            start = filled.get((bit, *key), 0)
+            stop = filled[(bit, *key)] = start + comb(k, t)
+            where.setdefault(key, []).extend((bit, p, sign) for p in range(start, stop))
 
     ok = True
     for (i, j), blk in cx.diff.items():
-        rows = basis.get((i + 1, j), [])
-        cols = basis.get((i, j), [])
-        sub00: dict[tuple[int, int], int] = {}
-        sub11: dict[tuple[int, int], int] = {}
+        rows, cols = where.get((i + 1, j), ()), where.get((i, j), ())
+        faces: tuple[dict, dict] = ({}, {})
         for (r, c), v in blk.entries.items():
-            tmask, tl = rows[r]
-            smask, sl = cols[c]
-            sbit = (smask >> nu) & 1
-            tbit = (tmask >> nu) & 1
-            if sbit == 0 and tbit == 0:
-                rr = pos0[(i + 1, j)][(compress(tmask), tl)]
-                cc = pos0[(i, j)][(compress(smask), sl)]
-                sub00[(rr, cc)] = v
-            elif sbit == 1 and tbit == 1:
-                rr = pos1[(i, j - 1)][(compress(tmask), tl)]
-                cc = pos1[(i - 1, j - 1)][(compress(smask), sl)]
-                sub11[(rr, cc)] = v * sfix(tmask) * sfix(smask)
-            elif sbit == 1 and tbit == 0:
+            tbit, rr, tsign = rows[r]
+            sbit, cc, ssign = cols[c]
+            if sbit == tbit:
+                faces[sbit][(rr, cc)] = v * tsign * ssign if sbit else v
+            elif sbit:
                 ok = False
                 violations.append(f"upward cone entry at ({i},{j})")
         ref0 = c0.diff.get((i, j))
         ref1 = c1.diff.get((i - 1, j - 1))
-        if sub00 != (ref0.entries if ref0 else {}):
+        if faces[0] != (ref0.entries if ref0 else {}):
             ok = False
             violations.append(f"0-face differs from resolved complex at ({i},{j})")
-        if sub11 != (ref1.entries if ref1 else {}):
+        if faces[1] != (ref1.entries if ref1 else {}):
             ok = False
             violations.append(f"1-face differs from shifted complex at ({i},{j})")
     return ok

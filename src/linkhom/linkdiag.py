@@ -16,20 +16,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 __all__ = [
     "InputError",
     "BraidWord",
     "Crossing",
     "Diagram",
-    "ResolutionState",
-    "EdgeEvent",
     "parse_braid",
     "braid_closure",
     "parse_pd",
-    "resolve_all",
-    "edge_event",
     "resolve_crossing",
     "mirror",
     "conjugate",
@@ -225,8 +220,9 @@ def parse_pd(text: str) -> Diagram:
 
     Orientations are inferred: the under-strand runs a -> c, and each arc
     label must be incoming at one of its two slots and outgoing at the
-    other.  Components threaded only through over-slots fall back to the
-    consecutive-numbering convention.
+    other.  A component threaded only through over-slots is oriented at
+    one crossing by the consecutive-numbering convention, and from there
+    by propagation like the rest.
     """
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
@@ -259,21 +255,20 @@ def parse_pd(text: str) -> Diagram:
         direction[(ci, 0)] = -1  # incoming under
         direction[(ci, 2)] = +1  # outgoing under
 
+    total = 2 * len(quads)
     changed = True
     while changed:
         changed = False
-        for arc, handles in slots_of_arc.items():
-            if len(handles) == 2:
-                h1, h2 = handles
-                d1, d2 = direction.get(h1), direction.get(h2)
-                if d1 is not None and d2 is None:
-                    direction[h2] = -d1
-                    changed = True
-                elif d2 is not None and d1 is None:
-                    direction[h1] = -d2
-                    changed = True
-                elif d1 is not None and d2 is not None and d1 == d2:
-                    raise InputError(f"inconsistent orientation at arc {arc}")
+        for arc, (h1, h2) in slots_of_arc.items():
+            d1, d2 = direction.get(h1), direction.get(h2)
+            if d1 is not None and d2 is None:
+                direction[h2] = -d1
+                changed = True
+            elif d2 is not None and d1 is None:
+                direction[h1] = -d2
+                changed = True
+            elif d1 is not None and d2 is not None and d1 == d2:
+                raise InputError(f"inconsistent orientation at arc {arc}")
         for ci, q in enumerate(quads):
             db, dd = direction.get((ci, 1)), direction.get((ci, 3))
             if db is not None and dd is None:
@@ -284,20 +279,19 @@ def parse_pd(text: str) -> Diagram:
                 changed = True
             elif db is not None and dd is not None and db == dd:
                 raise InputError(f"inconsistent over-strand orientation at crossing {ci}")
-
-    total = 2 * len(quads)
-    for ci, q in enumerate(quads):
-        if (ci, 1) not in direction:
-            # all-over component: orient by consecutive numbering
-            b, d = q[1], q[3]
+        unset = [ci for ci in range(len(quads)) if (ci, 1) not in direction]
+        if not changed and unset:
+            # an all-over component: orient its first crossing by
+            # consecutive numbering, then propagate from there
+            ci = unset[0]
+            b, d = quads[ci][1], quads[ci][3]
             if (b - d) % total == 1:
-                direction[(ci, 1)] = +1
-                direction[(ci, 3)] = -1
+                direction[(ci, 1)], direction[(ci, 3)] = +1, -1
             elif (d - b) % total == 1:
-                direction[(ci, 1)] = -1
-                direction[(ci, 3)] = +1
+                direction[(ci, 1)], direction[(ci, 3)] = -1, +1
             else:
                 raise InputError(f"cannot infer over-strand orientation at crossing {ci}")
+            changed = True
 
     crossings = []
     for ci, q in enumerate(quads):
@@ -307,170 +301,25 @@ def parse_pd(text: str) -> Diagram:
     return Diagram(tuple(crossings), (), provenance="pd-code")
 
 
-@dataclass(frozen=True)
-class ResolutionState:
-    eps: tuple[int, ...]
-    circles: tuple[tuple[int, ...], ...]
-
-    @property
-    def circle_count(self) -> int:
-        return len(self.circles)
-
-
-class _UF:
-    __slots__ = ("parent",)
-
-    def __init__(self, labels: Iterable[int]):
-        self.parent = {x: x for x in labels}
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def _circles(d: Diagram, eps: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    uf = _UF(d.arc_labels())
-    for x, bit in zip(d.crossings, eps):
-        for s1, s2 in x.joins(bit):
-            uf.union(s1, s2)
-    groups: dict[int, list[int]] = {}
-    for arc in d.arc_labels():
-        groups.setdefault(uf.find(arc), []).append(arc)
-    circles = [tuple(sorted(g)) for g in groups.values()]
-    circles.extend((lp,) for lp in d.loops)
-    circles.sort(key=lambda c: c[0])
-    return tuple(circles)
-
-
-def resolve_all(d: Diagram, eps: Sequence[int]) -> ResolutionState:
-    eps = tuple(int(e) for e in eps)
-    if len(eps) != d.n_crossings:
-        raise ValueError(f"resolution length {len(eps)} != {d.n_crossings} crossings")
-    if any(e not in (0, 1) for e in eps):
-        raise ValueError("resolution bits must be 0 or 1")
-    return ResolutionState(eps, _circles(d, eps))
-
-
-@dataclass(frozen=True)
-class EdgeEvent:
-    eps: tuple[int, ...]
-    changed: int
-    kind: str  # "merge" or "split"
-    # circle indices into the source/target ResolutionState circle tuples
-    merged: tuple[int, int] | None
-    merged_into: int | None
-    split: int | None
-    split_into: tuple[int, int] | None
-    mapping: dict[int, int]  # unchanged source circle index -> target circle index
-    sign_exponent: int
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.sign_exponent % 2 else 1
-
-
-def edge_event(d: Diagram, eps: Sequence[int], changed: int) -> EdgeEvent:
-    eps = tuple(int(e) for e in eps)
-    if eps[changed] != 0:
-        raise ValueError(f"bit {changed} already resolved to 1")
-    src = resolve_all(d, eps)
-    tgt_eps = eps[:changed] + (1,) + eps[changed + 1:]
-    tgt = resolve_all(d, tgt_eps)
-
-    tgt_index: dict[int, int] = {}
-    for idx, circle in enumerate(tgt.circles):
-        for arc in circle:
-            tgt_index[arc] = idx
-
-    image: list[int] = [tgt_index[c[0]] for c in src.circles]
-    mapping = {}
-    if tgt.circle_count == src.circle_count - 1:
-        kind = "merge"
-        seen: dict[int, int] = {}
-        pair = None
-        for s_idx, t_idx in enumerate(image):
-            if t_idx in seen:
-                pair = (seen[t_idx], s_idx)
-            seen[t_idx] = s_idx
-        merged, merged_into = pair, image[pair[0]]
-        split = split_into = None
-        for s_idx, t_idx in enumerate(image):
-            if s_idx not in pair:
-                mapping[s_idx] = t_idx
-    elif tgt.circle_count == src.circle_count + 1:
-        kind = "split"
-        src_of: dict[int, int] = {}
-        for idx, circle in enumerate(src.circles):
-            for arc in circle:
-                src_of[arc] = idx
-        preimage = [src_of[c[0]] for c in tgt.circles]
-        seen2: dict[int, int] = {}
-        tpair = None
-        for t_idx, s_idx in enumerate(preimage):
-            if s_idx in seen2:
-                tpair = (seen2[s_idx], t_idx)
-            seen2[s_idx] = t_idx
-        split, split_into = preimage[tpair[0]], tpair
-        merged = merged_into = None
-        for s_idx, t_idx in enumerate(image):
-            if s_idx != split:
-                mapping[s_idx] = t_idx
-    else:
-        raise AssertionError("adjacent resolutions must differ by one circle")
-
-    return EdgeEvent(
-        eps=eps,
-        changed=changed,
-        kind=kind,
-        merged=merged,
-        merged_into=merged_into,
-        split=split,
-        split_into=split_into,
-        mapping=mapping,
-        sign_exponent=sum(eps[:changed]),
-    )
-
-
 def resolve_crossing(d: Diagram, crossing: int, bit: int) -> Diagram:
     """Replace one crossing by its 0- or 1-smoothing; fresh diagram."""
     if not 0 <= crossing < d.n_crossings:
         raise ValueError(f"unknown crossing {crossing}")
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    target = d.crossings[crossing]
-    joins = target.joins(bit)
-
-    members: dict[int, set[int]] = {}
-    edge_count: dict[int, int] = {}
-    uf = _UF(set(a for pair in joins for a in pair))
-    for s1, s2 in joins:
-        uf.union(s1, s2)
-    for s1, s2 in joins:
-        root = uf.find(s1)
-        members.setdefault(root, set()).update((s1, s2))
-        edge_count[root] = edge_count.get(root, 0) + 1
+    (a, b), (c, e) = d.crossings[crossing].joins(bit)
+    # each group of joined arcs, with the number of joins inside it
+    groups = [({a, b, c, e}, 2)] if {a, b} & {c, e} else [({a, b}, 1), ({c, e}, 1)]
 
     relabel: dict[int, int] = {}
     new_loops = list(d.loops)
-    remaining_arcs = set()
-    for i, x in enumerate(d.crossings):
-        if i != crossing:
-            remaining_arcs.update(x.arcs)
-    for root, mem in members.items():
+    remaining_arcs = {arc for i, x in enumerate(d.crossings) if i != crossing for arc in x.arcs}
+    for mem, joins in groups:
         canon = min(mem)
         for arc in mem:
             relabel[arc] = canon
-        if edge_count[root] == len(mem) and not (mem & remaining_arcs):
+        # a group closes into a loop when every arc in it is joined at both ends here
+        if joins == len(mem) and not (mem & remaining_arcs):
             new_loops.append(canon)
 
     crossings = tuple(

@@ -7,7 +7,6 @@ both the mathematical content and the runtime budget.  The slow tier
 
 import random
 import time
-from functools import lru_cache
 
 import pytest
 
@@ -27,31 +26,21 @@ from linkhom.graphhom import (
 )
 from linkhom.graphhom import _enhanced_cube
 from linkhom.homcore import euler_characteristic
-from linkhom.homflypt import homfly_G, specialize_Gn
-from linkhom.khovanov import (
-    build_khovanov_complex,
-    jones_normalized,
-    jones_unnormalized,
-    kauffman_bracket,
-    khovanov_homology,
-    les_check,
-    stable_poincare,
-    stability_check,
-    torus_diagram,
-    width_report,
-)
-from linkhom.linkdiag import BraidWord, braid_closure, parse_braid, resolve_crossing
+from linkhom.khovanov import khovanov_homology, les_check, stability_check
+from linkhom.linkdiag import braid_closure, parse_braid
 from linkhom.polyalg import LaurentPoly
 from linkhom.verify import (
-    appendix_a_cycle_identity,
-    apply_orientation,
-    fixed_jones_orientation,
+    suite_appendix_a,
     suite_appendix_b,
-    theorem24_table,
+    suite_homfly_axioms,
+    suite_jones_euler,
+    suite_kauffman,
+    suite_stability,
+    suite_theorem18,
+    suite_theorem20,
+    suite_theorem23,
+    suite_theorem24,
 )
-
-Q = ("q",)
-CIRCLE = LaurentPoly.from_terms(Q, {1: 1, -1: 1})
 
 
 def report(number: int, started: float, limit: float, description: str):
@@ -60,37 +49,22 @@ def report(number: int, started: float, limit: float, description: str):
     assert elapsed < limit, f"runtime budget exceeded: {elapsed:.1f}s >= {limit}s"
 
 
-@lru_cache(maxsize=None)
-def torus_table(p: int, q: int):
-    return khovanov_homology(torus_diagram(p, q))
+def assert_ok(rep):
+    assert rep.ok, [(c.name, c.detail) for c in rep.checks if not c.ok]
 
 
 def test_acceptance_01_kauffman_jones_base():
     t0 = time.time()
-    for text in ("1:", "2: 1", "2: -1"):
-        assert jones_unnormalized(braid_closure(parse_braid(text))) == CIRCLE
-    for k in range(1, 6):
-        assert kauffman_bracket(braid_closure(BraidWord(k, ()))) == CIRCLE ** k
-    q = LaurentPoly.monomial(Q, 1)
-    for b in corpus.corpus_diagrams(max_crossings=10):
-        d = braid_closure(b)
-        full = kauffman_bracket(d)
-        for c in range(d.n_crossings):
-            d0 = resolve_crossing(d, c, 0)
-            d1 = resolve_crossing(d, c, 1)
-            assert full == kauffman_bracket(d0) - q * kauffman_bracket(d1), (b.text(), c)
+    assert_ok(suite_kauffman())
     report(1, t0, 5, "bracket axioms and unknot values")
 
 
 def test_acceptance_02_euler_equals_jones():
     t0 = time.time()
-    diagrams = corpus.corpus_diagrams(max_crossings=12)
-    assert len(diagrams) >= 30
-    for b in diagrams:
-        d = braid_closure(b)
-        cplx = build_khovanov_complex(d, normalized=True)
-        assert euler_characteristic(cplx) == jones_unnormalized(d), b.text()
-    report(2, t0, 120, f"graded Euler characteristic equals Jones on {len(diagrams)} diagrams")
+    count = len(corpus.corpus_diagrams(max_crossings=12))
+    assert count >= 30
+    assert_ok(suite_jones_euler())
+    report(2, t0, 120, f"graded Euler characteristic equals Jones on {count} diagrams")
 
 
 def test_acceptance_03_markov_invariance():
@@ -105,43 +79,34 @@ def test_acceptance_03_markov_invariance():
 
 def test_acceptance_04_theorem24_low_degrees():
     t0 = time.time()
-    t34 = torus_table(3, 4)
-    low = {k: v for k, v in t34.entries.items() if k[0] <= 4}
-    assert low == theorem24_table(3, 4)
+    assert_ok(suite_theorem24(3, 4))
     report(4, t0, 10, "exact low-degree table of T(3,4), torsion included")
 
 
 def test_acceptance_05_theorem20_and_widths():
     t0 = time.time()
-    assert torus_table(3, 3).rank(4, 9) == 1
-    assert torus_table(3, 4).rank(4, 11) == 1
-    assert width_report(torus_table(3, 4)).width >= 3
-    for q in (3, 5, 7):
-        assert width_report(torus_table(2, q)).width == 2
+    assert_ok(suite_theorem20())
     report(5, t0, 60, "fourth-homology ranks and widths of torus knots")
 
 
 def test_acceptance_06_first_homology_of_positive_braids():
     t0 = time.time()
-    for (p, q) in ((2, 3), (2, 5), (3, 4), (3, 5)):
-        assert khovanov_homology(torus_diagram(p, q), irange=(1, 1)).is_empty(), (p, q)
-    words = corpus.random_positive_knots(77, 10, max_crossings=12)
-    for b in words:
-        assert khovanov_homology(braid_closure(b), irange=(1, 1)).is_empty(), b.text()
+    assert_ok(suite_theorem18())
     report(6, t0, 180, "trivial first homology for positive braid knots")
 
 
 def test_acceptance_07_twist_stability():
     t0 = time.time()
-    out = stability_check(3, [4, 5, 6], i_max=4)
-    assert out.ok, out.mismatches
-    # (6.6) instance (p,q)=(3,5) at i <= 4 is part of drop_one_twist for q=5
-    assert any(q == 5 and ok for (q, _, ok) in out.drop_one_twist)
+    rep = suite_theorem23()
+    assert_ok(rep)
+    names = [c.name for c in rep.checks]
+    # (6.6) instance (p,q)=(3,5) at i <= 4 is part of the one-fewer-twist checks
+    assert any(n.startswith("one fewer twist: (3,5) vs (3,4) ") for n in names)
     # (6.7) window across (3,4), (3,5), (3,6) at i <= 4
-    assert [(q1, q2) for (q1, q2, _, ok) in out.shared_window if ok] == [(4, 5), (5, 6)]
+    windows = [n.split(" below")[0] for n in names if n.startswith("stable window:")]
+    assert windows == ["stable window: (3,4) vs (3,5)", "stable window: (3,5) vs (3,6)"]
     # (6.8) strand reduction at i < 3
-    bound, ok = out.strand_reduction
-    assert ok and bound == 3
+    assert "strand reduction: (3,3) vs (2,3) shifted, below i=3" in names
     report(7, t0, 300, "twist stability of unnormalized torus homology")
 
 
@@ -155,11 +120,14 @@ def test_acceptance_07_twist_stability_slow_tier():
 
 def test_acceptance_08_stable_series_agreement():
     t0 = time.time()
-    _, agreements = stable_poincare(2, [3, 4, 5, 6])
-    assert all(ok for (_, _, _, ok) in agreements)
-    assert [(n1, bound) for (n1, _, bound, _) in agreements] == [(3, 2), (4, 3), (5, 4)]
-    _, agreements3 = stable_poincare(3, [4, 5])
-    assert agreements3 == [(4, 5, 4, True)]
+    rep = suite_stability()
+    assert_ok(rep)
+    assert [c.name for c in rep.checks] == [
+        "normalized series m=2: n=3 vs n=4 agree below t^2",
+        "normalized series m=2: n=4 vs n=5 agree below t^3",
+        "normalized series m=2: n=5 vs n=6 agree below t^4",
+        "normalized series m=3: n=4 vs n=5 agree below t^4",
+    ]
     report(8, t0, 300, "normalized series stabilize in the stated windows")
 
 
@@ -223,25 +191,14 @@ def test_acceptance_12_per_degree_euler():
 
 def test_acceptance_13_homfly_axioms():
     t0 = time.time()
-    from linkhom.verify import suite_homfly_axioms
-
-    rep = suite_homfly_axioms()
-    assert rep.ok, [c.name for c in rep.checks if not c.ok]
-    repb = suite_appendix_b()
-    assert repb.ok, [c.name for c in repb.checks if not c.ok]
+    assert_ok(suite_homfly_axioms())
+    assert_ok(suite_appendix_b())
     report(13, t0, 120, "trace axioms, wide-edge relations, fixed-model identities")
 
 
 def test_acceptance_14_cross_theory():
     t0 = time.time()
-    orientation = fixed_jones_orientation()
-    for b in corpus.corpus_diagrams(max_crossings=12):
-        if b.strands > 5:
-            continue
-        g2 = specialize_Gn(homfly_G(b), 2)
-        j = apply_orientation(jones_normalized(braid_closure(b)), orientation)
-        assert g2 == j, b.text()
-    for k in range(2, 6):
-        ok, detail = appendix_a_cycle_identity(k)
-        assert ok, (k, detail)
+    rep = suite_appendix_a()
+    assert_ok(rep)
+    orientation = {c.name: c.detail for c in rep.checks}["orientation fixed on the trefoil"]
     report(14, t0, 120, f"two-variable specialization matches Jones (orientation: {orientation})")

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from linkhom.cli import run
+from linkhom.cli import _build_parser, run
 
 
 def invoke(argv):
@@ -134,6 +134,17 @@ def test_verify_theorem24_with_params():
     code, out, _ = invoke(["verify", "theorem24", "--p", "3", "--q", "4"])
     assert code == 0
     assert "OVERALL PASS" in out
+
+
+def test_parser_built_once():
+    _build_parser.cache_clear()
+    # exit 0, 1 (m < 2 is a computation error), 2, 2, then 0 again
+    jones = ["jones", "2: 1 1 1"]
+    argvs = [jones, ["stable", "--m", "1", "--n", "3"], ["kh", "2: 1 x"], ["bogus"], jones]
+    results = [invoke(argv) for argv in argvs]
+    assert [code for code, _, _ in results] == [0, 1, 2, 2, 0]
+    assert results[0][1] == results[-1][1] == "-q^9 + q^5 + q^3 + q\n"
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_usage_errors():

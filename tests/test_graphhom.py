@@ -6,10 +6,10 @@ import random
 import pytest
 
 from linkhom.graphhom import (
-    GraphState,
     Multigraph,
     Pn_homology,
     Qn_homology,
+    _graph_states,
     build_enhanced_complex,
     build_Pn_complex,
     build_Qn_complex,
@@ -18,7 +18,6 @@ from linkhom.graphhom import (
     dichromatic_DG,
     dichromatic_delete_contract,
     enhanced_homology,
-    graph_state,
     parse_graph,
     polygon_reference,
     specialize_Pn,
@@ -56,9 +55,10 @@ def test_parse_graph():
 
 
 def test_graph_state_components():
-    st = graph_state(TRIANGLE, (1, 0, 0))
-    assert st.k == 2
-    assert st.components == ((1, 2), (3,))
+    # only edge 1-2 present: vertices 1, 2 (elements 0, 1) form part 0
+    count, part, least = _graph_states(TRIANGLE).state(0b001)
+    assert count == 2
+    assert part == (0, 0, 1) and least == (0, 2)
 
 
 def test_dichromatic_edgeless():

@@ -12,20 +12,42 @@ from linkhom.linkdiag import (
     conjugate,
     diagram_from_json,
     diagram_to_json,
-    edge_event,
     mirror,
     parse_braid,
     parse_pd,
-    resolve_all,
     resolve_crossing,
     stabilize,
 )
+from linkhom.khovanov import _states, jones_unnormalized
 
 TREFOIL_PD = """
 X 1 4 2 5
 X 3 6 4 1
 X 5 2 6 3
 """
+
+
+def circles(d: Diagram, eps) -> list[tuple[int, ...]]:
+    """The circles of a resolution as label tuples, read off the cube engine."""
+    count, part, _ = _states(d).state(sum(bit << pos for pos, bit in enumerate(eps)))
+    labels = sorted(set(d.arc_labels()) | set(d.loops))
+    return [tuple(x for x, p in zip(labels, part) if p == c) for c in range(count)]
+
+
+def oracle_circles(d: Diagram, eps) -> list[tuple[int, ...]]:
+    """The same circles by a separate union-find over arc labels."""
+    parent = {a: a for a in d.arc_labels()}
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for x, bit in zip(d.crossings, eps):
+        for a, b in x.joins(bit):
+            parent[find(a)] = find(b)
+    groups = [tuple(a for a in parent if find(a) == r) for r in parent if find(r) == r]
+    return sorted(groups + [(lp,) for lp in d.loops])
 
 
 def test_parse_braid_basic():
@@ -48,7 +70,7 @@ def test_trivial_closure_is_unknot():
     d = braid_closure(parse_braid("1:"))
     assert d.n_crossings == 0
     assert len(d.loops) == 1
-    assert resolve_all(d, ()).circle_count == 1
+    assert len(circles(d, ())) == 1
 
 
 def test_closure_sign_bookkeeping():
@@ -60,25 +82,23 @@ def test_closure_sign_bookkeeping():
 
 def test_single_crossing_resolutions():
     d = braid_closure(parse_braid("2: 1"))
-    assert resolve_all(d, (0,)).circle_count == 2
-    assert resolve_all(d, (1,)).circle_count == 1
+    assert len(circles(d, (0,))) == 2
+    assert len(circles(d, (1,))) == 1
 
 
-def test_resolution_length_mismatch():
+def test_resolve_crossing_rejects_bad_input():
     d = braid_closure(parse_braid("2: 1"))
-    with pytest.raises(ValueError):
-        resolve_all(d, (0, 1))
+    for crossing, bit in ((1, 0), (-1, 0), (0, 2)):
+        with pytest.raises(ValueError):
+            resolve_crossing(d, crossing, bit)
 
 
 def test_hopf_edge_events():
+    # the edge (0,0) -> (1,0) merges two circles into one, the edge
+    # (1,0) -> (1,1) splits one circle into two
     d = braid_closure(parse_braid("2: 1 1"))
-    ev = edge_event(d, (0, 0), 0)
-    assert ev.kind == "merge" and ev.sign_exponent == 0
-    ev = edge_event(d, (1, 0), 1)
-    assert ev.kind == "split"
-    assert ev.sign_exponent == 1  # one 1-entry ordered before the changed bit
-    with pytest.raises(ValueError):
-        edge_event(d, (1, 0), 0)
+    assert (len(circles(d, (0, 0))), len(circles(d, (1, 0)))) == (2, 1)
+    assert (len(circles(d, (1, 0))), len(circles(d, (1, 1)))) == (1, 2)
 
 
 def test_adjacent_states_differ_by_one_circle():
@@ -89,11 +109,11 @@ def test_adjacent_states_differ_by_one_circle():
         d = braid_closure(BraidWord(strands, word))
         n = d.n_crossings
         eps = tuple(rng.randint(0, 1) for _ in range(n))
-        src = resolve_all(d, eps)
+        assert circles(d, eps) == oracle_circles(d, eps)
         for pos in range(n):
             if eps[pos] == 0:
-                tgt = resolve_all(d, eps[:pos] + (1,) + eps[pos + 1:])
-                assert abs(src.circle_count - tgt.circle_count) == 1
+                tgt = eps[:pos] + (1,) + eps[pos + 1:]
+                assert abs(len(circles(d, eps)) - len(circles(d, tgt))) == 1
 
 
 def test_resolve_crossing_deletes_a_letter():
@@ -102,7 +122,7 @@ def test_resolve_crossing_deletes_a_letter():
     ref = braid_closure(parse_braid("2: 1 1"))
     # same circle counts on every state
     for eps in itertools.product((0, 1), repeat=2):
-        assert resolve_all(d0, eps).circle_count == resolve_all(ref, eps).circle_count
+        assert len(circles(d0, eps)) == len(circles(ref, eps))
 
 
 def test_resolve_crossing_creates_loop():
@@ -129,8 +149,8 @@ def test_mirror_is_involution():
 def test_mirror_swaps_smoothings():
     d = braid_closure(parse_braid("2: 1"))
     m = mirror(d)
-    assert resolve_all(m, (0,)).circle_count == resolve_all(d, (1,)).circle_count
-    assert resolve_all(m, (1,)).circle_count == resolve_all(d, (0,)).circle_count
+    assert len(circles(m, (0,))) == len(circles(d, (1,)))
+    assert len(circles(m, (1,))) == len(circles(d, (0,)))
 
 
 def test_conjugate_and_stabilize():
@@ -155,9 +175,10 @@ def test_perfect_matching_of_arc_ends():
         assert all(v == 2 for v in counts.values())
         # every state's circles partition the arcs
         eps = tuple(rng.randint(0, 1) for _ in range(d.n_crossings))
-        st = resolve_all(d, eps)
-        seen = sorted(a for c in st.circles for a in c)
+        st = circles(d, eps)
+        seen = sorted(a for c in st for a in c)
         assert seen == sorted(set(d.arc_labels()) | set(d.loops))
+        assert st == oracle_circles(d, eps)
 
 
 def test_braid_closure_crossing_order_groups_by_type():
@@ -196,12 +217,23 @@ def test_parse_pd_validation():
         parse_pd("Y 1 2 2 1")
 
 
+@pytest.mark.parametrize(
+    "text, signs", [("X 3 2 4 1\nX 4 2 3 1", (1, -1)), ("X 3 1 4 2\nX 4 1 3 2", (-1, 1))], ids=["pd", "mirror"]
+)
+def test_parse_pd_all_over_component(text, signs):
+    # a two-component unlink whose component {1, 2} is over at both
+    # crossings: its orientation must carry from one crossing to the other
+    d = parse_pd(text)
+    assert tuple(x.sign for x in d.crossings) == signs
+    assert jones_unnormalized(d) == jones_unnormalized(braid_closure(parse_braid("2: 1 -1")))
+
+
 def test_hopf_pd_circle_counts():
     # positive Hopf link in PD notation
     text = "X 1 3 2 4\nX 3 1 4 2"
     d = parse_pd(text)
     assert d.n_crossings == 2
-    counts = sorted(resolve_all(d, eps).circle_count for eps in itertools.product((0, 1), repeat=2))
+    counts = sorted(len(circles(d, eps)) for eps in itertools.product((0, 1), repeat=2))
     assert counts == [1, 1, 2, 2]
 
 
@@ -212,7 +244,7 @@ def test_appendix_circle_component_relation():
     for k in range(2, 6):
         d = braid_closure(BraidWord(2, tuple([-1] * k)))
         for eps in itertools.product((0, 1), repeat=k):
-            c = resolve_all(d, eps).circle_count
+            c = len(circles(d, eps))
             # component count of the spanning subgraph of C_k with edges where eps=1
             chosen = sum(eps)
             if chosen == k:
