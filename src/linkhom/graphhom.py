@@ -21,12 +21,14 @@ component with an exponent.  Block (i, j) lists the subgraphs with i
 edges by increasing mask, each with its labelings of one exponent sum in
 lexicographic order; positions are worked out from offsets and ranks,
 and each edge shape (component counts, where each component lands, the
-component the edge touches) has its map tabulated once.
+component the edge touches) has its map tabulated once per theory and
+parameter, for every graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 from .homcore import CubeSpec, CubeStates, GradedComplex, HomologyTable, cube_complex, graded_homology
@@ -281,13 +283,18 @@ def build_Pn_complex(g: Multigraph, n: int, variant: str = "zero") -> GradedComp
         raise ValueError("need n >= 1")
     if variant not in ("zero", "xn"):
         raise ValueError("variant must be 'zero' or 'xn'")
-    spec = CubeSpec(
+    return cube_complex(_pn_spec(n, variant), _graph_states(g), source=f"pn-complex:n={n}:{variant}")
+
+
+@cache
+def _pn_spec(n: int, variant: str) -> CubeSpec:
+    # one spec per (n, variant), so its edge tables serve every graph
+    return CubeSpec(
         top=n,
         grading=(n, n, 1),  # j = n i + sum of (n - a) over the parts
         merge=lambda x, y: (x + y,) if x + y <= n else (),
         inside=(lambda x: (n,) if x == 0 else ()) if variant == "xn" else (lambda x: ()),
     )
-    return cube_complex(spec, _graph_states(g), source=f"pn-complex:n={n}:{variant}")
 
 
 def Pn_homology(g: Multigraph, n: int, variant: str = "zero") -> HomologyTable:
@@ -380,13 +387,18 @@ def _qn_cube(g: Multigraph, n: int, window: tuple[int, int], source: str) -> Gra
     lo, hi = window
     if lo > hi:
         raise ValueError("empty degree window")
-    spec = CubeSpec(
+    return cube_complex(_qn_spec(n), _graph_states(g), window=window, source=source)
+
+
+@cache
+def _qn_spec(n: int) -> CubeSpec:
+    # one spec per n, so its edge tables serve every graph and window
+    return CubeSpec(
         top=None,
         grading=(1, n - 1, 1),  # j = i + k (n - 1) - sum of exponents
         merge=lambda x, y: (x + y + 2 - n,),
         inside=lambda x: (x + 1,),
     )
-    return cube_complex(spec, _graph_states(g), window=window, source=source)
 
 
 def Qn_homology(g: Multigraph, n: int, window: tuple[int, int]) -> HomologyTable:

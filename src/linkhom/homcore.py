@@ -1,20 +1,26 @@
 """Sparse exact linear algebra and homology of bigraded chain complexes.
 
-All differentials are integer matrices stored sparsely.  Homology is
+All differentials are integer matrices stored sparsely by rows (row ->
+{column: value}), the one form every layer reads and writes: the cube
+engine fills the rows, the d^2 = 0 check composes two blocks row by row,
+and the elimination starts from a copy of each row.  Homology is
 computed after the d^2 = 0 check in two exact steps.  First every ±1
 entry is cancelled along each j-strand (the blocks (i, j) for one j, in
 increasing i) by Gaussian elimination (Bar-Natan, "Fast Khovanov homology
 computations", Lemma 4.2): a unit entry from generator x of C_i to y of
 C_{i+1} turns its block into the Schur complement of that entry, and the
-neighbouring blocks lose only row x and column y.  Then Smith normal
-forms of the small residual blocks give the free ranks and torsion
-invariant factors.  The Smith normal form and the cancellation share one
-sparse elimination core.
+neighbouring blocks lose only row x and column y.  A unit alone in its
+row has no fill-in: its column's other entries are simply deleted.
+Then Smith normal forms of the small residual blocks give the free ranks
+and torsion invariant factors.  The Smith normal form and the
+cancellation share one sparse elimination core, and neither changes the
+complex it is given.
 
 The Khovanov and graph complexes come from one cube engine,
 ``cube_complex``: a ``CubeStates`` table gives the parts (circles or
 components) at each vertex of the cube, and a ``CubeSpec`` gives the
-labels on parts, the grading and the merge, split and inside maps.
+labels on parts, the grading and the merge, split and inside maps, and
+keeps the tables of those maps across calls.
 """
 
 from __future__ import annotations
@@ -24,8 +30,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd
-from operator import itemgetter
-from typing import Callable, Container, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .polyalg import LaurentPoly
 
@@ -45,74 +50,57 @@ __all__ = [
 
 
 class SparseIntMatrix:
-    """Integer matrix with only the nonzero entries stored."""
+    """Integer matrix stored by rows: ``data[r]`` maps column c to the
+    nonzero entry at (r, c), and only rows with an entry are present."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, entries: Mapping[tuple[int, int], int] | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], int] = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not 0 <= r < rows or not 0 <= c < cols:
-                    raise ValueError(f"index ({r},{c}) out of range for {rows}x{cols}")
-                if v:
-                    self.entries[(r, c)] = int(v)
+        self.data: dict[int, dict[int, int]] = {}
+        for (r, c), v in (entries or {}).items():
+            if not 0 <= r < rows or not 0 <= c < cols:
+                raise ValueError(f"index ({r},{c}) out of range for {rows}x{cols}")
+            if v:
+                self.data.setdefault(r, {})[c] = int(v)
+
+    @classmethod
+    def _of_rows(cls, rows: int, cols: int, data: dict[int, dict[int, int]]) -> "SparseIntMatrix":
+        # takes ``data`` over as it is: in range, with no empty row and no zero
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.data = rows, cols, data
+        return m
 
     def add_at(self, r: int, c: int, v: int):
         if not 0 <= r < self.rows or not 0 <= c < self.cols:
             raise ValueError(f"index ({r},{c}) out of range")
-        cur = self.entries.get((r, c), 0) + v
+        row = self.data.setdefault(r, {})
+        cur = row.get(c, 0) + v
         if cur:
-            self.entries[(r, c)] = cur
+            row[c] = cur
         else:
-            self.entries.pop((r, c), None)
+            row.pop(c, None)
+            if not row:
+                del self.data[r]
 
-    @classmethod
-    def adopt(cls, rows: int, cols: int, entries: dict[tuple[int, int], int]) -> "SparseIntMatrix":
-        """A matrix that takes ``entries`` over as its own, without a copy.
-
-        The checks of ``add_at`` run once over the whole dict: an index out
-        of range raises ValueError, and zero values are dropped in place.
-        """
-        m = cls(rows, cols)
-        if entries:
-            row_of, col_of = itemgetter(0), itemgetter(1)
-            if (
-                min(map(row_of, entries)) < 0
-                or max(map(row_of, entries)) >= rows
-                or min(map(col_of, entries)) < 0
-                or max(map(col_of, entries)) >= cols
-            ):
-                raise ValueError(f"index out of range for {rows}x{cols}")
-            if 0 in entries.values():
-                for key in [key for key, v in entries.items() if not v]:
-                    del entries[key]
-        m.entries = entries
-        return m
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        """The entries keyed by (row, column): a new dict on each call."""
+        return {(r, c): v for r, row in self.data.items() for c, v in row.items()}
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def permuted(self, row_perm: list[int], col_perm: list[int]) -> "SparseIntMatrix":
-        out = SparseIntMatrix(self.rows, self.cols)
-        for (r, c), v in self.entries.items():
-            out.entries[(row_perm[r], col_perm[c])] = v
-        return out
+        return sum(map(len, self.data.values()))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseIntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.data == other.data
         )
 
     def __repr__(self) -> str:
@@ -130,22 +118,28 @@ class _Elimination:
     entry in column c, and ``by_len`` buckets the rows by length, so the
     shortest ones are found without a scan of every row.  The Smith
     normal form and the unit cancellation of ``_unit_residue`` both work
-    on it.
+    on it.  It starts from a copy of each row of a matrix's row storage,
+    less the columns in ``skip_cols``; the matrix itself is not changed.
     """
 
     __slots__ = ("rows", "cols", "by_len", "unitless")
 
-    def __init__(self, entries: Iterable[tuple[tuple[int, int], int]], skip_cols: Container[int] = ()):
-        rows: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    def __init__(self, data: Mapping[int, dict[int, int]], skip_cols: Iterable[int] = ()):
+        rows = {r: row.copy() for r, row in data.items()}
         cols: defaultdict[int, set[int]] = defaultdict(set)
-        for (r, c), v in entries:
-            if c not in skip_cols:
-                rows[r][c] = v
+        for r, row in rows.items():
+            for c in row:
                 cols[c].add(r)
+        for c in skip_cols:
+            for r in cols.pop(c, ()):
+                row = rows[r]
+                del row[c]
+                if not row:
+                    del rows[r]
         by_len: dict[int, dict[int, None]] = {}
-        for r, rw in rows.items():
-            by_len.setdefault(len(rw), {})[r] = None
-        self.rows = dict(rows)
+        for r, row in rows.items():
+            by_len.setdefault(len(row), {})[r] = None
+        self.rows = rows
         self.cols = dict(cols)
         self.by_len = by_len
         self.unitless: set[int] = set()  # rows seen without a ±1 and unchanged since
@@ -247,13 +241,42 @@ class _Elimination:
 
     def cancel_unit(self, pr: int, pc: int):
         """Clear column pc against the ±1 at (pr, pc), then drop row pr and
-        column pc: what is left is the Schur complement of that entry."""
-        u = self.rows[pr][pc]
-        for r2 in list(self.cols[pc]):
+        column pc: what is left is the Schur complement of that entry.
+
+        When row pr holds only the pivot, clearing the column changes no
+        other entry, so the column's other entries are deleted directly.
+        """
+        rows, cols = self.rows, self.cols
+        prow = rows[pr]
+        if len(prow) == 1:
+            by_len = self.by_len
+            for r2 in cols.pop(pc):  # relen(r2, new + 1, new), written out: this is hot
+                if r2 == pr:
+                    continue
+                row2 = rows[r2]
+                del row2[pc]
+                new = len(row2)
+                bucket = by_len[new + 1]
+                del bucket[r2]
+                if not bucket:
+                    del by_len[new + 1]
+                if new:
+                    bucket = by_len.get(new)
+                    if bucket is None:
+                        by_len[new] = {r2: None}
+                    else:
+                        bucket[r2] = None
+                else:
+                    del rows[r2]
+            del rows[pr]
+            self.relen(pr, 1, 0)
+            return
+        u = prow[pc]
+        for r2 in list(cols[pc]):
             if r2 != pr:
-                self.row_op(r2, pr, self.rows[r2][pc] * u)
+                self.row_op(r2, pr, rows[r2][pc] * u)
         self.drop_row(pr)
-        del self.cols[pc]
+        del cols[pc]
 
 
 def _snf_diagonal(m: SparseIntMatrix) -> list[int]:
@@ -274,7 +297,7 @@ def _snf_diagonal(m: SparseIntMatrix) -> list[int]:
     every other entry of that row becomes 0.  So a unit pivot's row is
     dropped whole, with the same result as the column operations.
     """
-    st = _Elimination(m.entries.items())
+    st = _Elimination(m.data)
     rows, cols = st.rows, st.cols
     diag: list[int] = []
     while rows:
@@ -375,32 +398,28 @@ class GradedComplex:
     def verify_d_squared(self) -> list[tuple[int, int]]:
         """The blocks (i, j) whose composite with block (i+1, j) is not 0.
 
-        The blocks are walked strand by strand (one j, increasing i), and
-        each is grouped by column once: as the first map of one composite
-        and as the second map of the composite before it.
+        Row r of the composite B_(i+1) B_i is the sum, over the entries
+        (r, mid) of row r of B_(i+1), of B_(i+1)[r, mid] times row mid of
+        B_i, so the composite is read row by row from the row storage.
         """
         bad = []
-        prev = None  # (key, block, its columns) of the last block seen
-        for i, j in sorted(self.diff, key=lambda k: (k[1], k[0])):
-            second = self.diff[(i, j)]
-            by_col: defaultdict[int, dict[int, int]] = defaultdict(dict)
-            for (r, c), v in second.entries.items():
-                by_col[c][r] = v
-            if prev is not None and prev[0] == (i - 1, j):
-                first, first_cols = prev[1], prev[2]
-                if first.entries and second.entries and first.rows != second.cols:
-                    raise ValueError(f"shape mismatch in composition at ({i - 1},{j})")
-                for col in first_cols.values():
-                    acc: dict[int, int] = {}
-                    for mid, v in col.items():
-                        out = by_col.get(mid)
-                        if out:
-                            for r, w in out.items():
-                                acc[r] = acc.get(r, 0) + v * w
-                    if any(acc.values()):
-                        bad.append((i - 1, j))
-                        break
-            prev = ((i, j), second, by_col)
+        for (i, j), first in self.diff.items():
+            second = self.diff.get((i + 1, j))
+            if second is None or not first.data or not second.data:
+                continue
+            if first.rows != second.cols:
+                raise ValueError(f"shape mismatch in composition at ({i},{j})")
+            mids = first.data
+            for row in second.data.values():
+                acc: dict[int, int] = {}
+                for mid, w in row.items():
+                    src = mids.get(mid)
+                    if src:
+                        for c, v in src.items():
+                            acc[c] = acc.get(c, 0) + w * v
+                if any(acc.values()):
+                    bad.append((i, j))
+                    break
         return sorted(bad)
 
     def total_dim(self) -> int:
@@ -473,6 +492,9 @@ class CubeSpec:
     the label pairs of the two new parts (lower-numbered part first), and
     ``inside(x)`` the new labels of the part, each with coefficient 1.
     Every map must keep j.
+
+    The labelings and the edge tables of ``edge_map`` are kept on the
+    spec, so every complex built from one spec shares them.
     """
 
     top: int | None
@@ -480,6 +502,70 @@ class CubeSpec:
     merge: Callable[[int, int], Iterable[int]]
     split: Callable[[int], Iterable[tuple[int, int]]] | None = None
     inside: Callable[[int], Iterable[int]] | None = None
+    _labelings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _edges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def labels(self, k: int, t: int) -> list[tuple[int, ...]]:
+        """The labelings of k parts with label sum t, in lexicographic order."""
+        out = self._labelings.get((k, t))
+        if out is None:
+            if k == 0:
+                out = [()] if t == 0 else []
+            else:
+                first = t if self.top is None else min(t, self.top)
+                out = [(x,) + rest for x in range(first + 1) for rest in self.labels(k - 1, t - x)]
+            self._labelings[(k, t)] = out
+        return out
+
+    def edge_map(self, shape: tuple[int, int, tuple[int, ...]], tt: int) -> tuple:
+        """The map of an edge of ``shape`` into the labelings of sum tt.
+
+        ``shape`` = (target part count, the source part the edge touches,
+        the target part of each source part).  The result is (source label
+        sum, entries), where entries is the flat tuple (target rank, source
+        rank, value, target rank, ...) in increasing order, or () when the
+        map is 0 there.  A flat tuple of ints is the smallest form that
+        replays with no per-row work, and tables are made once per spec.
+        """
+        table = self._edges.get(shape)
+        if table is None:
+            table = self._edges[shape] = {}
+        out = table.get(tt)
+        if out is not None:
+            return out
+        a, b, c = self.grading
+        tk, p, image = shape
+        k = len(image)
+        shift, rem = divmod(a + b * (tk - k), c)
+        if rem:
+            raise ValueError("an edge map cannot keep the degree")
+        if tk == k - 1:
+            q = next(s for s in range(k) if s != p and image[s] == image[p])
+            slots, rule = (image[p],), lambda lab: ((v,) for v in self.merge(lab[p], lab[q]))
+        elif tk == k + 1 and self.split is not None:
+            hole = (set(range(tk)) - set(image)).pop()
+            slots, rule = tuple(sorted((image[p], hole))), lambda lab: self.split(lab[p])
+        elif tk == k and self.inside is not None:
+            slots, rule = (image[p],), lambda lab: ((v,) for v in self.inside(lab[p]))
+        else:
+            raise ValueError(f"no edge map from {k} parts to {tk}")
+        t = tt - shift
+        rank = {x: r for r, x in enumerate(self.labels(tk, tt))}
+        counts: dict[tuple[int, int], int] = {}
+        for r, lab in enumerate(self.labels(k, t)):
+            for new in rule(lab):
+                target = [0] * tk
+                for s, x in enumerate(lab):
+                    target[image[s]] = x
+                for slot, x in zip(slots, new):
+                    target[slot] = x
+                if sum(target) != tt:
+                    raise ValueError("an edge map does not keep the degree")
+                key = (rank[tuple(target)], r)
+                counts[key] = counts.get(key, 0) + 1
+        flat = tuple(x for (tr, r), v in sorted(counts.items()) for x in (tr, r, v))
+        out = table[tt] = (t, flat) if flat else ()
+        return out
 
 
 def cube_complex(
@@ -502,17 +588,21 @@ def cube_complex(
     by arithmetic, with no lookup per generator.
 
     Edge shapes: an edge's map on labelings depends only on the part
-    counts, where each source part lands (``image``) and the part the
-    edge touches, not on the state.  Each shape's map is tabulated once
-    per label sum, as the target label sum and (target rank, source rank,
-    value) triples, and replayed on every edge of that shape with the edge's cube
-    sign (-1)^(number of set coordinates below it), which makes every
-    square anticommute.  The tables live for one call.
+    counts, where each source part lands and the part the edge touches,
+    not on the state.  ``spec.edge_map`` tabulates each shape's map once
+    per target label sum, and the tables stay on the spec for later
+    calls.  Each table is replayed on every edge of its shape with the
+    edge's cube sign (-1)^(number of set coordinates below it), which
+    makes every square anticommute.
 
-    A block's entries go straight into one dict, keyed by ints taken from
-    one shared list so that equal indices share one object.  No key is
-    written twice: a column and a row fix the source and the target state,
-    hence the edge, and each table sums repeated targets of one labeling.
+    Blocks are written in their row storage directly: the states of
+    degree i + 1 are walked by increasing mask, and each of their
+    generators' rows is filled from the edges coming in, so every row is
+    made once, whole, and the rows of a block come in increasing order.
+    Row and column indices are ints taken from one shared list, so equal
+    indices share one object.  No entry is written twice: a row and a
+    column fix the target and the source state, hence the edge, and each
+    table sums repeated targets of one labeling.
     """
     a, b, c = spec.grading
     top = spec.top
@@ -523,31 +613,10 @@ def cube_complex(
     by_col: list[list[int]] = [[] for _ in range(n + 1)]
     for mask in range(1 << n):
         by_col[mask.bit_count()].append(mask)
-    state = states.state
+    state = {mask: states.state(mask) for i in range(col_lo, min(col_hi, n) + 1) for mask in by_col[i]}
+    labels, edge_map, tables = spec.labels, spec.edge_map, spec._edges
     # the element whose part an edge touches: joined when its coordinate is 1
     anchor = [pairs[1][0][0] for pairs in states.joins]
-
-    labelings: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    ranks: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
-
-    def labels(k: int, t: int) -> list[tuple[int, ...]]:
-        # the labelings of k parts with label sum t, in lexicographic order
-        out = labelings.get((k, t))
-        if out is None:
-            if k == 0:
-                out = [()] if t == 0 else []
-            else:
-                first = t if top is None else min(t, top)
-                out = [(x,) + rest for x in range(first + 1) for rest in labels(k - 1, t - x)]
-            labelings[(k, t)] = out
-        return out
-
-    def rank(lab: tuple[int, ...]) -> int:
-        key = (len(lab), sum(lab))
-        table = ranks.get(key)
-        if table is None:
-            table = ranks[key] = {x: r for r, x in enumerate(labels(*key))}
-        return table[lab]
 
     cplx = GradedComplex(source=source)
     dims = cplx.dims
@@ -558,7 +627,7 @@ def cube_complex(
         # generators in block (i, j(t)), or None where it has none
         out = {}
         for mask in by_col[i]:
-            k = state(mask)[0]
+            k = state[mask][0]
             base = a * i + b * k
             t_hi = top * k if top is not None else (base - window[0]) // c
             slots: list[list[int] | None] = []
@@ -579,76 +648,43 @@ def cube_complex(
             out[mask] = slots
         return out
 
-    def edge_group(k: int, shape, t: int):
-        # the edge map of one shape on the labelings of label sum t
-        tk, p, image = shape
-        shift, rem = divmod(a + b * (tk - k), c)
-        if rem:
-            raise ValueError("an edge map cannot keep the degree")
-        if tk == k - 1:
-            q = next(s for s in range(k) if s != p and image[s] == image[p])
-            slots, rule = (image[p],), lambda lab: ((v,) for v in spec.merge(lab[p], lab[q]))
-        elif tk == k + 1 and spec.split is not None:
-            hole = (set(range(tk)) - set(image)).pop()
-            slots, rule = tuple(sorted((image[p], hole))), lambda lab: spec.split(lab[p])
-        elif tk == k and spec.inside is not None:
-            slots, rule = (image[p],), lambda lab: ((v,) for v in spec.inside(lab[p]))
-        else:
-            raise ValueError(f"no edge map from {k} parts to {tk}")
-        entries = []
-        for r, lab in enumerate(labels(k, t)):
-            acc: dict[int, int] = {}
-            for new in rule(lab):
-                target = [0] * tk
-                for s, x in enumerate(lab):
-                    target[image[s]] = x
-                for slot, x in zip(slots, new):
-                    target[slot] = x
-                if sum(target) != t + shift:
-                    raise ValueError("an edge map does not keep the degree")
-                tr = rank(tuple(target))
-                acc[tr] = acc.get(tr, 0) + 1
-            entries += [(tr, r, v) for tr, v in acc.items() if v]
-        if not entries:
-            return ()
-        return t + shift, tuple(entries), tuple((tr, r, -v) for tr, r, v in entries)
-
-    tables: dict[tuple, dict[int, tuple]] = {}  # edge shape -> label sum -> group
     col = place(col_lo) if col_lo <= col_hi else {}
     for i in range(col_lo, min(col_hi, n)):
         nxt = place(i + 1)
-        blocks: dict[int, dict[tuple[int, int], int]] = {}
-        for mask, slots in col.items():
-            k, part, mins = state(mask)
-            base = a * i + b * k
-            src = [
-                (t, cols, blocks.setdefault(base - c * t, {}))
-                for t, cols in enumerate(slots)
-                if cols is not None
-            ]
-            for e in range(n):
-                bit = 1 << e
-                if mask & bit:
-                    continue
-                tmask = mask | bit
-                tk, tpart, _ = state(tmask)
-                shape = (tk, part[anchor[e]], tuple(map(tpart.__getitem__, mins)))
-                table = tables.get(shape)
-                if table is None:
-                    table = tables[shape] = {}
-                negative = (mask & (bit - 1)).bit_count() & 1
-                target = nxt[tmask]
-                for t, cols, blk in src:
-                    group = table.get(t)
+        blocks: dict[int, dict[int, dict[int, int]]] = {}
+        for tmask, tslots in nxt.items():
+            tk, tpart, _ = state[tmask]
+            base = a * (i + 1) + b * tk
+            # per target label sum: (t, row indices, row dicts to fill)
+            fill = [(tt, rows, [{} for _ in rows]) for tt, rows in enumerate(tslots) if rows is not None]
+            rest = tmask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                smask = tmask ^ bit
+                _, part, mins = state[smask]
+                shape = (tk, part[anchor[bit.bit_length() - 1]], tuple(map(tpart.__getitem__, mins)))
+                table = tables.get(shape, {})
+                sign = -1 if (tmask & (bit - 1)).bit_count() & 1 else 1
+                sslots = col[smask]
+                for tt, _, out in fill:
+                    group = table.get(tt)
                     if group is None:
-                        group = table[t] = edge_group(k, shape, t)
-                    if group:
-                        rows = target[group[0]]
-                        for tr, r, v in group[2] if negative else group[1]:
-                            blk[rows[tr], cols[r]] = v
-        for j, entries in blocks.items():
-            if entries:
-                cplx.diff[(i, j)] = SparseIntMatrix.adopt(dims.get((i + 1, j), 0), dims[(i, j)], entries)
+                        group = edge_map(shape, tt)
+                    if group and group[0] < len(sslots):
+                        cols = sslots[group[0]]
+                        if cols is not None:
+                            it = iter(group[1])
+                            for tr, r, v in zip(it, it, it):
+                                out[tr][cols[r]] = sign * v
+            for tt, rows, out in fill:
+                blk = blocks.setdefault(base - c * tt, {})
+                for p, row in zip(rows, out):
+                    if row:
+                        blk[p] = row
+        for j, data in blocks.items():
+            if data:
+                cplx.diff[(i, j)] = SparseIntMatrix._of_rows(dims.get((i + 1, j), 0), dims[(i, j)], data)
         col = nxt
     return cplx
 
@@ -740,14 +776,13 @@ def _unit_residue(c: GradedComplex) -> GradedComplex:
     def settle(key, st: _Elimination, col_map: dict[int, int], n_rows: int, targets: set[int], drop: set[int]):
         # the residual block, less the rows cancelled one step on
         row_map = _survivors(n_rows, targets, drop)
-        entries = {
-            (row_map[r], col_map[col]): v
+        data = {
+            row_map[r]: {col_map[col]: v for col, v in row.items()}
             for r, row in st.rows.items()
             if r not in drop
-            for col, v in row.items()
         }
-        if entries:
-            res.diff[key] = SparseIntMatrix(len(row_map), len(col_map), entries)
+        if data:
+            res.diff[key] = SparseIntMatrix._of_rows(len(row_map), len(col_map), data)
         return row_map
 
     prev = None  # (key, working form, column map, row count, cancelled targets)
@@ -757,7 +792,7 @@ def _unit_residue(c: GradedComplex) -> GradedComplex:
             settle(*prev, set())
             prev = None
         gone = prev[4] if prev is not None else set()
-        st = _Elimination(blk.entries.items(), skip_cols=gone)
+        st = _Elimination(blk.data, skip_cols=gone)
         sources: set[int] = set()
         targets: set[int] = set()
         while (p := st.unit_pivot()) is not None:

@@ -9,13 +9,15 @@ its labelings in lexicographic order (1 < X, circle 0 first), and a
 generator's position is worked out from its resolution's offset and its
 labeling's rank.  The merge m and split Delta are tabulated once per edge
 shape (circle counts, where each circle lands, the circle the crossing
-touches) and replayed with the alternating cube signs, so every square
+touches) on the module's one spec, so every diagram shares the tables,
+and replayed with the alternating cube signs, so every square
 anticommutes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import comb
 
 from .homcore import (
@@ -249,22 +251,26 @@ def _cone_structure_ok(d: Diagram, complexes, nu: int, violations: list[str]) ->
     """The complex cx of d against the complexes c0, c1 of its two
     resolutions at crossing nu: entries between states with bit nu = 0
     must be c0's, those between states with bit nu = 1 must be c1's times
-    the sign fix (-1)^(bits above nu) of each end, and none may run from
-    bit nu = 1 to bit nu = 0.
+    the sign fix (-1)^(bits above nu) of each end, none may run from bit
+    nu = 1 to bit nu = 0, and those from bit nu = 0 to bit nu = 1 (the
+    cone map) must be the merge or split of crossing nu times the cube
+    sign (-1)^(bits below nu), worked out generator by generator.
 
     Generators are matched by position alone.  Block (i, j) lists the
     states of degree i by increasing mask, each with its comb(k, t)
-    labelings in one fixed order, and a resolution keeps the order of the
-    other crossings and of each state's circles.  Dropping bit nu keeps the
-    order of the masks, so the generators of cx's block (i, j) with bit
-    nu = 0 are, in order, c0's block (i, j), and those with bit nu = 1 are
-    c1's block (i - 1, j - 1).
+    labelings in lexicographic order, and a resolution keeps the order of
+    the other crossings and of each state's circles.  Dropping bit nu
+    keeps the order of the masks, so the generators of cx's block (i, j)
+    with bit nu = 0 are, in order, c0's block (i, j), and those with bit
+    nu = 1 are c1's block (i - 1, j - 1).
     """
     cx, c0, c1 = complexes
     st = _states(d)
+    bit_nu = 1 << nu
     # per block of cx, per position: (face bit, index in that face's block, sign fix)
     where: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     filled: dict[tuple[int, int, int], int] = {}
+    start: dict[tuple[int, int], int] = {}  # (mask, t) -> position of its first generator
     for mask in sorted(range(1 << d.n_crossings), key=int.bit_count):
         i = mask.bit_count()
         k = st.state(mask)[0]
@@ -272,30 +278,86 @@ def _cone_structure_ok(d: Diagram, complexes, nu: int, violations: list[str]) ->
         sign = -1 if (mask >> (nu + 1)).bit_count() & 1 else 1
         for t in range(k + 1):
             key = (i, i + k - 2 * t)
-            start = filled.get((bit, *key), 0)
-            stop = filled[(bit, *key)] = start + comb(k, t)
-            where.setdefault(key, []).extend((bit, p, sign) for p in range(start, stop))
+            block = where.setdefault(key, [])
+            start[(mask, t)] = len(block)
+            begin = filled.get((bit, *key), 0)
+            stop = filled[(bit, *key)] = begin + comb(k, t)
+            block.extend((bit, p, sign) for p in range(begin, stop))
+
+    ranks: dict[int, dict[tuple[int, ...], int]] = {}
+
+    def ranked(k: int) -> dict[tuple[int, ...], int]:
+        # the labelings of k circles, each with its rank in its label sum
+        if k not in ranks:
+            out = ranks[k] = {}
+            count: dict[int, int] = {}
+            for lab in product((0, 1), repeat=k):  # lexicographic
+                out[lab] = count.get(sum(lab), 0)
+                count[sum(lab)] = out[lab] + 1
+        return ranks[k]
+
+    # the cone map per block of cx, in row storage
+    cone: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
+    for mask in range(1 << d.n_crossings):
+        if mask & bit_nu:
+            continue
+        i, tmask = mask.bit_count(), mask | bit_nu
+        k, part, mins = st.state(mask)
+        tk, tpart, tmins = st.state(tmask)
+        sign = -1 if (mask & (bit_nu - 1)).bit_count() & 1 else 1
+        image = [tpart[m] for m in mins]
+        merged = [s for s in range(k) if image.count(image[s]) == 2]
+        src = [part[m] for m in tmins]
+        split = [u for u in range(tk) if src.count(src[u]) == 2]
+        for lab, rank in ranked(k).items():
+            t = sum(lab)
+            if merged:  # the two circles with one image merge
+                s1, s2 = merged
+                news = [((image[s1], x),) for x in _KHOVANOV.merge(lab[s1], lab[s2])]
+            else:  # one circle splits into the target circles u1 < u2
+                u1, u2 = split
+                news = [((u1, x), (u2, y)) for x, y in _KHOVANOV.split(lab[src[u1]])]
+            col = start[(mask, t)] + rank
+            for new in news:
+                target = [0] * tk
+                for s, x in enumerate(lab):
+                    target[image[s]] = x
+                for slot, x in new:
+                    target[slot] = x
+                target = tuple(target)
+                row = start[(tmask, sum(target))] + ranked(tk)[target]
+                cone.setdefault((i, i + k - 2 * t), {}).setdefault(row, {})[col] = sign
 
     ok = True
     for (i, j), blk in cx.diff.items():
         rows, cols = where.get((i + 1, j), ()), where.get((i, j), ())
         faces: tuple[dict, dict] = ({}, {})
-        for (r, c), v in blk.entries.items():
+        up: dict[int, dict[int, int]] = {}
+        for r, row in blk.data.items():
             tbit, rr, tsign = rows[r]
-            sbit, cc, ssign = cols[c]
-            if sbit == tbit:
-                faces[sbit][(rr, cc)] = v * tsign * ssign if sbit else v
-            elif sbit:
-                ok = False
-                violations.append(f"upward cone entry at ({i},{j})")
+            for c, v in row.items():
+                sbit, cc, ssign = cols[c]
+                if sbit == tbit:
+                    faces[sbit].setdefault(rr, {})[cc] = v * tsign * ssign if sbit else v
+                elif sbit:
+                    ok = False
+                    violations.append(f"upward cone entry at ({i},{j})")
+                else:
+                    up.setdefault(r, {})[c] = v
         ref0 = c0.diff.get((i, j))
         ref1 = c1.diff.get((i - 1, j - 1))
-        if faces[0] != (ref0.entries if ref0 else {}):
+        if faces[0] != (ref0.data if ref0 else {}):
             ok = False
             violations.append(f"0-face differs from resolved complex at ({i},{j})")
-        if faces[1] != (ref1.entries if ref1 else {}):
+        if faces[1] != (ref1.data if ref1 else {}):
             ok = False
             violations.append(f"1-face differs from shifted complex at ({i},{j})")
+        if up != cone.pop((i, j), {}):
+            ok = False
+            violations.append(f"cone map differs at ({i},{j})")
+    for i, j in sorted(cone):
+        ok = False
+        violations.append(f"cone map differs at ({i},{j})")
     return ok
 
 

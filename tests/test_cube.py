@@ -57,7 +57,7 @@ def ref_complex(states, n, gens, targets, source, columns=None):
                     if row is not None:
                         blk = blocks.setdefault((i, j), SparseIntMatrix(len(rows), len(block)))
                         blk.add_at(row, col, sign)
-    cplx.diff = {key: blk for key, blk in blocks.items() if not blk.is_zero()}
+    cplx.diff = {key: blk for key, blk in blocks.items() if blk.nnz}
     return cplx
 
 

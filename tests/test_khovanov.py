@@ -1,11 +1,16 @@
 """Bracket, Jones, and Khovanov homology checks against hand-computed values."""
 
+import hashlib
 import random
+from math import comb
 
 import pytest
 
+from linkhom.corpus import corpus_diagrams
 from linkhom.homcore import euler_characteristic, graded_homology, poincare_polynomial
 from linkhom.khovanov import (
+    _cone_structure_ok,
+    _states,
     build_khovanov_complex,
     jones_normalized,
     jones_skein_check,
@@ -20,7 +25,16 @@ from linkhom.khovanov import (
     unnormalized_homology,
     width_report,
 )
-from linkhom.linkdiag import BraidWord, braid_closure, conjugate, mirror, parse_braid, parse_pd, stabilize
+from linkhom.linkdiag import (
+    BraidWord,
+    braid_closure,
+    conjugate,
+    mirror,
+    parse_braid,
+    parse_pd,
+    resolve_crossing,
+    stabilize,
+)
 from linkhom.polyalg import LaurentPoly
 
 Q = ("q",)
@@ -216,6 +230,84 @@ def test_les_random_pairs():
         c = rng.randrange(d.n_crossings)
         rep = les_check(d, c)
         assert rep.ok, rep.violations
+
+
+def masks_by_position(d):
+    # block (i, j) lists the states of degree i by increasing mask, each
+    # with comb(k, t) generators, t = (i + k - j) / 2 the number of X
+    out = {}
+    st = _states(d)
+    for mask in sorted(range(1 << d.n_crossings), key=int.bit_count):
+        i, k = mask.bit_count(), st.state(mask)[0]
+        for t in range(k + 1):
+            out.setdefault((i, i + k - 2 * t), []).extend([mask] * comb(k, t))
+    return out
+
+
+@pytest.mark.parametrize("text,nu", [("2: 1 1 1", 1), ("3: 1 -2 1 -2", 2), ("3: 1 2 1 2", 0)])
+def test_cone_check_catches_one_flipped_cone_map_entry(text, nu):
+    d = closure(text)
+    complexes = [build_khovanov_complex(x) for x in (d, resolve_crossing(d, nu, 0), resolve_crossing(d, nu, 1))]
+    assert _cone_structure_ok(d, complexes, nu, [])
+    where = masks_by_position(d)
+    flipped = 0
+    for (i, j), blk in complexes[0].diff.items():
+        for r, row in blk.data.items():
+            for c in row:
+                if (where[(i, j)][c] >> nu) & 1 or not (where[(i + 1, j)][r] >> nu) & 1:
+                    continue  # not an entry of the cone map
+                row[c] = -row[c]
+                violations = []
+                assert not _cone_structure_ok(d, complexes, nu, violations), (i, j, r, c)
+                assert violations == [f"cone map differs at ({i},{j})"]
+                row[c] = -row[c]
+                flipped += 1
+    assert flipped
+
+
+def test_les_check_after_homology_of_its_complexes():
+    # les_check runs graded_homology on cx, c0 and c1 before the cone check
+    for b in corpus_diagrams(max_crossings=6):
+        d = braid_closure(b)
+        for crossing in range(d.n_crossings):
+            rep = les_check(d, crossing)
+            assert rep.ok, (b.text(), crossing, rep.violations)
+
+
+def test_mirror_duality_of_integral_homology():
+    # Kh(mirror D): free (i, j) -> (-i, -j), torsion (i, j) -> (1 - i, -j)
+    torsion = 0
+    diagrams = corpus_diagrams(max_crossings=8)
+    for b in diagrams:
+        d = braid_closure(b)
+        want = {}
+        for (i, j), (free, tors) in khovanov_homology(d).entries.items():
+            if free:
+                want[(-i, -j)] = (free, want.get((-i, -j), (0, ()))[1])
+            if tors:
+                want[(1 - i, -j)] = (want.get((1 - i, -j), (0, ()))[0], tors)
+        torsion += any(tors for _, tors in want.values())
+        assert khovanov_homology(mirror(d)).entries == want, b.text()
+    assert len(diagrams) >= 30 and torsion >= 20
+
+
+def table_sha256(p, q):
+    t = khovanov_homology(torus_diagram(p, q))
+    return hashlib.sha256((t.to_json() + t.pretty()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "p,q,digest",
+    [
+        pytest.param(3, 6, "657a276840d2f1af720f04765a333d7df269c8d3f5fa7bfc7c57c3f6830de6a4", id="T(3,6)"),
+        pytest.param(4, 4, "8ff63e7259e596a602fde2a26b8c022a2be46c1fae9fa9dce464bbc2dfcff5cc", id="T(4,4)"),
+        pytest.param(3, 7, "3909488254349cde5b002e17f5ee45e1008c9086deb263377f4b4f9d78f83af8", id="T(3,7)",
+                     marks=pytest.mark.slow),
+    ],
+)
+def test_torus_table_hash(p, q, digest):
+    # sha256 of to_json() + pretty() of the whole normalized table
+    assert table_sha256(p, q) == digest
 
 
 def test_irange_matches_full_computation():
