@@ -15,7 +15,8 @@ spanning subgraphs:
    per-degree polynomial complex for n = 2.
 
 All three are short specs for the shared cube engine
-(``homcore.cube_complex``): components are the parts of a spanning
+(``homcore.cube_blocks``; the homologies stream it through
+``homcore.cube_homology``): components are the parts of a spanning
 subgraph, numbered by their least vertex, and a generator labels each
 component with an exponent.  Block (i, j) lists the subgraphs with i
 edges by increasing mask, each with its labelings of one exponent sum in
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb
 
-from .homcore import CubeSpec, CubeStates, GradedComplex, HomologyTable, cube_complex, graded_homology
+from .homcore import CubeSpec, CubeStates, GradedComplex, HomologyTable, cube_complex, cube_homology
 from .linkdiag import InputError
 from .polyalg import LaurentPoly, RationalFn
 
@@ -279,11 +280,16 @@ def build_Pn_complex(g: Multigraph, n: int, variant: str = "zero") -> GradedComp
     an edge landing inside a component applies the chosen variant: the
     zero map, or 1 -> X^n with X^a -> 0 for a > 0.
     """
+    return cube_complex(*_pn_cube(g, n, variant))
+
+
+def _pn_cube(g: Multigraph, n: int, variant: str) -> tuple:
+    # the arguments of cube_complex and cube_homology for the Pn complex, checked
     if n < 1:
         raise ValueError("need n >= 1")
     if variant not in ("zero", "xn"):
         raise ValueError("variant must be 'zero' or 'xn'")
-    return cube_complex(_pn_spec(n, variant), _graph_states(g), source=f"pn-complex:n={n}:{variant}")
+    return _pn_spec(n, variant), _graph_states(g), None, None, f"pn-complex:n={n}:{variant}"
 
 
 @cache
@@ -298,7 +304,7 @@ def _pn_spec(n: int, variant: str) -> CubeSpec:
 
 
 def Pn_homology(g: Multigraph, n: int, variant: str = "zero") -> HomologyTable:
-    return graded_homology(build_Pn_complex(g, n, variant))
+    return cube_homology(*_pn_cube(g, n, variant))
 
 
 def polygon_reference(k: int, n: int) -> HomologyTable:
@@ -361,7 +367,7 @@ def _enhanced_cube(g: Multigraph, window: tuple[int, int]) -> GradedComplex:
     i = |s| and j = |s| + k(s) - |labels|.  Adding an edge merges labels
     additively, or increments the label of the component it lands in.
     This is the per-degree polynomial complex for n = 2."""
-    return _qn_cube(g, 2, window, "enhanced")
+    return cube_complex(*_qn_cube(g, 2, window, "enhanced"))
 
 
 def build_enhanced_complex(g: Multigraph, j: int) -> GradedComplex:
@@ -370,7 +376,7 @@ def build_enhanced_complex(g: Multigraph, j: int) -> GradedComplex:
 
 
 def enhanced_homology(g: Multigraph, window: tuple[int, int]) -> HomologyTable:
-    return graded_homology(_enhanced_cube(g, window))
+    return cube_homology(*_qn_cube(g, 2, window, "enhanced"))
 
 
 def build_Qn_complex(g: Multigraph, n: int, window: tuple[int, int]) -> GradedComplex:
@@ -378,16 +384,18 @@ def build_Qn_complex(g: Multigraph, n: int, window: tuple[int, int]) -> GradedCo
     component (indexed by smallest vertex), merge maps substituting the
     larger variable and multiplying by x^(2-n), internal edges multiplying
     by x.  Exact inside the window since differentials preserve degree."""
+    return cube_complex(*_qn_cube(g, n, window, f"qn-complex:n={n}"))
+
+
+def _qn_cube(g: Multigraph, n: int, window: tuple[int, int], source: str) -> tuple:
+    # the arguments of cube_complex and cube_homology for the per-degree
+    # polynomial complex, checked
     if n > 2:
         raise ValueError("need n <= 2 so the merge exponent 2-n is nonnegative")
-    return _qn_cube(g, n, window, f"qn-complex:n={n}")
-
-
-def _qn_cube(g: Multigraph, n: int, window: tuple[int, int], source: str) -> GradedComplex:
     lo, hi = window
     if lo > hi:
         raise ValueError("empty degree window")
-    return cube_complex(_qn_spec(n), _graph_states(g), window=window, source=source)
+    return _qn_spec(n), _graph_states(g), None, window, source
 
 
 @cache
@@ -402,7 +410,7 @@ def _qn_spec(n: int) -> CubeSpec:
 
 
 def Qn_homology(g: Multigraph, n: int, window: tuple[int, int]) -> HomologyTable:
-    return graded_homology(build_Qn_complex(g, n, window))
+    return cube_homology(*_qn_cube(g, n, window, f"qn-complex:n={n}"))
 
 
 def dichromatic_DG(g: Multigraph) -> RationalFn:

@@ -3,24 +3,33 @@
 All differentials are integer matrices stored sparsely by rows (row ->
 {column: value}), the one form every layer reads and writes: the cube
 engine fills the rows, the d^2 = 0 check composes two blocks row by row,
-and the elimination starts from a copy of each row.  Homology is
-computed after the d^2 = 0 check in two exact steps.  First every ±1
-entry is cancelled along each j-strand (the blocks (i, j) for one j, in
-increasing i) by Gaussian elimination (Bar-Natan, "Fast Khovanov homology
+and the elimination takes the rows over and works on them in place.
+
+The differential keeps the degree j, so a complex is a direct sum of
+j-strands (the blocks (i, j) for one j, in increasing i), and homology is
+computed strand by strand from a stream of blocks in strand order, in two
+exact steps.  First, as each block (i, j) comes, d^2 = 0 is checked on it
+and the block (i-1, j) before it, and then every ±1 entry of (i-1, j) is
+cancelled by Gaussian elimination (Bar-Natan, "Fast Khovanov homology
 computations", Lemma 4.2): a unit entry from generator x of C_i to y of
 C_{i+1} turns its block into the Schur complement of that entry, and the
 neighbouring blocks lose only row x and column y.  A unit alone in its
-row has no fill-in: its column's other entries are simply deleted.
-Then Smith normal forms of the small residual blocks give the free ranks
-and torsion invariant factors.  The Smith normal form and the
-cancellation share one sparse elimination core, and neither changes the
-complex it is given.
+row has no fill-in: its column's other entries are simply deleted.  Only
+a strand's last blocks are held, and a block's rows are freed as they are
+cancelled.  Then Smith normal forms of the small residual blocks give the
+free ranks and torsion invariant factors.  The Smith normal form and the
+cancellation share one sparse elimination core.
 
 The Khovanov and graph complexes come from one cube engine,
-``cube_complex``: a ``CubeStates`` table gives the parts (circles or
+``cube_blocks``: a ``CubeStates`` table gives the parts (circles or
 components) at each vertex of the cube, and a ``CubeSpec`` gives the
 labels on parts, the grading and the merge, split and inside maps, and
-keeps the tables of those maps across calls.
+keeps the tables of those maps across calls.  The engine yields the
+blocks in strand order, one at a time, and ``cube_homology`` hands them
+to ``strand_homology`` as they come, so no whole complex is built;
+``cube_complex`` collects the same blocks into a ``GradedComplex`` for
+callers that read the complex itself, and ``graded_homology`` feeds a
+stored complex's blocks, copied, to the same consumer.
 """
 
 from __future__ import annotations
@@ -28,9 +37,9 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import combinations, islice
 from math import gcd
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .polyalg import LaurentPoly
 
@@ -38,12 +47,15 @@ __all__ = [
     "SparseIntMatrix",
     "CubeStates",
     "CubeSpec",
+    "cube_blocks",
     "cube_complex",
+    "cube_homology",
     "smith_normal_form",
     "matrix_rank",
     "GradedComplex",
     "HomologyTable",
     "graded_homology",
+    "strand_homology",
     "euler_characteristic",
     "poincare_polynomial",
 ]
@@ -53,7 +65,7 @@ class SparseIntMatrix:
     """Integer matrix stored by rows: ``data[r]`` maps column c to the
     nonzero entry at (r, c), and only rows with an entry are present."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "__weakref__")
 
     def __init__(self, rows: int, cols: int, entries: Mapping[tuple[int, int], int] | None = None):
         if rows < 0 or cols < 0:
@@ -115,21 +127,23 @@ class _Elimination:
     """Sparse integer matrix as a working form for exact row operations.
 
     ``rows[r]`` maps column to value, ``cols[c]`` holds the rows with an
-    entry in column c, and ``by_len`` buckets the rows by length, so the
-    shortest ones are found without a scan of every row.  The Smith
+    entry in column c (as the keys of a dict, in the order they gained
+    it: a third the size of a set on long columns), and ``by_len`` buckets
+    the rows by length, so the shortest ones are found without a scan of
+    every row.  The Smith
     normal form and the unit cancellation of ``_unit_residue`` both work
-    on it.  It starts from a copy of each row of a matrix's row storage,
-    less the columns in ``skip_cols``; the matrix itself is not changed.
+    on it.  It takes the row storage it is given over, less the columns
+    in ``skip_cols``, and changes it: a caller that keeps the matrix hands
+    in a copy.
     """
 
     __slots__ = ("rows", "cols", "by_len", "unitless")
 
-    def __init__(self, data: Mapping[int, dict[int, int]], skip_cols: Iterable[int] = ()):
-        rows = {r: row.copy() for r, row in data.items()}
-        cols: defaultdict[int, set[int]] = defaultdict(set)
+    def __init__(self, rows: dict[int, dict[int, int]], skip_cols: Iterable[int] = ()):
+        cols: defaultdict[int, dict[int, None]] = defaultdict(dict)
         for r, row in rows.items():
             for c in row:
-                cols[c].add(r)
+                cols[c][r] = None
         for c in skip_cols:
             for r in cols.pop(c, ()):
                 row = rows[r]
@@ -162,12 +176,12 @@ class _Elimination:
             nv = row2.get(c, 0) - q * v
             if nv:
                 if c not in row2:
-                    cols[c].add(r2)
+                    cols[c][r2] = None
                 row2[c] = nv
             else:
                 if c in row2:
                     del row2[c]
-                    cols[c].discard(r2)
+                    del cols[c][r2]
         if len(row2) != old:
             self.relen(r2, old, len(row2))
         if not row2:
@@ -178,7 +192,7 @@ class _Elimination:
         row = self.rows.pop(r)
         self.relen(r, len(row), 0)
         for c in row:
-            self.cols[c].discard(r)
+            del self.cols[c][r]
 
     def choose_pivot(self) -> tuple[int, int]:
         """The Smith normal form's pivot; see ``_snf_diagonal``."""
@@ -297,7 +311,7 @@ def _snf_diagonal(m: SparseIntMatrix) -> list[int]:
     every other entry of that row becomes 0.  So a unit pivot's row is
     dropped whole, with the same result as the column operations.
     """
-    st = _Elimination(m.data)
+    st = _Elimination({r: row.copy() for r, row in m.data.items()})
     rows, cols = st.rows, st.cols
     diag: list[int] = []
     while rows:
@@ -334,7 +348,7 @@ def _snf_diagonal(m: SparseIntMatrix) -> list[int]:
                     prow[c2] = nv
                 else:
                     del prow[c2]
-                    cols[c2].discard(pr)
+                    del cols[c2][pr]
             if len(prow) != old:
                 st.relen(pr, old, len(prow))
             if len(prow) == 1:
@@ -372,6 +386,30 @@ def matrix_rank(m: SparseIntMatrix) -> int:
     return len(_snf_diagonal(m))
 
 
+def _composite_is_zero(key: tuple[int, int], first: SparseIntMatrix, second: SparseIntMatrix) -> bool:
+    """Whether block ``key`` = (i, j) followed by block (i+1, j) is 0.
+
+    Row r of the composite B_(i+1) B_i is the sum, over the entries
+    (r, mid) of row r of B_(i+1), of B_(i+1)[r, mid] times row mid of
+    B_i, so the composite is read row by row from the row storage.
+    """
+    if not first.data or not second.data:
+        return True
+    if first.rows != second.cols:
+        raise ValueError(f"shape mismatch in composition at ({key[0]},{key[1]})")
+    mids = first.data
+    for row in second.data.values():
+        acc: dict[int, int] = {}
+        for mid, w in row.items():
+            src = mids.get(mid)
+            if src:
+                for c, v in src.items():
+                    acc[c] = acc.get(c, 0) + w * v
+        if any(acc.values()):
+            return False
+    return True
+
+
 @dataclass
 class GradedComplex:
     """Bigraded chain complex with degree-preserving differentials.
@@ -396,31 +434,21 @@ class GradedComplex:
         return blk
 
     def verify_d_squared(self) -> list[tuple[int, int]]:
-        """The blocks (i, j) whose composite with block (i+1, j) is not 0.
-
-        Row r of the composite B_(i+1) B_i is the sum, over the entries
-        (r, mid) of row r of B_(i+1), of B_(i+1)[r, mid] times row mid of
-        B_i, so the composite is read row by row from the row storage.
-        """
+        """The blocks (i, j) whose composite with block (i+1, j) is not 0."""
         bad = []
         for (i, j), first in self.diff.items():
             second = self.diff.get((i + 1, j))
-            if second is None or not first.data or not second.data:
-                continue
-            if first.rows != second.cols:
-                raise ValueError(f"shape mismatch in composition at ({i},{j})")
-            mids = first.data
-            for row in second.data.values():
-                acc: dict[int, int] = {}
-                for mid, w in row.items():
-                    src = mids.get(mid)
-                    if src:
-                        for c, v in src.items():
-                            acc[c] = acc.get(c, 0) + w * v
-                if any(acc.values()):
-                    bad.append((i, j))
-                    break
+            if second is not None and not _composite_is_zero((i, j), first, second):
+                bad.append((i, j))
         return sorted(bad)
+
+    def strands(self) -> Iterator[tuple[tuple[int, int], SparseIntMatrix]]:
+        """A copy of each block, keyed by (i, j), in strand order (j, then
+        i): the form ``strand_homology`` takes over, the complex left as
+        it is."""
+        for key in sorted(self.diff, key=lambda k: (k[1], k[0])):
+            blk = self.diff[key]
+            yield key, SparseIntMatrix._of_rows(blk.rows, blk.cols, {r: row.copy() for r, row in blk.data.items()})
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -568,24 +596,36 @@ class CubeSpec:
         return out
 
 
-def cube_complex(
+def _masks(n: int, i: int) -> list[int]:
+    """The n-bit masks with i bits set, in increasing order."""
+    return sorted(map(sum, combinations([1 << p for p in range(n)], i)))
+
+
+def cube_blocks(
     spec: CubeSpec,
     states: CubeStates,
     columns: tuple[int, int] | None = None,
     window: tuple[int, int] | None = None,
-    source: str = "",
-) -> GradedComplex:
-    """The cube complex of ``spec`` over the vertices of ``states``.
+) -> tuple[dict[tuple[int, int], int], Iterator[tuple[tuple[int, int], SparseIntMatrix]]]:
+    """The cube complex of ``spec`` over the vertices of ``states``, as the
+    ranks of its chain groups and a stream of its nonzero blocks.
 
     Cube degrees ``columns`` = (lo, hi) are kept (all by default), with
     the edges from degree lo up to degree hi, and only the generators of
-    degree j in ``window`` when it is given.
+    degree j in ``window`` when it is given.  Only the states of the kept
+    degrees are listed.
 
     Generator order: block (i, j) lists the states of cube degree i by
     increasing mask, and each state's labelings of the one label sum that
     gives j in lexicographic order.  So a generator's position is its
     state's offset for that label sum plus the rank of its labeling, found
-    by arithmetic, with no lookup per generator.
+    by arithmetic, with no lookup per generator.  The ranks and positions
+    are worked out before the first block.
+
+    The blocks come keyed by (i, j) in strand order: j, then i.  The
+    differential keeps j, so each j-strand is a complex of its own, and a
+    consumer that takes each block over as it comes holds only a strand's
+    last blocks, never the whole complex.
 
     Edge shapes: an edge's map on labelings depends only on the part
     counts, where each source part lands and the part the edge touches,
@@ -593,12 +633,15 @@ def cube_complex(
     per target label sum, and the tables stay on the spec for later
     calls.  Each table is replayed on every edge of its shape with the
     edge's cube sign (-1)^(number of set coordinates below it), which
-    makes every square anticommute.
+    makes every square anticommute.  Each state's incoming edges (shape,
+    sign, source positions) are worked out once, with the positions, and
+    serve every strand the state is in; the parts of the states are not
+    read after that.
 
-    Blocks are written in their row storage directly: the states of
-    degree i + 1 are walked by increasing mask, and each of their
-    generators' rows is filled from the edges coming in, so every row is
-    made once, whole, and the rows of a block come in increasing order.
+    Block (i, j) is written in its row storage directly: the states of
+    degree i + 1 with generators at j are walked by increasing mask, and
+    each of their generators' rows is filled from the edges coming in, so
+    every row is made once, whole, and the rows come in increasing order.
     Row and column indices are ints taken from one shared list, so equal
     indices share one object.  No entry is written twice: a row and a
     column fix the target and the source state, hence the edge, and each
@@ -609,84 +652,113 @@ def cube_complex(
     if top is None and window is None:
         raise ValueError("unbounded labels need a degree window")
     n = len(states.joins)
-    col_lo, col_hi = (0, n) if columns is None else columns
-    by_col: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        by_col[mask.bit_count()].append(mask)
-    state = {mask: states.state(mask) for i in range(col_lo, min(col_hi, n) + 1) for mask in by_col[i]}
-    labels, edge_map, tables = spec.labels, spec.edge_map, spec._edges
+    lo, hi = (0, n) if columns is None else (columns[0], min(columns[1], n))
+    labels, state, tables = spec.labels, states.state, spec._edges
     # the element whose part an edge touches: joined when its coordinate is 1
     anchor = [pairs[1][0][0] for pairs in states.joins]
-
-    cplx = GradedComplex(source=source)
-    dims = cplx.dims
+    kinds: dict[tuple, tuple[dict, tuple]] = {}  # shape -> (its tables, shape), one per shape
+    dims: dict[tuple[int, int], int] = {}
     ints: list[int] = []  # ints[p] is p: one object per index value
-
-    def place(i: int) -> dict[int, list[list[int] | None]]:
-        # per state of cube degree i, per label sum t: the indices of its
-        # generators in block (i, j(t)), or None where it has none
-        out = {}
-        for mask in by_col[i]:
-            k = state[mask][0]
+    # per state, per label sum t: the position of its first generator in
+    # its block, or None where it has none
+    firsts: dict[int, list[int | None]] = {}
+    # per (i, j): the states with generators there, by increasing mask,
+    # each followed by its label sum, first position and generator count
+    holders: dict[tuple[int, int], list[int]] = {}
+    # per state above degree lo with generators: (kind, cube sign, source
+    # firsts) for each edge coming in
+    edges: dict[int, tuple] = {}
+    below: dict[int, tuple] = {}  # the states of degree i - 1
+    for i in range(lo, hi + 1):
+        here = {mask: state(mask) for mask in _masks(n, i)}
+        for mask, (k, tpart, _) in here.items():
             base = a * i + b * k
             t_hi = top * k if top is not None else (base - window[0]) // c
-            slots: list[list[int] | None] = []
+            out = firsts[mask] = []
             for t in range(t_hi + 1):
                 j = base - c * t
-                if window is not None and not window[0] <= j <= window[1]:
-                    slots.append(None)
-                    continue
-                count = len(labels(k, t))
+                count = len(labels(k, t)) if window is None or window[0] <= j <= window[1] else 0
                 if not count:
-                    slots.append(None)
+                    out.append(None)
                     continue
                 off = dims.get((i, j), 0)
                 dims[(i, j)] = off + count
                 if len(ints) < off + count:
                     ints.extend(range(len(ints), off + count))
-                slots.append(ints[off:off + count])
-            out[mask] = slots
-        return out
-
-    col = place(col_lo) if col_lo <= col_hi else {}
-    for i in range(col_lo, min(col_hi, n)):
-        nxt = place(i + 1)
-        blocks: dict[int, dict[int, dict[int, int]]] = {}
-        for tmask, tslots in nxt.items():
-            tk, tpart, _ = state[tmask]
-            base = a * (i + 1) + b * tk
-            # per target label sum: (t, row indices, row dicts to fill)
-            fill = [(tt, rows, [{} for _ in rows]) for tt, rows in enumerate(tslots) if rows is not None]
-            rest = tmask
+                out.append(ints[off])
+                holders.setdefault((i, j), []).extend((mask, t, ints[off], count))
+            if i == lo or out.count(None) == len(out):  # no block ends here
+                continue
+            into: list = []
+            rest = mask
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                smask = tmask ^ bit
-                _, part, mins = state[smask]
-                shape = (tk, part[anchor[bit.bit_length() - 1]], tuple(map(tpart.__getitem__, mins)))
-                table = tables.get(shape, {})
-                sign = -1 if (tmask & (bit - 1)).bit_count() & 1 else 1
-                sslots = col[smask]
-                for tt, _, out in fill:
-                    group = table.get(tt)
-                    if group is None:
-                        group = edge_map(shape, tt)
-                    if group and group[0] < len(sslots):
-                        cols = sslots[group[0]]
-                        if cols is not None:
-                            it = iter(group[1])
-                            for tr, r, v in zip(it, it, it):
-                                out[tr][cols[r]] = sign * v
-            for tt, rows, out in fill:
-                blk = blocks.setdefault(base - c * tt, {})
-                for p, row in zip(rows, out):
-                    if row:
-                        blk[p] = row
-        for j, data in blocks.items():
-            if data:
-                cplx.diff[(i, j)] = SparseIntMatrix._of_rows(dims.get((i + 1, j), 0), dims[(i, j)], data)
-        col = nxt
-    return cplx
+                _, part, mins = below[mask ^ bit]
+                shape = (k, part[anchor[bit.bit_length() - 1]], tuple(map(tpart.__getitem__, mins)))
+                kind = kinds.get(shape)
+                if kind is None:
+                    kind = kinds[shape] = (tables.setdefault(shape, {}), shape)
+                into += (kind, -1 if (mask & (bit - 1)).bit_count() & 1 else 1, firsts[mask ^ bit])
+            edges[mask] = tuple(into)
+        below = here
+    return dims, _cube_strands(spec, dims, ints, holders, edges)
+
+
+def _cube_strands(spec: CubeSpec, dims, ints, holders, edges):
+    # the blocks of ``cube_blocks``, built one at a time in strand order
+    edge_map = spec.edge_map
+    for i, j in sorted((key for key in dims if (key[0] + 1, key[1]) in dims), key=lambda k: (k[1], k[0])):
+        data: dict[int, dict[int, int]] = {}
+        fields = iter(holders[(i + 1, j)])
+        for tmask, tt, first, count in zip(fields, fields, fields, fields):
+            rows = ints[first:first + count]
+            out = [{} for _ in rows]
+            it = iter(edges[tmask])
+            for kind, sign, sfirsts in zip(it, it, it):
+                group = kind[0].get(tt)
+                if group is None:
+                    group = edge_map(kind[1], tt)
+                if group and group[0] < len(sfirsts):
+                    off = sfirsts[group[0]]
+                    if off is not None:
+                        flat = iter(group[1])
+                        for tr, r, v in zip(flat, flat, flat):
+                            out[tr][ints[off + r]] = sign * v
+            for p, row in zip(rows, out):
+                if row:
+                    data[p] = row
+        if data:
+            yield (i, j), SparseIntMatrix._of_rows(dims[(i + 1, j)], dims[(i, j)], data)
+
+
+def cube_complex(
+    spec: CubeSpec,
+    states: CubeStates,
+    columns: tuple[int, int] | None = None,
+    window: tuple[int, int] | None = None,
+    source: str = "",
+) -> GradedComplex:
+    """The whole cube complex of ``cube_blocks``, every block collected:
+    for callers that read the complex itself, not only its homology."""
+    dims, blocks = cube_blocks(spec, states, columns, window)
+    return GradedComplex(dims, dict(blocks), source=source)
+
+
+def cube_homology(
+    spec: CubeSpec,
+    states: CubeStates,
+    columns: tuple[int, int] | None = None,
+    window: tuple[int, int] | None = None,
+    source: str = "",
+    shift: tuple[int, int] = (0, 0),
+) -> HomologyTable:
+    """The homology of ``cube_complex`` on the same arguments, moved by
+    ``shift``: the blocks of ``cube_blocks`` go to ``strand_homology`` as
+    they are built, and no whole complex is."""
+    dims, blocks = cube_blocks(spec, states, columns, window)
+    del states  # no part is read again: a table made for this call is freed
+    return strand_homology(dims, blocks, shift, source)
 
 
 @dataclass
@@ -756,22 +828,38 @@ def _survivors(n: int, *removed: set[int]) -> dict[int, int]:
     return {g: k for k, g in enumerate(sorted(set(range(n)).difference(*removed)))}
 
 
-def _unit_residue(c: GradedComplex) -> GradedComplex:
+def _unit_residue(
+    dims: Mapping[tuple[int, int], int],
+    blocks: Iterable[tuple[tuple[int, int], SparseIntMatrix]],
+    shift: tuple[int, int] = (0, 0),
+    source: str = "",
+) -> GradedComplex:
     """The complex left once every ±1 entry is cancelled, strand by strand.
 
-    A j-strand is the run of blocks (i, j) for one j in increasing i.  A
-    ±1 entry of block (i, j) joins a generator x of C_i to a generator y
-    of C_{i+1}; Gaussian elimination cancels the pair, and the block
-    becomes the Schur complement of that entry.  The block before it
-    loses only row x and the block after it only column y: the entry is a
-    unit, and nothing else in the complex changes.  The result is a chain
-    complex homotopy equivalent over Z to ``c``, with no ±1 entry left.
-    Only the current block's working form and the previous block's are
-    held at any time; each residual block is renumbered with the
-    generators that survive.  ``c`` must satisfy d^2 = 0.
+    ``blocks`` are the nonzero blocks (i, j) of a complex with chain
+    group ranks ``dims``, in strand order (j, then i).  A j-strand is the
+    run of blocks (i, j) for one j in increasing i.  As block (i, j)
+    comes, d^2 = 0 is checked on it and the block (i-1, j) held before
+    it; then the held block's ±1 entries are cancelled.  A ±1 entry of
+    block (i, j) joins a generator x of C_i to a generator y of C_{i+1};
+    Gaussian elimination cancels the pair, and the block becomes the Schur
+    complement of that entry.  The block before it loses only row x and
+    the block after it only column y: the entry is a unit, and nothing
+    else in the complex changes.  The result is a chain complex homotopy
+    equivalent over Z to the input, with no ±1 entry left.
+
+    Each block's rows are taken over, not copied, and changed in place,
+    so at most two raw blocks (the held one and the one arriving) and the
+    working forms of the two blocks before them are alive at once; each
+    residual block is renumbered with the generators that survive.  Cancelling is sound only on a
+    chain complex: after a block whose composite with the next is not 0,
+    nothing more is cancelled, the checks go on, and a ValueError names
+    every such block.
     """
-    res = GradedComplex(shift=c.shift, source=c.source)
+    res = GradedComplex(shift=shift, source=source)
     pivots: dict[tuple[int, int], int] = {}
+    bad: list[tuple[int, int]] = []
+    prev = None  # (key, working form, column map, row count, cancelled targets)
 
     def settle(key, st: _Elimination, col_map: dict[int, int], n_rows: int, targets: set[int], drop: set[int]):
         # the residual block, less the rows cancelled one step on
@@ -785,52 +873,67 @@ def _unit_residue(c: GradedComplex) -> GradedComplex:
             res.diff[key] = SparseIntMatrix._of_rows(len(row_map), len(col_map), data)
         return row_map
 
-    prev = None  # (key, working form, column map, row count, cancelled targets)
-    for i, j in sorted(c.diff, key=lambda k: (k[1], k[0])):
-        blk = c.diff[(i, j)]
+    def cancel(key: tuple[int, int], blk: SparseIntMatrix):
+        nonlocal prev
+        i, j = key
         if prev is not None and prev[0] != (i - 1, j):
             settle(*prev, set())
             prev = None
-        gone = prev[4] if prev is not None else set()
-        st = _Elimination(blk.data, skip_cols=gone)
+        st = _Elimination(blk.data, skip_cols=prev[4] if prev is not None else ())
         sources: set[int] = set()
         targets: set[int] = set()
         while (p := st.unit_pivot()) is not None:
             st.cancel_unit(*p)
             targets.add(p[0])
             sources.add(p[1])
-        pivots[(i, j)] = len(sources)
-        if prev is not None:
-            col_map = settle(*prev, sources)
-        else:
-            col_map = _survivors(blk.cols, sources)
-        prev = ((i, j), st, col_map, blk.rows, targets)
+        pivots[key] = len(sources)
+        col_map = settle(*prev, sources) if prev is not None else _survivors(blk.cols, sources)
+        prev = (key, st, col_map, blk.rows, targets)
+
+    held = None  # the last block, raw until the next one is checked against it
+    for key, blk in blocks:
+        if held is not None:
+            if held[0] == (key[0] - 1, key[1]) and not _composite_is_zero(held[0], held[1], blk):
+                bad.append(held[0])
+            if not bad:
+                cancel(*held)
+        held = key, blk
+    if bad:
+        raise ValueError(f"d^2 != 0 at blocks {sorted(bad)} of {source or 'complex'}")
+    if held is not None:
+        cancel(*held)
     if prev is not None:
         settle(*prev, set())
 
-    for (i, j), dim in c.dims.items():
+    for (i, j), dim in dims.items():
         left = dim - pivots.get((i, j), 0) - pivots.get((i - 1, j), 0)
         if left:
             res.dims[(i, j)] = left
     return res
 
 
-def graded_homology(c: GradedComplex) -> HomologyTable:
-    """Homology per (i, j): free rank and torsion, exact over Z.
+def strand_homology(
+    dims: Mapping[tuple[int, int], int],
+    blocks: Iterable[tuple[tuple[int, int], SparseIntMatrix]],
+    shift: tuple[int, int] = (0, 0),
+    source: str = "",
+) -> HomologyTable:
+    """Homology per (i, j) of the complex with chain group ranks ``dims``
+    and the nonzero ``blocks`` in strand order: free rank and torsion,
+    exact over Z, at (i, j) moved by ``shift``.
 
-    The d^2 = 0 check runs first, on the complex as given, and a failure
-    raises ValueError naming the bad blocks: cancelling entries is sound
-    only on a chain complex.  Then every ±1 entry is cancelled along the
-    j-strands (``_unit_residue``), and Smith normal forms of the small
-    residual blocks give the free ranks and torsion: free = dim - rank out
-    - rank in, torsion = the non-unit factors of the block coming in.
+    The blocks are taken over as they come (``_unit_residue``): d^2 = 0
+    is checked on each adjacent pair, a failure raises ValueError naming
+    the bad blocks, and every ±1 entry is cancelled along the j-strands.
+    Smith normal forms of the small residual blocks then give the free
+    ranks and torsion: free = dim - rank out - rank in, torsion = the
+    non-unit factors of the block coming in.  ``cube_homology`` feeds it
+    a cube's blocks as they are built, ``graded_homology`` a stored
+    complex's.
     """
-    bad = c.verify_d_squared()
-    if bad:
-        raise ValueError(f"d^2 != 0 at blocks {bad} of {c.source or 'complex'}")
-    r = _unit_residue(c)
+    r = _unit_residue(dims, blocks, shift, source)
     snf = {key: smith_normal_form(blk) for key, blk in r.diff.items()}
-    s, l = c.shift
+    s, l = shift
     entries: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for (i, j) in sorted(r.dims):
         factors_in, rank_in = snf.get((i - 1, j), ((), 0))
@@ -840,7 +943,13 @@ def graded_homology(c: GradedComplex) -> HomologyTable:
             raise ArithmeticError(f"negative free rank at ({i},{j})")
         if free or torsion:
             entries[(i + s, j + l)] = (free, torsion)
-    return HomologyTable(entries, shift=c.shift, source=c.source)
+    return HomologyTable(entries, shift=shift, source=source)
+
+
+def graded_homology(c: GradedComplex) -> HomologyTable:
+    """Homology per (i, j) of a stored complex: ``strand_homology`` of a
+    copy of its blocks, so the complex itself is not changed."""
+    return strand_homology(c.dims, c.strands(), c.shift, c.source)
 
 
 def euler_characteristic(obj) -> LaurentPoly:

@@ -1,7 +1,7 @@
 """Kauffman bracket, Jones polynomial, and integral Khovanov homology.
 
 The cube of resolutions is built by the shared cube engine
-(``homcore.cube_complex``) from a short spec: circles are the parts of a
+(``homcore.cube_blocks``) from a short spec: circles are the parts of a
 resolution, numbered by their least arc label; a generator labels each
 circle 1 or X, and j = i + (circles) - 2 (number of X).  Block (i, j)
 lists the resolutions of i one-smoothings by increasing mask, each with
@@ -11,7 +11,9 @@ labeling's rank.  The merge m and split Delta are tabulated once per edge
 shape (circle counts, where each circle lands, the circle the crossing
 touches) on the module's one spec, so every diagram shares the tables,
 and replayed with the alternating cube signs, so every square
-anticommutes.
+anticommutes.  The homology reads the engine's blocks one j-strand at a
+time (``homcore.cube_homology``); ``build_khovanov_complex`` collects
+them into a whole complex for the checks that read it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .homcore import (
     GradedComplex,
     HomologyTable,
     cube_complex,
+    cube_homology,
     graded_homology,
     poincare_polynomial,
 )
@@ -134,6 +137,15 @@ _KHOVANOV = CubeSpec(
 )
 
 
+def _columns(d: Diagram, irange: tuple[int, int] | None) -> tuple[int, int] | None:
+    # the cube degrees whose groups and edges give homology in irange
+    return None if irange is None else (max(0, irange[0] - 1), min(d.n_crossings, irange[1] + 1))
+
+
+def _source(d: Diagram) -> str:
+    return f"khovanov:{d.provenance}:{d.n_crossings}cr"
+
+
 def build_khovanov_complex(
     d: Diagram,
     jwindow: tuple[int, int] | None = None,
@@ -146,9 +158,7 @@ def build_khovanov_complex(
     indices; when ``normalized`` the output shift (-n_minus, n_plus - 2
     n_minus) is recorded for homology reporting.
     """
-    n = d.n_crossings
-    columns = None if irange is None else (max(0, irange[0] - 1), min(n, irange[1] + 1))
-    cplx = cube_complex(_KHOVANOV, _states(d), columns, jwindow, f"khovanov:{d.provenance}:{n}cr")
+    cplx = cube_complex(_KHOVANOV, _states(d), _columns(d, irange), jwindow, _source(d))
     if normalized:
         cplx.shift = (-d.n_minus, d.n_plus - 2 * d.n_minus)
     return cplx
@@ -166,8 +176,7 @@ def khovanov_homology(
     l_shift = d.n_plus - 2 * d.n_minus
     jw = None if jwindow is None else (jwindow[0] - l_shift, jwindow[1] - l_shift)
     ir = None if irange is None else (irange[0] + d.n_minus, irange[1] + d.n_minus)
-    cplx = build_khovanov_complex(d, jwindow=jw, irange=ir, normalized=True)
-    table = graded_homology(cplx)
+    table = cube_homology(_KHOVANOV, _states(d), _columns(d, ir), jw, _source(d), (-d.n_minus, l_shift))
     if irange is not None or jwindow is not None:
         sel = {}
         for (i, j), v in table.entries.items():
@@ -184,8 +193,7 @@ def unnormalized_homology(
     d: Diagram,
     irange: tuple[int, int] | None = None,
 ) -> HomologyTable:
-    cplx = build_khovanov_complex(d, irange=irange, normalized=False)
-    table = graded_homology(cplx)
+    table = cube_homology(_KHOVANOV, _states(d), _columns(d, irange), None, _source(d))
     if irange is not None:
         table = table.restrict_i(*irange)
     return table

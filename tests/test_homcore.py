@@ -2,23 +2,44 @@
 
 import itertools
 import random
+import re
+import weakref
 
 import pytest
 
 from linkhom.corpus import corpus_diagrams
-from linkhom.graphhom import Multigraph, _enhanced_cube, build_Pn_complex, build_Qn_complex
+from linkhom import homcore
+from linkhom.graphhom import (
+    Multigraph,
+    Pn_homology,
+    Qn_homology,
+    _enhanced_cube,
+    build_Pn_complex,
+    build_Qn_complex,
+    enhanced_homology,
+)
 from linkhom.homcore import (
+    CubeSpec,
     GradedComplex,
     HomologyTable,
     SparseIntMatrix,
     _unit_residue,
+    cube_blocks,
+    cube_complex,
     euler_characteristic,
     graded_homology,
     matrix_rank,
     poincare_polynomial,
     smith_normal_form,
+    strand_homology,
 )
-from linkhom.khovanov import build_khovanov_complex, torus_diagram
+from linkhom.khovanov import (
+    _states,
+    build_khovanov_complex,
+    khovanov_homology,
+    torus_diagram,
+    unnormalized_homology,
+)
 from linkhom.linkdiag import braid_closure
 from linkhom.polyalg import LaurentPoly
 
@@ -356,7 +377,7 @@ def per_block_homology(c):
 
 def assert_unit_free_residue(cplx, expected):
     # a smaller chain complex, with the same homology and no ±1 entry
-    r = _unit_residue(cplx)
+    r = _unit_residue(cplx.dims, cplx.strands(), cplx.shift)
     assert r.verify_d_squared() == []
     for (i, j), blk in r.diff.items():
         assert (blk.rows, blk.cols) == (r.dim(i + 1, j), r.dim(i, j))
@@ -367,23 +388,79 @@ def assert_unit_free_residue(cplx, expected):
 
 
 def test_homology_matches_per_block_oracle_on_cube_complexes():
-    complexes = []
+    # (the collected complex, the same homology streamed from the cube
+    # engine, the cube degrees i that the streamed table keeps)
+    cases = []
     for b in corpus_diagrams(max_crossings=8):
         d = braid_closure(b)
-        complexes += [build_khovanov_complex(d), build_khovanov_complex(d, normalized=True)]
+        cases.append((build_khovanov_complex(d), unnormalized_homology(d), None))
+        cases.append((build_khovanov_complex(d, normalized=True), khovanov_homology(d), None))
     d = braid_closure(corpus_diagrams(max_crossings=8)[-1])
-    complexes.append(build_khovanov_complex(d, irange=(1, 3)))
-    complexes.append(build_khovanov_complex(d, jwindow=(-1, 3), normalized=True))
+    cases.append((build_khovanov_complex(d, irange=(1, 3)), unnormalized_homology(d, irange=(1, 3)), (1, 3)))
+    l_shift = d.n_plus - 2 * d.n_minus  # khovanov_homology's jwindow is normalized
+    cases.append((
+        build_khovanov_complex(d, jwindow=(-1, 3), normalized=True),
+        khovanov_homology(d, jwindow=(l_shift - 1, l_shift + 3)),
+        None,
+    ))
     for g in (PRISM, THETA):
-        complexes += [build_Pn_complex(g, n, variant) for n in (1, 2) for variant in ("zero", "xn")]
-        complexes += [build_Qn_complex(g, 1, (0, 1)), _enhanced_cube(g, (2, 3))]
+        for n in (1, 2):
+            for variant in ("zero", "xn"):
+                cases.append((build_Pn_complex(g, n, variant), Pn_homology(g, n, variant), None))
+        cases.append((build_Qn_complex(g, 1, (0, 1)), Qn_homology(g, 1, (0, 1)), None))
+        cases.append((_enhanced_cube(g, (2, 3)), enhanced_homology(g, (2, 3)), None))
     torsion = 0
-    for cplx in complexes:
+    for cplx, streamed, irange in cases:
         expected = per_block_homology(cplx)
         assert graded_homology(cplx).entries == expected, cplx.source
+        kept = {k: v for k, v in expected.items() if irange is None or irange[0] <= k[0] <= irange[1]}
+        assert streamed.entries == kept, cplx.source
         assert_unit_free_residue(cplx, expected)
         torsion += sum(len(t) for _, t in expected.values())
     assert torsion
+
+
+def test_d_squared_violations_streamed_from_a_broken_cube():
+    # Delta(1) = 1X alone keeps the degree but breaks d^2 = 0: the streamed
+    # check must name the blocks that verify_d_squared names
+    broken = CubeSpec(
+        top=1,
+        grading=(1, 1, 2),
+        merge=lambda x, y: (x + y,) if x + y <= 1 else (),
+        split=lambda x: ((1, 1),) if x else ((0, 1),),
+    )
+    d = torus_diagram(3, 4)
+    bad = cube_complex(broken, _states(d)).verify_d_squared()
+    assert len({j for _, j in bad}) > 1
+    with pytest.raises(ValueError, match=re.escape(f"at blocks {bad} of")):
+        strand_homology(*cube_blocks(broken, _states(d)))
+
+
+def test_streaming_frees_blocks(monkeypatch):
+    # every block the engine yields is dropped once the next one is
+    # checked against it, so at most the held block and the arriving one
+    # are alive
+    d = torus_diagram(3, 5)
+    expected = graded_homology(build_khovanov_complex(d, normalized=True))
+    seen = []
+    engine = homcore.cube_blocks
+
+    def watched(*args):
+        dims, blocks = engine(*args)
+
+        def stream():
+            for key, blk in blocks:
+                seen.append((key, weakref.ref(blk)))
+                alive = [k for k, ref in seen if ref() is not None]
+                assert alive == [k for k, _ in seen[-2:]] or alive == [key], alive
+                yield key, blk
+
+        return dims, stream()
+
+    monkeypatch.setattr(homcore, "cube_blocks", watched)
+    assert khovanov_homology(d) == expected
+    assert len(seen) > 20
+    assert all(ref() is None for _, ref in seen)
 
 
 def snapshot(cplx):

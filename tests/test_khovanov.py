@@ -1,11 +1,15 @@
 """Bracket, Jones, and Khovanov homology checks against hand-computed values."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from math import comb
 
 import pytest
 
+import linkhom
 from linkhom.corpus import corpus_diagrams
 from linkhom.homcore import euler_characteristic, graded_homology, poincare_polynomial
 from linkhom.khovanov import (
@@ -308,6 +312,25 @@ def table_sha256(p, q):
 def test_torus_table_hash(p, q, digest):
     # sha256 of to_json() + pretty() of the whole normalized table
     assert table_sha256(p, q) == digest
+
+
+@pytest.mark.slow
+def test_torus_3_8_table_and_peak_memory():
+    # a fresh process, so that ru_maxrss is this computation's own peak
+    code = (
+        "import hashlib, resource\n"
+        "from linkhom.khovanov import khovanov_homology, torus_diagram\n"
+        "t = khovanov_homology(torus_diagram(3, 8))\n"
+        "print(hashlib.sha256((t.to_json() + t.pretty()).encode()).hexdigest())\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(linkhom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    digest, maxrss = out.split()
+    assert digest.startswith("3bbeca6e849133d3")
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes there, KiB on Linux
+    assert int(maxrss) * unit <= 400 * 2**20
 
 
 def test_irange_matches_full_computation():
