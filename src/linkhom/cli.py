@@ -72,9 +72,12 @@ def _parse_window(text: str) -> tuple[int, int]:
     if not sep:
         raise UsageError(f"window must look like a..b, got {text!r}")
     try:
-        return int(lo), int(hi)
+        a, b = int(lo), int(hi)
     except ValueError:
         raise UsageError(f"bad window bounds in {text!r}") from None
+    if a > b:
+        raise UsageError(f"empty window {text!r}")
+    return a, b
 
 
 def _emit_table(table: HomologyTable, fmt: str, out) -> None:
@@ -224,9 +227,12 @@ def _parse_n_values(text: str) -> list[int]:
         lo, hi = _parse_window(text)
         return list(range(lo, hi + 1))
     try:
-        return [int(t) for t in text.replace(",", " ").split()]
+        values = [int(t) for t in text.replace(",", " ").split()]
     except ValueError:
         raise UsageError(f"bad twist list {text!r}") from None
+    if not values:
+        raise UsageError("empty twist list")
+    return values
 
 
 def _cmd_stable(args, out) -> int:

@@ -231,7 +231,7 @@ def tutte_recursive(g: Multigraph) -> LaurentPoly:
 def specialize_Pn(g: Multigraph, n: int) -> LaurentPoly:
     """P(q^n, 1 + q + ... + q^n), exactly."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise InputError("need n >= 1")
     p = dichromatic(g)
     qn = LaurentPoly.monomial(Q, n)
     braces = LaurentPoly.from_terms(Q, {i: 1 for i in range(n + 1)})
@@ -248,10 +248,10 @@ def specialize_Qn(g: Multigraph, n: int, window: tuple[int, int]) -> LaurentPoly
     states the coefficient of each power of q in the window is exact.
     """
     if n > 2:
-        raise ValueError("need n <= 2")
+        raise InputError("need n <= 2")
     lo, hi = window
     if lo > hi:
-        raise ValueError("empty window")
+        raise InputError("empty window")
     states = _graph_states(g)
     acc = {e: 0 for e in range(lo, hi + 1)}
     for mask in range(1 << g.n_edges):
@@ -286,9 +286,9 @@ def build_Pn_complex(g: Multigraph, n: int, variant: str = "zero") -> GradedComp
 def _pn_cube(g: Multigraph, n: int, variant: str) -> tuple:
     # the arguments of cube_complex and cube_homology for the Pn complex, checked
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise InputError("need n >= 1")
     if variant not in ("zero", "xn"):
-        raise ValueError("variant must be 'zero' or 'xn'")
+        raise InputError("variant must be 'zero' or 'xn'")
     return _pn_spec(n, variant), _graph_states(g), None, None, f"pn-complex:n={n}:{variant}"
 
 
@@ -391,10 +391,10 @@ def _qn_cube(g: Multigraph, n: int, window: tuple[int, int], source: str) -> tup
     # the arguments of cube_complex and cube_homology for the per-degree
     # polynomial complex, checked
     if n > 2:
-        raise ValueError("need n <= 2 so the merge exponent 2-n is nonnegative")
+        raise InputError("need n <= 2 so the merge exponent 2-n is nonnegative")
     lo, hi = window
     if lo > hi:
-        raise ValueError("empty degree window")
+        raise InputError("empty degree window")
     return _qn_spec(n), _graph_states(g), None, window, source
 
 

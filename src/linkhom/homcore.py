@@ -7,18 +7,20 @@ and the elimination takes the rows over and works on them in place.
 
 The differential keeps the degree j, so a complex is a direct sum of
 j-strands (the blocks (i, j) for one j, in increasing i), and homology is
-computed strand by strand from a stream of blocks in strand order, in two
-exact steps.  First, as each block (i, j) comes, d^2 = 0 is checked on it
-and the block (i-1, j) before it, and then every ±1 entry of (i-1, j) is
-cancelled by Gaussian elimination (Bar-Natan, "Fast Khovanov homology
-computations", Lemma 4.2): a unit entry from generator x of C_i to y of
-C_{i+1} turns its block into the Schur complement of that entry, and the
-neighbouring blocks lose only row x and column y.  A unit alone in its
-row has no fill-in: its column's other entries are simply deleted.  Only
-a strand's last blocks are held, and a block's rows are freed as they are
-cancelled.  Then Smith normal forms of the small residual blocks give the
-free ranks and torsion invariant factors.  The Smith normal form and the
-cancellation share one sparse elimination core.
+computed strand by strand from a stream of blocks in strand order.  As
+each block (i, j) comes, d^2 = 0 is checked on it and the block (i-1, j)
+before it, and then every ±1 entry of (i-1, j) is cancelled by Gaussian
+elimination (Bar-Natan, "Fast Khovanov homology computations", Lemma
+4.2): a unit entry from generator x of C_i to y of C_{i+1} turns its
+block into the Schur complement of that entry, and the neighbouring
+blocks lose only row x and column y.  A unit alone in its row has no
+fill-in: its column's other entries are simply deleted.  Once the next
+block is cancelled too, what is left of a block is settled: its Smith
+normal form gives the ranks and torsion invariant factors, read in the
+block's own numbering.  Only a strand's last blocks are held, and a
+block's rows are freed as they are cancelled.  The Smith normal form is
+the same unit cancellation followed by Euclid steps, so there is one way
+to eliminate a ±1 entry.
 
 The Khovanov and graph complexes come from one cube engine,
 ``cube_blocks``: a ``CubeStates`` table gives the parts (circles or
@@ -119,7 +121,6 @@ class SparseIntMatrix:
         return f"SparseIntMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
-_BEST_PIVOT = (0, False, 1)  # no fill-in and a unit entry: nothing beats it
 _PIVOT_SCAN = 4  # rows of one length compared per pivot
 
 
@@ -130,11 +131,10 @@ class _Elimination:
     entry in column c (as the keys of a dict, in the order they gained
     it: a third the size of a set on long columns), and ``by_len`` buckets
     the rows by length, so the shortest ones are found without a scan of
-    every row.  The Smith
-    normal form and the unit cancellation of ``_unit_residue`` both work
-    on it.  It takes the row storage it is given over, less the columns
-    in ``skip_cols``, and changes it: a caller that keeps the matrix hands
-    in a copy.
+    every row.  The unit cancellation of ``strand_homology`` and the
+    Smith normal form (``diagonal``) both work on it.  It takes the row
+    storage it is given over, less the columns in ``skip_cols``, and
+    changes it: a caller that keeps the matrix hands in a copy.
     """
 
     __slots__ = ("rows", "cols", "by_len", "unitless")
@@ -195,27 +195,17 @@ class _Elimination:
             del self.cols[c][r]
 
     def choose_pivot(self) -> tuple[int, int]:
-        """The Smith normal form's pivot; see ``_snf_diagonal``."""
+        """The Euclid steps' first pivot, for a matrix with no ±1 entry: the
+        least ``|v|``, then the least ``(row length - 1) * (column length -
+        1)``, over at most ``_PIVOT_SCAN`` rows of each length."""
         rows, cols, by_len = self.rows, self.cols, self.by_len
-        min_len = min(by_len)
         best = None
-        for r in islice(by_len[min_len], _PIVOT_SCAN):
-            for c, v in rows[r].items():
-                key = ((min_len - 1) * (len(cols[c]) - 1), abs(v) != 1, abs(v))
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-                    if key == _BEST_PIVOT:
-                        return r, c
-        if best[0][1]:
-            best = None
-            for length in sorted(by_len):
-                for r in islice(by_len[length], _PIVOT_SCAN):
-                    for c, v in rows[r].items():
-                        key = (abs(v), (length - 1) * (len(cols[c]) - 1))
-                        if best is None or key < best[0]:
-                            best = (key, r, c)
-                if best[0][0] == 1:
-                    break
+        for length in sorted(by_len):
+            for r in islice(by_len[length], _PIVOT_SCAN):
+                for c, v in rows[r].items():
+                    key = (abs(v), (length - 1) * (len(cols[c]) - 1))
+                    if best is None or key < best[0]:
+                        best = (key, r, c)
         return best[1], best[2]
 
     def unit_pivot(self) -> tuple[int, int] | None:
@@ -292,79 +282,76 @@ class _Elimination:
         self.drop_row(pr)
         del cols[pc]
 
+    def diagonal(self) -> list[int]:
+        """Diagonalize by integer row and column operations, in place, until
+        no row is left; returns the diagonal.
 
-def _snf_diagonal(m: SparseIntMatrix) -> list[int]:
-    """Diagonalize by integer row/column operations; returns the diagonal.
-
-    Pivot rule (Markowitz-style): among at most ``_PIVOT_SCAN`` of the
-    shortest rows, take the entry with the least key ``(cost, |v| != 1,
-    |v|)``, where ``cost = (row length - 1) * (column length - 1)`` bounds
-    the fill-in; the scan stops at once on a key of ``(0, False, 1)``.
-    If that entry is not a unit, the pivot is instead the least ``|v|``
-    (then the least cost) over a few rows of each length, up to the first
-    length that offers a unit: a non-unit pivot costs Euclid steps and
-    lets the entries grow.
-
-    The pivot column is cleared by row operations, then the pivot row by
-    column operations.  Once the column holds only the pivot, a column
-    operation changes no row but the pivot row, and with a pivot of 1
-    every other entry of that row becomes 0.  So a unit pivot's row is
-    dropped whole, with the same result as the column operations.
-    """
-    st = _Elimination({r: row.copy() for r, row in m.data.items()})
-    rows, cols = st.rows, st.cols
-    diag: list[int] = []
-    while rows:
-        pr, pc = st.choose_pivot()
-        while True:
-            prow = rows[pr]
-            pv = prow[pc]
-            if pv < 0:
-                for c in prow:
-                    prow[c] = -prow[c]
-                pv = -pv
-            # clear the pivot column
-            moved = False
-            for r2 in list(cols[pc]):
-                if r2 == pr:
-                    continue
-                q = rows[r2][pc] // pv
-                if q:
-                    st.row_op(r2, pr, q)
-                if pc in rows.get(r2, {}):  # nonzero remainder, smaller than pivot
-                    pr = r2
-                    moved = True
-                    break
-            if moved:
+        While a ±1 entry is left, ``unit_pivot`` and ``cancel_unit`` take
+        it and a 1 goes on the diagonal.  Otherwise Euclid steps start
+        from ``choose_pivot``: the pivot column is cleared by row
+        operations, then the pivot row by column operations, which touch
+        no other row once the column holds only the pivot.  A nonzero
+        remainder is smaller than the pivot and becomes the next one.  A
+        pivot left alone in its row and column goes on the diagonal; a
+        remainder of 1 goes back to the unit cancellation.
+        """
+        rows, cols = self.rows, self.cols
+        diag: list[int] = []
+        while rows:
+            unit = self.unit_pivot()
+            if unit is not None:
+                self.cancel_unit(*unit)
+                diag.append(1)
                 continue
-            if pv == 1:
-                break
-            # clear the pivot row via column operations, which now only
-            # touch row pr
-            old = len(prow)
-            for c2 in [c for c in prow if c != pc]:
-                nv = prow[c2] % pv
-                if nv:
-                    prow[c2] = nv
-                else:
-                    del prow[c2]
-                    del cols[c2][pr]
-            if len(prow) != old:
-                st.relen(pr, old, len(prow))
-            if len(prow) == 1:
-                break
-            # some remainder is smaller than the pivot: switch pivot column
-            pc = min((c for c in prow if c != pc), key=lambda c: prow[c])
-
-        diag.append(pv)
-        st.drop_row(pr)
-        del cols[pc]
-    return diag
+            pr, pc = self.choose_pivot()
+            while True:
+                prow = rows[pr]
+                pv = prow[pc]
+                if pv == 1:
+                    break
+                if pv < 0:
+                    for c in prow:
+                        prow[c] = -prow[c]
+                    pv = -pv
+                # clear the pivot column
+                moved = False
+                for r2 in list(cols[pc]):
+                    if r2 == pr:
+                        continue
+                    q = rows[r2][pc] // pv
+                    if q:
+                        self.row_op(r2, pr, q)
+                    if pc in rows.get(r2, {}):  # nonzero remainder, smaller than pivot
+                        pr = r2
+                        moved = True
+                        break
+                if moved:
+                    continue
+                # clear the pivot row via column operations
+                old = len(prow)
+                for c2 in [c for c in prow if c != pc]:
+                    nv = prow[c2] % pv
+                    if nv:
+                        prow[c2] = nv
+                    else:
+                        del prow[c2]
+                        del cols[c2][pr]
+                if len(prow) != old:
+                    self.relen(pr, old, len(prow))
+                if len(prow) == 1:
+                    diag.append(pv)
+                    self.drop_row(pr)
+                    del cols[pc]
+                    break
+                # some remainder is smaller than the pivot: switch pivot column
+                self.unitless.discard(pr)
+                pc = min((c for c in prow if c != pc), key=lambda c: prow[c])
+        return diag
 
 
 def smith_normal_form(m: SparseIntMatrix) -> tuple[tuple[int, ...], int]:
     """Invariant factors (divisibility-chained) and the rank."""
-    diag = _snf_diagonal(m)
+    diag = _Elimination({r: row.copy() for r, row in m.data.items()}).diagonal()
     # pairwise gcd/lcm passes turn an arbitrary diagonal into the chain;
     # a 1 divides everything, so only the other factors take part
     d = sorted(f for f in diag if f != 1)
@@ -383,7 +370,7 @@ def smith_normal_form(m: SparseIntMatrix) -> tuple[tuple[int, ...], int]:
 
 
 def matrix_rank(m: SparseIntMatrix) -> int:
-    return len(_snf_diagonal(m))
+    return smith_normal_form(m)[1]
 
 
 def _composite_is_zero(key: tuple[int, int], first: SparseIntMatrix, second: SparseIntMatrix) -> bool:
@@ -427,12 +414,6 @@ class GradedComplex:
     def dim(self, i: int, j: int) -> int:
         return self.dims.get((i, j), 0)
 
-    def block(self, i: int, j: int) -> SparseIntMatrix:
-        blk = self.diff.get((i, j))
-        if blk is None:
-            blk = SparseIntMatrix(self.dim(i + 1, j), self.dim(i, j))
-        return blk
-
     def verify_d_squared(self) -> list[tuple[int, int]]:
         """The blocks (i, j) whose composite with block (i+1, j) is not 0."""
         bad = []
@@ -455,7 +436,7 @@ class GradedComplex:
 
 
 class CubeStates:
-    """The parts of a finite set at every vertex of a cube, cached per vertex.
+    """The parts of a finite set at every vertex of a cube.
 
     The elements are 0..size-1.  At vertex ``mask``, coordinate ``pos``
     joins the element pairs ``joins[pos][(mask >> pos) & 1]``; the parts
@@ -468,13 +449,10 @@ class CubeStates:
     def __init__(self, size: int, joins):
         self.size = size
         self.joins = joins
-        self._cache: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
 
     def state(self, mask: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(part count, element -> part, part -> least element)."""
-        cached = self._cache.get(mask)
-        if cached is not None:
-            return cached
+        """(part count, element -> part, part -> least element), worked out
+        afresh on each call."""
         parent = list(range(self.size))
         for pos, pairs in enumerate(self.joins):
             for a, b in pairs[(mask >> pos) & 1]:
@@ -501,9 +479,7 @@ class CubeStates:
                 mins.append(x)
             else:
                 part[x] = part[r]
-        out = (len(mins), tuple(part), tuple(mins))
-        self._cache[mask] = out
-        return out
+        return len(mins), tuple(part), tuple(mins)
 
 
 @dataclass(frozen=True)
@@ -757,7 +733,6 @@ def cube_homology(
     ``shift``: the blocks of ``cube_blocks`` go to ``strand_homology`` as
     they are built, and no whole complex is."""
     dims, blocks = cube_blocks(spec, states, columns, window)
-    del states  # no part is read again: a table made for this call is freed
     return strand_homology(dims, blocks, shift, source)
 
 
@@ -780,9 +755,6 @@ class HomologyTable:
 
     def is_empty(self) -> bool:
         return not self.entries
-
-    def bidegrees(self) -> list[tuple[int, int]]:
-        return sorted(self.entries)
 
     def restrict_i(self, lo: int, hi: int) -> "HomologyTable":
         sel = {k: v for k, v in self.entries.items() if lo <= k[0] <= hi}
@@ -823,61 +795,59 @@ class HomologyTable:
         return "\n".join(lines) + "\n"
 
 
-def _survivors(n: int, *removed: set[int]) -> dict[int, int]:
-    # generators 0..n-1 outside the removed sets, numbered afresh
-    return {g: k for k, g in enumerate(sorted(set(range(n)).difference(*removed)))}
-
-
-def _unit_residue(
+def strand_homology(
     dims: Mapping[tuple[int, int], int],
     blocks: Iterable[tuple[tuple[int, int], SparseIntMatrix]],
     shift: tuple[int, int] = (0, 0),
     source: str = "",
-) -> GradedComplex:
-    """The complex left once every ±1 entry is cancelled, strand by strand.
+) -> HomologyTable:
+    """Homology per (i, j) of the complex with chain group ranks ``dims``
+    and the nonzero ``blocks`` in strand order (j, then i): free rank and
+    torsion, exact over Z, at (i, j) moved by ``shift``.  ``cube_homology``
+    feeds it a cube's blocks as they are built, ``graded_homology`` a
+    stored complex's.
 
-    ``blocks`` are the nonzero blocks (i, j) of a complex with chain
-    group ranks ``dims``, in strand order (j, then i).  A j-strand is the
-    run of blocks (i, j) for one j in increasing i.  As block (i, j)
-    comes, d^2 = 0 is checked on it and the block (i-1, j) held before
-    it; then the held block's ±1 entries are cancelled.  A ±1 entry of
-    block (i, j) joins a generator x of C_i to a generator y of C_{i+1};
-    Gaussian elimination cancels the pair, and the block becomes the Schur
-    complement of that entry.  The block before it loses only row x and
-    the block after it only column y: the entry is a unit, and nothing
-    else in the complex changes.  The result is a chain complex homotopy
-    equivalent over Z to the input, with no ±1 entry left.
+    As block (i, j) comes, d^2 = 0 is checked on it and the block (i-1, j)
+    held before it; then the held block's ±1 entries are cancelled.  A ±1
+    entry of block (i, j) joins a generator x of C_i to a generator y of
+    C_{i+1}; Gaussian elimination cancels the pair, and the block becomes
+    the Schur complement of that entry.  The block before it loses only
+    row x and the block after it only column y: the entry is a unit, and
+    nothing else in the complex changes.  What is left is a chain complex
+    homotopy equivalent over Z to the input, with no ±1 entry.
+
+    Once block (i, j) is cancelled, the block (i-1, j) is settled: it
+    drops the rows that (i, j) cancelled, and the Smith normal form of
+    what is left, in its own numbering, gives its rank and invariant
+    factors.  Then free = dim - units cancelled out and in - rank out and
+    in, and the torsion is the non-unit factors of the block coming in.
 
     Each block's rows are taken over, not copied, and changed in place,
     so at most two raw blocks (the held one and the one arriving) and the
-    working forms of the two blocks before them are alive at once; each
-    residual block is renumbered with the generators that survive.  Cancelling is sound only on a
-    chain complex: after a block whose composite with the next is not 0,
-    nothing more is cancelled, the checks go on, and a ValueError names
-    every such block.
+    working forms of the two blocks before them are alive at once.
+    Cancelling is sound only on a chain complex: after a block whose
+    composite with the next is not 0, nothing more is cancelled, the
+    checks go on, and a ValueError names every such block.
     """
-    res = GradedComplex(shift=shift, source=source)
-    pivots: dict[tuple[int, int], int] = {}
+    units: dict[tuple[int, int], int] = {}  # per block, the units cancelled
+    snf: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
     bad: list[tuple[int, int]] = []
-    prev = None  # (key, working form, column map, row count, cancelled targets)
+    prev = None  # (key, working form, row count, column count, cancelled targets)
 
-    def settle(key, st: _Elimination, col_map: dict[int, int], n_rows: int, targets: set[int], drop: set[int]):
-        # the residual block, less the rows cancelled one step on
-        row_map = _survivors(n_rows, targets, drop)
-        data = {
-            row_map[r]: {col_map[col]: v for col, v in row.items()}
-            for r, row in st.rows.items()
-            if r not in drop
-        }
-        if data:
-            res.diff[key] = SparseIntMatrix._of_rows(len(row_map), len(col_map), data)
-        return row_map
+    def settle(drop: Iterable[int]):
+        # the held block's residue, less the rows cancelled one step on
+        key, st, n_rows, n_cols, _ = prev
+        rows = st.rows
+        for r in drop:
+            rows.pop(r, None)
+        if rows:
+            snf[key] = smith_normal_form(SparseIntMatrix._of_rows(n_rows, n_cols, rows))
 
     def cancel(key: tuple[int, int], blk: SparseIntMatrix):
         nonlocal prev
         i, j = key
         if prev is not None and prev[0] != (i - 1, j):
-            settle(*prev, set())
+            settle(())
             prev = None
         st = _Elimination(blk.data, skip_cols=prev[4] if prev is not None else ())
         sources: set[int] = set()
@@ -886,9 +856,10 @@ def _unit_residue(
             st.cancel_unit(*p)
             targets.add(p[0])
             sources.add(p[1])
-        pivots[key] = len(sources)
-        col_map = settle(*prev, sources) if prev is not None else _survivors(blk.cols, sources)
-        prev = (key, st, col_map, blk.rows, targets)
+        units[key] = len(sources)
+        if prev is not None:
+            settle(sources)
+        prev = (key, st, blk.rows, blk.cols, targets)
 
     held = None  # the last block, raw until the next one is checked against it
     for key, blk in blocks:
@@ -903,41 +874,16 @@ def _unit_residue(
     if held is not None:
         cancel(*held)
     if prev is not None:
-        settle(*prev, set())
+        settle(())
 
-    for (i, j), dim in dims.items():
-        left = dim - pivots.get((i, j), 0) - pivots.get((i - 1, j), 0)
-        if left:
-            res.dims[(i, j)] = left
-    return res
-
-
-def strand_homology(
-    dims: Mapping[tuple[int, int], int],
-    blocks: Iterable[tuple[tuple[int, int], SparseIntMatrix]],
-    shift: tuple[int, int] = (0, 0),
-    source: str = "",
-) -> HomologyTable:
-    """Homology per (i, j) of the complex with chain group ranks ``dims``
-    and the nonzero ``blocks`` in strand order: free rank and torsion,
-    exact over Z, at (i, j) moved by ``shift``.
-
-    The blocks are taken over as they come (``_unit_residue``): d^2 = 0
-    is checked on each adjacent pair, a failure raises ValueError naming
-    the bad blocks, and every ±1 entry is cancelled along the j-strands.
-    Smith normal forms of the small residual blocks then give the free
-    ranks and torsion: free = dim - rank out - rank in, torsion = the
-    non-unit factors of the block coming in.  ``cube_homology`` feeds it
-    a cube's blocks as they are built, ``graded_homology`` a stored
-    complex's.
-    """
-    r = _unit_residue(dims, blocks, shift, source)
-    snf = {key: smith_normal_form(blk) for key, blk in r.diff.items()}
     s, l = shift
     entries: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    for (i, j) in sorted(r.dims):
+    for (i, j) in sorted(dims):
         factors_in, rank_in = snf.get((i - 1, j), ((), 0))
-        free = r.dims[(i, j)] - snf.get((i, j), ((), 0))[1] - rank_in
+        free = (
+            dims[(i, j)] - units.get((i, j), 0) - units.get((i - 1, j), 0)
+            - snf.get((i, j), ((), 0))[1] - rank_in
+        )
         torsion = tuple(f for f in factors_in if f > 1)
         if free < 0:
             raise ArithmeticError(f"negative free rank at ({i},{j})")

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linkdiag import BraidWord
+from .linkdiag import BraidWord, InputError
 from .polyalg import LaurentPoly, RationalFn
 
 __all__ = [
@@ -260,7 +260,7 @@ def specialize_Gn(g: HomflyValue, n: int) -> LaurentPoly:
     """Set t = -q^(1-2n); sqrt(alpha) becomes q^(n-1).  The result must be
     a Laurent polynomial; a surviving denominator is reported as a defect."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise InputError("need n >= 1")
     tval = LaurentPoly.monomial(("q",), 1 - 2 * n, -1)
     out = g.value.substitute("t", tval)
     if isinstance(out, RationalFn):

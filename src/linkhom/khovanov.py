@@ -32,7 +32,7 @@ from .homcore import (
     graded_homology,
     poincare_polynomial,
 )
-from .linkdiag import BraidWord, Diagram, braid_closure, resolve_crossing
+from .linkdiag import BraidWord, Diagram, InputError, braid_closure, resolve_crossing
 from .polyalg import LaurentPoly
 
 __all__ = [
@@ -171,21 +171,15 @@ def khovanov_homology(
 ) -> HomologyTable:
     """Normalized integral Khovanov homology, torsion included.
 
-    ``jwindow`` and ``irange`` select normalized bidegrees.
+    ``jwindow`` and ``irange`` select normalized bidegrees.  Only the
+    generators in ``jwindow`` are built, so only ``irange`` is filtered.
     """
     l_shift = d.n_plus - 2 * d.n_minus
     jw = None if jwindow is None else (jwindow[0] - l_shift, jwindow[1] - l_shift)
     ir = None if irange is None else (irange[0] + d.n_minus, irange[1] + d.n_minus)
     table = cube_homology(_KHOVANOV, _states(d), _columns(d, ir), jw, _source(d), (-d.n_minus, l_shift))
-    if irange is not None or jwindow is not None:
-        sel = {}
-        for (i, j), v in table.entries.items():
-            if irange is not None and not (irange[0] <= i <= irange[1]):
-                continue
-            if jwindow is not None and not (jwindow[0] <= j <= jwindow[1]):
-                continue
-            sel[(i, j)] = v
-        table = HomologyTable(sel, table.shift, table.source)
+    if irange is not None:
+        table = table.restrict_i(*irange)
     return table
 
 
@@ -273,7 +267,7 @@ def _cone_structure_ok(d: Diagram, complexes, nu: int, violations: list[str]) ->
     nu = 1 are c1's block (i - 1, j - 1).
     """
     cx, c0, c1 = complexes
-    st = _states(d)
+    states = list(map(_states(d).state, range(1 << d.n_crossings)))
     bit_nu = 1 << nu
     # per block of cx, per position: (face bit, index in that face's block, sign fix)
     where: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
@@ -281,7 +275,7 @@ def _cone_structure_ok(d: Diagram, complexes, nu: int, violations: list[str]) ->
     start: dict[tuple[int, int], int] = {}  # (mask, t) -> position of its first generator
     for mask in sorted(range(1 << d.n_crossings), key=int.bit_count):
         i = mask.bit_count()
-        k = st.state(mask)[0]
+        k = states[mask][0]
         bit = (mask >> nu) & 1
         sign = -1 if (mask >> (nu + 1)).bit_count() & 1 else 1
         for t in range(k + 1):
@@ -310,8 +304,8 @@ def _cone_structure_ok(d: Diagram, complexes, nu: int, violations: list[str]) ->
         if mask & bit_nu:
             continue
         i, tmask = mask.bit_count(), mask | bit_nu
-        k, part, mins = st.state(mask)
-        tk, tpart, tmins = st.state(tmask)
+        k, part, mins = states[mask]
+        tk, tpart, tmins = states[tmask]
         sign = -1 if (mask & (bit_nu - 1)).bit_count() & 1 else 1
         image = [tpart[m] for m in mins]
         merged = [s for s in range(k) if image.count(image[s]) == 2]
@@ -457,7 +451,7 @@ def stable_poincare(m: int, n_values) -> tuple[list[tuple[int, LaurentPoly]], li
     """Normalized Poincare polynomials q^(-(m-1)n) P(T_(m,n)) plus the
     stable-agreement report for consecutive n (t-powers below m+n-3)."""
     if m < 2:
-        raise ValueError("need m >= 2")
+        raise InputError("need m >= 2")
     ns = sorted(n_values)
     polys = []
     for n in ns:

@@ -35,7 +35,8 @@ __all__ = [
 
 
 class InputError(ValueError):
-    """Malformed input: braid text, a PD code or a graph that cannot be read."""
+    """Malformed input: braid text, a PD code or a graph that cannot be
+    read, or a parameter out of its range."""
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ from .khovanov import (
     unnormalized_homology,
     width_report,
 )
-from .linkdiag import BraidWord, braid_closure, parse_braid, resolve_crossing
+from .linkdiag import BraidWord, InputError, braid_closure, parse_braid, resolve_crossing
 from .polyalg import LaurentPoly, RationalFn, quantum_integer
 
 Q = ("q",)
@@ -159,7 +159,7 @@ def theorem24_table(p: int, q: int) -> dict[tuple[int, int], tuple[int, tuple[in
 def suite_theorem24(p: int = 3, q: int = 4) -> SuiteReport:
     rep = SuiteReport("theorem24")
     if not (3 <= p <= q) or (p == 3 and q == 3):
-        raise ValueError("need 3 <= p <= q, not both 3")
+        raise InputError("need 3 <= p <= q, not both 3")
     t = khovanov_homology(torus_diagram(p, q))
     low = {k: v for k, v in t.entries.items() if k[0] <= 4}
     rep.add(f"low-degree table of T({p},{q})", low == theorem24_table(p, q))
@@ -461,7 +461,7 @@ SUITES = {
     "theorem18": lambda slow, p, q: suite_theorem18(),
     "theorem20": lambda slow, p, q: suite_theorem20(slow),
     "theorem23": lambda slow, p, q: suite_theorem23(slow),
-    "theorem24": lambda slow, p, q: suite_theorem24(p or 3, q or 4),
+    "theorem24": lambda slow, p, q: suite_theorem24(3 if p is None else p, 4 if q is None else q),
     "theorem8": lambda slow, p, q: suite_theorem8(),
     "jones-euler": lambda slow, p, q: suite_jones_euler(),
     "homfly-axioms": lambda slow, p, q: suite_homfly_axioms(),

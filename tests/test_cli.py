@@ -138,9 +138,9 @@ def test_verify_theorem24_with_params():
 
 def test_parser_built_once():
     _build_parser.cache_clear()
-    # exit 0, 1 (m < 2 is a computation error), 2, 2, then 0 again
+    # exit 0, 1 (no homology in the window to take a width of), 2, 2, then 0 again
     jones = ["jones", "2: 1 1 1"]
-    argvs = [jones, ["stable", "--m", "1", "--n", "3"], ["kh", "2: 1 x"], ["bogus"], jones]
+    argvs = [jones, ["kh", "2: 1 1 1", "--width", "--jwindow", "100..101"], ["kh", "2: 1 x"], ["bogus"], jones]
     results = [invoke(argv) for argv in argvs]
     assert [code for code, _, _ in results] == [0, 1, 2, 2, 0]
     assert results[0][1] == results[-1][1] == "-q^9 + q^5 + q^3 + q\n"
@@ -181,3 +181,28 @@ def test_graph_edge_out_of_range_exits_2(tmp_path):
     gfile.write_text("v 3\ne 1 7\n")
     code, _, err = invoke(["graph", "kh", str(gfile), "--theory", "pn"])
     assert code == 2 and err.startswith("input error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["stable", "--m", "1", "--n", "3"], id="stable-m"),
+        pytest.param(["stable", "--m", "2", "--n", "5..3"], id="stable-reversed-window"),
+        pytest.param(["stable", "--m", "2", "--n", ","], id="stable-empty-list"),
+        pytest.param(["graph", "kh", "GRAPH", "--theory", "pn", "--n", "0"], id="graph-kh-pn-n"),
+        pytest.param(["graph", "kh", "GRAPH", "--theory", "qn", "--n", "3", "--jwindow=-2..2"], id="graph-kh-qn-n"),
+        pytest.param(["graph", "kh", "GRAPH", "--theory", "enhanced", "--jwindow", "3..1"], id="graph-kh-empty-window"),
+        pytest.param(["graph", "poly", "GRAPH", "--pn", "0"], id="graph-poly-pn"),
+        pytest.param(["graph", "poly", "GRAPH", "--qn", "3", "--jwindow=-2..2"], id="graph-poly-qn"),
+        pytest.param(["homfly", "2: 1 1 1", "--specialize", "0"], id="homfly-specialize"),
+        pytest.param(["verify", "theorem24", "--p", "1"], id="theorem24-p"),
+        pytest.param(["verify", "theorem24", "--p", "0"], id="theorem24-p-zero"),
+        pytest.param(["kh", "2: 1 1 1", "--jwindow", "9..5"], id="kh-reversed-window"),
+    ],
+)
+def test_out_of_range_parameters_exit_2(tmp_path, argv):
+    gfile = tmp_path / "tri.g"
+    gfile.write_text("v 3\ne 1 2\ne 2 3\ne 1 3\n")
+    code, out, err = invoke([str(gfile) if a == "GRAPH" else a for a in argv])
+    assert code == 2 and not out
+    assert err.startswith(("input error:", "usage error:"))
