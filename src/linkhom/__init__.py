@@ -1,6 +1,6 @@
 """Exact polynomial and homological invariants of links and graphs.
 
-Everything is computed over the integers: Kauffman bracket state sums,
+Everything is computed over the integers: Kauffman brackets (by a scan),
 Jones and HOMFLYPT polynomials, integral Khovanov homology with torsion,
 and the dichromatic/Tutte polynomials of multigraphs together with their
 categorified chain complexes.

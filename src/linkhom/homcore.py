@@ -53,7 +53,6 @@ __all__ = [
     "cube_complex",
     "cube_homology",
     "smith_normal_form",
-    "matrix_rank",
     "GradedComplex",
     "HomologyTable",
     "graded_homology",
@@ -87,18 +86,6 @@ class SparseIntMatrix:
         m = cls.__new__(cls)
         m.rows, m.cols, m.data = rows, cols, data
         return m
-
-    def add_at(self, r: int, c: int, v: int):
-        if not 0 <= r < self.rows or not 0 <= c < self.cols:
-            raise ValueError(f"index ({r},{c}) out of range")
-        row = self.data.setdefault(r, {})
-        cur = row.get(c, 0) + v
-        if cur:
-            row[c] = cur
-        else:
-            row.pop(c, None)
-            if not row:
-                del self.data[r]
 
     @property
     def entries(self) -> dict[tuple[int, int], int]:
@@ -367,10 +354,6 @@ def smith_normal_form(m: SparseIntMatrix) -> tuple[tuple[int, ...], int]:
                     changed = True
         d.sort()
     return (1,) * (len(diag) - len(d)) + tuple(d), len(diag)
-
-
-def matrix_rank(m: SparseIntMatrix) -> int:
-    return smith_normal_form(m)[1]
 
 
 def _composite_is_zero(key: tuple[int, int], first: SparseIntMatrix, second: SparseIntMatrix) -> bool:

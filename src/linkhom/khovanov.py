@@ -13,7 +13,9 @@ touches) on the module's one spec, so every diagram shares the tables,
 and replayed with the alternating cube signs, so every square
 anticommutes.  The homology reads the engine's blocks one j-strand at a
 time (``homcore.cube_homology``); ``build_khovanov_complex`` collects
-them into a whole complex for the checks that read it.
+them into a whole complex for the checks that read it.  The bracket is a
+scan that keeps the matchings of the open arc ends (Bar-Natan,
+math/0606318), not a state sum over the 2^n resolutions.
 """
 
 from __future__ import annotations
@@ -70,22 +72,40 @@ def _states(d: Diagram) -> CubeStates:
 
 
 def kauffman_bracket(d: Diagram) -> LaurentPoly:
-    """State sum: sum over resolutions of (-1)^|e| q^|e| (q+q^-1)^c."""
-    st = _states(d)
-    n = d.n_crossings
-    acc: dict[int, int] = {}
-    for mask in range(1 << n):
-        i = mask.bit_count()
-        c = st.state(mask)[0]
-        sign = -1 if i & 1 else 1
-        for k in range(c + 1):
-            e = i + c - 2 * k
-            v = acc.get(e, 0) + sign * comb(c, k)
-            if v:
-                acc[e] = v
-            else:
-                acc.pop(e, None)
-    return LaurentPoly.from_terms(Q, acc)
+    """<D> = sum over resolutions of (-1)^|e| q^|e| (q+q^-1)^c, by a scan.
+
+    Each step takes the crossing with the most open arc labels (seen once
+    so far).  Per matching of the open labels by paths, the scan keeps the
+    sum of (-q)^(one-smoothings) (q+q^-1)^(circles) over the partial
+    resolutions giving it: crossings times matchings (at most 2^k after k
+    crossings, and 20 on the 3- to 5-strand closures tested), not 2^n.
+    """
+    rest, loops = list(d.crossings), len(d.loops)
+    # a matching as the frozenset of its (end, other end) items, both ways
+    matchings = {frozenset(): {loops - 2 * k: comb(loops, k) for k in range(loops + 1)}}
+    while rest:
+        open_ = dict(next(iter(matchings)))  # every matching has the open labels as its ends
+        x = max(rest, key=lambda y: sum(map(open_.__contains__, y.arcs)))
+        rest.remove(x)
+        nxt: dict[frozenset, dict[int, int]] = {}
+        for key, poly in matchings.items():
+            for bit in (0, 1):
+                m, circles = dict(key), 0
+                for u, v in x.joins(bit):
+                    eu = m.pop(u, u)  # the path end at u: its other end if u is open, else u
+                    if eu == v:  # u = v, or u and v end one path: a circle
+                        m.pop(v, None)
+                        circles += 1
+                    else:
+                        ev = m.pop(v, v)
+                        m[eu], m[ev] = ev, eu
+                acc = nxt.setdefault(frozenset(m.items()), {})
+                for k in range(circles + 1):  # times (-q)^bit (q + q^-1)^circles
+                    s, w = bit + circles - 2 * k, (-1) ** bit * comb(circles, k)
+                    for e, c in poly.items():
+                        acc[e + s] = acc.get(e + s, 0) + w * c
+        matchings = nxt
+    return LaurentPoly(Q, {(2 * e,): c for poly in matchings.values() for e, c in poly.items()})  # in half steps
 
 
 def kauffman_bracket_recursive(d: Diagram) -> LaurentPoly:

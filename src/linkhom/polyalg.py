@@ -650,9 +650,6 @@ class RationalFn:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def is_poly(self) -> bool:
-        return self.den.is_one()
-
     def as_poly(self) -> LaurentPoly:
         if not self.den.is_one():
             raise ValueError(f"not a polynomial: denominator {self.den}")

@@ -29,7 +29,7 @@ def compositions(total, parts):
 
 
 def ref_complex(states, n, gens, targets, source, columns=None):
-    """Positions by dict, edges generator by generator, entries by add_at.
+    """Positions by dict, edges generator by generator, entries summed in a dict.
 
     ``gens(i, k)`` lists (j, labeling) of a state with k parts in cube
     degree i; ``targets(mask, e, labeling)`` lists the target labelings
@@ -55,9 +55,10 @@ def ref_complex(states, n, gens, targets, source, columns=None):
                 for tlab in targets(mask, e, lab):
                     row = rows.get((mask | (1 << e), tlab))
                     if row is not None:
-                        blk = blocks.setdefault((i, j), SparseIntMatrix(len(rows), len(block)))
-                        blk.add_at(row, col, sign)
-    cplx.diff = {key: blk for key, blk in blocks.items() if blk.nnz}
+                        entries = blocks.setdefault((i, j), (len(rows), len(block), {}))[2]
+                        entries[(row, col)] = entries.get((row, col), 0) + sign
+    matrices = {key: SparseIntMatrix(*shape) for key, shape in blocks.items()}
+    cplx.diff = {key: blk for key, blk in matrices.items() if blk.nnz}
     return cplx
 
 

@@ -27,7 +27,6 @@ from linkhom.homcore import (
     cube_complex,
     euler_characteristic,
     graded_homology,
-    matrix_rank,
     poincare_polynomial,
     smith_normal_form,
     strand_homology,
@@ -183,7 +182,6 @@ def test_snf_medium_matrices_known_answer():
         a = transpose(a)
         m = mat(rows, cols, {(r, c): v for r, row in enumerate(a) for c, v in enumerate(row) if v})
         assert smith_normal_form(m) == (tuple(factors), rank)
-        assert matrix_rank(m) == rank
 
 
 def rank_mod_p(m, p):
@@ -313,10 +311,7 @@ def test_homology_invariant_under_basis_permutation():
         dims = [rng.randint(1, 5) for _ in range(3)]
         # build a random two-step complex d1: C0 -> C1, d2: C1 -> C2 with d2 d1 = 0
         # by using d1 = A, d2 = B with B A = 0 constructed from a factorization
-        a = mat(dims[1], dims[0], {})
-        for c in range(dims[0]):
-            r = rng.randrange(dims[1])
-            a.add_at(r, c, rng.choice([1, -1, 2]))
+        a = mat(dims[1], dims[0], {(rng.randrange(dims[1]), c): rng.choice([1, -1, 2]) for c in range(dims[0])})
         # d2 kills the image: choose zero map for simplicity of the invariant
         cplx = GradedComplex()
         cplx.dims[(0, 0)] = dims[0]
@@ -355,7 +350,7 @@ def test_torsion_chain_large_entries():
 
 def test_rank_only_helper():
     m = mat(2, 3, {(0, 0): 2, (1, 2): 5})
-    assert matrix_rank(m) == 2
+    assert smith_normal_form(m)[1] == 2
 
 
 def per_block_homology(c):
@@ -376,19 +371,45 @@ def per_block_homology(c):
 
 def assert_unit_free_residue(cplx, expected):
     # every block graded_homology hands to the Smith form has had its ±1
-    # entries cancelled, keeps its own shape, and gives the same homology
+    # entries cancelled, keeps its own shape, has lost the rows that the
+    # block after it cancelled, and gives the same homology
     shapes = {(blk.rows, blk.cols) for blk in cplx.diff.values()}
     handed = []
     snf = homcore.smith_normal_form
+    made, cancel = homcore._Elimination.__init__, homcore._Elimination.cancel_unit
+    strand = []  # the strand's working forms, in the order they were made
+    cancelled: dict[int, set[int]] = {}  # by id of a working form, the columns it cancelled
+    in_snf = False
+
+    def making(st, rows, skip_cols=()):
+        made(st, rows, skip_cols)
+        if not in_snf:
+            strand.append(st)
+
+    def cancelling(st, r, c):
+        cancel(st, r, c)
+        cancelled.setdefault(id(st), set()).add(c)
 
     def watched(m):
+        nonlocal in_snf
         handed.append(m)
         assert (m.rows, m.cols) in shapes
         assert all(abs(v) != 1 for v in m.entries.values())
-        return snf(m)
+        # a block is settled in place once the next block of its strand
+        # is cancelled, and that block's working form is made after it
+        (k,) = [k for k, st in enumerate(strand) if st.rows is m.data]
+        if k + 1 < len(strand):
+            assert not cancelled.get(id(strand[k + 1]), set()) & set(m.data), "a row cancelled one step on"
+        in_snf = True
+        try:
+            return snf(m)
+        finally:
+            in_snf = False
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homcore, "smith_normal_form", watched)
+        mp.setattr(homcore._Elimination, "__init__", making)
+        mp.setattr(homcore._Elimination, "cancel_unit", cancelling)
         assert graded_homology(cplx).entries == expected
     assert len(handed) <= len(cplx.diff)
 

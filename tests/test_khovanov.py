@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from math import comb
 
 import pytest
@@ -31,6 +32,7 @@ from linkhom.khovanov import (
 )
 from linkhom.linkdiag import (
     BraidWord,
+    Diagram,
     braid_closure,
     conjugate,
     mirror,
@@ -42,6 +44,7 @@ from linkhom.linkdiag import (
 from linkhom.polyalg import LaurentPoly
 
 Q = ("q",)
+TREFOIL_PD = "X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3"  # the left-handed trefoil
 
 
 def qp(mapping):
@@ -73,11 +76,58 @@ def test_bracket_hopf_hand_enumeration():
     assert kauffman_bracket(closure("2: 1 1")) == qp({-2: 1, 0: 1, 2: 1, 4: 1})
 
 
+def state_sum_bracket(d):
+    """The 2^n state sum that the scan replaced, kept as an oracle: the sum
+    over resolutions of (-1)^|e| q^|e| (q+q^-1)^c, circles by the cube
+    engine's state table."""
+    st = _states(d)
+    acc = {}
+    for mask in range(1 << d.n_crossings):
+        i = mask.bit_count()
+        c = st.state(mask)[0]
+        for k in range(c + 1):
+            acc[i + c - 2 * k] = acc.get(i + c - 2 * k, 0) + (-1) ** i * comb(c, k)
+    return qp(acc)
+
+
 def test_bracket_recursive_agrees_with_state_sum():
+    # the scan against the recursive skein bracket and the state sum, on
+    # diagrams as given and with their crossings in a shuffled order
     rng = random.Random(2)
-    for _ in range(12):
-        d = braid_closure(random_word(rng, max_len=6))
-        assert kauffman_bracket(d) == kauffman_bracket_recursive(d)
+    diagrams = [braid_closure(b) for b in corpus_diagrams()]
+    diagrams += [braid_closure(random_word(rng, max_len=8)) for _ in range(200)]
+    diagrams += [parse_pd(TREFOIL_PD), parse_pd("X 1 5 2 4\nX 3 1 4 6\nX 5 3 6 2")]
+    diagrams += [parse_pd("X 1 1 2 2"), parse_pd("X 2 1 1 2")]  # kinks: a label twice at one crossing
+    diagrams.append(parse_pd("X 3 2 4 1\nX 4 2 3 1"))  # the component {1, 2} is over at both crossings
+    diagrams += [braid_closure(BraidWord(k, ())) for k in range(1, 5)]  # k circles
+    diagrams.append(closure("4: 1 1 -1"))  # crossings and two loops
+    for d in [closure("3: 1 -2 1 -2"), closure("2: 1 1 1 1"), parse_pd("X 2 1 1 2")]:
+        diagrams += [resolve_crossing(d, c, bit) for c in range(d.n_crossings) for bit in (0, 1)]
+    for d in diagrams:
+        shuffled = list(d.crossings)
+        rng.shuffle(shuffled)
+        want = state_sum_bracket(d)
+        assert want == kauffman_bracket_recursive(d), d
+        assert kauffman_bracket(d) == want, d
+        assert kauffman_bracket(Diagram(tuple(shuffled), d.loops, d.provenance)) == want, d
+
+
+def torus_knot_jones(p, q):
+    """Jones' closed form for the torus knot T(p, q) in linkhom's normalized
+    q convention (t = q^2): t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) +
+    t^(p+q)) / (1 - t^2)."""
+    num = qp({0: 1, 2 * (p + 1): -1, 2 * (q + 1): -1, 2 * (p + q): 1})
+    return num.divide_exact(qp({0: 1, 4: -1})).shift((p - 1) * (q - 1))
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (3, 4), (4, 7), (5, 9)])
+def test_bracket_scan_reaches_torus_knots_beyond_the_state_sum(p, q):
+    # T(4, 7) has 21 crossings and T(5, 9) 36: 2^36 states are out of reach
+    d = torus_diagram(p, q)
+    start = time.perf_counter()
+    jones = jones_normalized(d)
+    assert time.perf_counter() - start < 1.0
+    assert jones == torus_knot_jones(p, q)
 
 
 def test_jones_values():
@@ -167,7 +217,7 @@ def test_every_link_table_spans_at_least_two_diagonals():
 
 
 def test_pd_engine_agrees_with_braid_engine():
-    pd_trefoil = parse_pd("X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3")
+    pd_trefoil = parse_pd(TREFOIL_PD)
     t_pd = khovanov_homology(pd_trefoil)
     # this PD code is the left-handed trefoil, the mirror of 2: 1 1 1
     t_braid = khovanov_homology(closure("2: -1 -1 -1"))
