@@ -32,6 +32,15 @@ to ``strand_homology`` as they come, so no whole complex is built;
 ``cube_complex`` collects the same blocks into a ``GradedComplex`` for
 callers that read the complex itself, and ``graded_homology`` feeds a
 stored complex's blocks, copied, to the same consumer.
+
+The strands are independent, so a large cube is shared with one forked
+worker: once the positions and edges are worked out, ``cube_homology``
+splits the strands into two sets of about equal generators, the worker
+runs the strand pass (the d^2 check, the cancellation and the Smith
+forms) on one set while this process runs it on the other, and the
+worker's results come back through a pipe into one table.  Small cubes,
+processes with more than one thread and platforms without ``os.fork``
+run every strand here.  The table does not depend on the split.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from itertools import combinations, islice
 from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping
 
+from .forkjoin import can_fork, fork_join
 from .polyalg import LaurentPoly
 
 __all__ = [
@@ -565,7 +575,7 @@ def cube_blocks(
     states: CubeStates,
     columns: tuple[int, int] | None = None,
     window: tuple[int, int] | None = None,
-) -> tuple[dict[tuple[int, int], int], Iterator[tuple[tuple[int, int], SparseIntMatrix]]]:
+) -> tuple[dict[tuple[int, int], int], Iterable[tuple[tuple[int, int], SparseIntMatrix]]]:
     """The cube complex of ``spec`` over the vertices of ``states``, as the
     ranks of its chain groups and a stream of its nonzero blocks.
 
@@ -661,34 +671,52 @@ def cube_blocks(
                 into += (kind, -1 if (mask & (bit - 1)).bit_count() & 1 else 1, firsts[mask ^ bit])
             edges[mask] = tuple(into)
         below = here
-    return dims, _cube_strands(spec, dims, ints, holders, edges)
+    return dims, _CubeStrands(spec, dims, ints, holders, edges)
 
 
-def _cube_strands(spec: CubeSpec, dims, ints, holders, edges):
-    # the blocks of ``cube_blocks``, built one at a time in strand order
-    edge_map = spec.edge_map
-    for i, j in sorted((key for key in dims if (key[0] + 1, key[1]) in dims), key=lambda k: (k[1], k[0])):
-        data: dict[int, dict[int, int]] = {}
-        fields = iter(holders[(i + 1, j)])
-        for tmask, tt, first, count in zip(fields, fields, fields, fields):
-            rows = ints[first:first + count]
-            out = [{} for _ in rows]
-            it = iter(edges[tmask])
-            for kind, sign, sfirsts in zip(it, it, it):
-                group = kind[0].get(tt)
-                if group is None:
-                    group = edge_map(kind[1], tt)
-                if group and group[0] < len(sfirsts):
-                    off = sfirsts[group[0]]
-                    if off is not None:
-                        flat = iter(group[1])
-                        for tr, r, v in zip(flat, flat, flat):
-                            out[tr][ints[off + r]] = sign * v
-            for p, row in zip(rows, out):
-                if row:
-                    data[p] = row
-        if data:
-            yield (i, j), SparseIntMatrix._of_rows(dims[(i + 1, j)], dims[(i, j)], data)
+class _CubeStrands:
+    """The blocks of ``cube_blocks``: iterating builds them one at a time
+    in strand order, and ``only(js)`` builds the strands of the j in
+    ``js`` alone.  The edge tables it makes on the way are kept on the
+    spec and listed in ``fresh`` as (shape, target label sum)."""
+
+    __slots__ = ("spec", "dims", "ints", "holders", "edges", "fresh")
+
+    def __init__(self, spec: CubeSpec, dims, ints, holders, edges):
+        self.spec, self.dims, self.ints, self.holders, self.edges = spec, dims, ints, holders, edges
+        self.fresh: list[tuple] = []
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, int], SparseIntMatrix]]:
+        return self.only(None)
+
+    def only(self, js: Iterable[int] | None) -> Iterator[tuple[tuple[int, int], SparseIntMatrix]]:
+        dims, ints, holders, edges = self.dims, self.ints, self.holders, self.edges
+        edge_map, fresh = self.spec.edge_map, self.fresh
+        keep = None if js is None else set(js)
+        keys = (k for k in dims if (k[0] + 1, k[1]) in dims and (keep is None or k[1] in keep))
+        for i, j in sorted(keys, key=lambda k: (k[1], k[0])):
+            data: dict[int, dict[int, int]] = {}
+            fields = iter(holders[(i + 1, j)])
+            for tmask, tt, first, count in zip(fields, fields, fields, fields):
+                rows = ints[first:first + count]
+                out = [{} for _ in rows]
+                it = iter(edges[tmask])
+                for kind, sign, sfirsts in zip(it, it, it):
+                    group = kind[0].get(tt)
+                    if group is None:
+                        group = edge_map(kind[1], tt)
+                        fresh.append((kind[1], tt))
+                    if group and group[0] < len(sfirsts):
+                        off = sfirsts[group[0]]
+                        if off is not None:
+                            flat = iter(group[1])
+                            for tr, r, v in zip(flat, flat, flat):
+                                out[tr][ints[off + r]] = sign * v
+                for p, row in zip(rows, out):
+                    if row:
+                        data[p] = row
+            if data:
+                yield (i, j), SparseIntMatrix._of_rows(dims[(i + 1, j)], dims[(i, j)], data)
 
 
 def cube_complex(
@@ -713,10 +741,51 @@ def cube_homology(
     shift: tuple[int, int] = (0, 0),
 ) -> HomologyTable:
     """The homology of ``cube_complex`` on the same arguments, moved by
-    ``shift``: the blocks of ``cube_blocks`` go to ``strand_homology`` as
-    they are built, and no whole complex is."""
+    ``shift``: the blocks of ``cube_blocks`` go to the strand pass of
+    ``strand_homology`` as they are built, and no whole complex is.
+
+    Once ``cube_blocks`` has worked out the positions and edges, the
+    j-strands are split longest-first into two sets of about equal
+    generators.  When both hold at least ``_FORK_MIN`` generators, the
+    platform has ``os.fork`` and the process runs one thread, one forked
+    worker runs the strand pass on one set while this process runs it on
+    the other; the worker sends its cancelled units, Smith forms, bad
+    blocks and new edge tables back through a pipe (``marshal``), and
+    one table is assembled from both.  Otherwise the pass runs here on
+    every strand.  The table is the same either way.
+    """
     dims, blocks = cube_blocks(spec, states, columns, window)
-    return strand_homology(dims, blocks, shift, source)
+    halves = _halves(dims)
+    if halves is None:
+        return strand_homology(dims, blocks, shift, source)
+    mine, theirs = halves
+    (units, snf, bad), (w_units, w_snf, w_bad, fresh) = fork_join(
+        lambda: _strand_pass(blocks.only(mine)),
+        lambda: (*_strand_pass(blocks.only(theirs)), [(sh, tt, spec._edges[sh][tt]) for sh, tt in blocks.fresh]),
+    )
+    for sh, tt, table in fresh:  # the worker's edge tables, kept for later calls
+        spec._edges[sh].setdefault(tt, table)
+    return _table(dims, units | w_units, snf | w_snf, bad + w_bad, shift, source)
+
+
+_FORK_MIN = 3000  # generators on each side of the split before a worker is forked
+
+
+def _halves(dims: Mapping[tuple[int, int], int]) -> tuple[list[int], list[int]] | None:
+    # the j of the strands in two sets, longest strand first onto the
+    # lighter set, or None when no worker is to be forked
+    if sum(dims.values()) < 2 * _FORK_MIN or not can_fork():
+        return None
+    per: dict[int, int] = {}
+    for (_, j), n in dims.items():
+        per[j] = per.get(j, 0) + n
+    sides: tuple[list[int], list[int]] = ([], [])
+    load = [0, 0]
+    for j in sorted(per, key=lambda j: (-per[j], j)):
+        k = load[1] < load[0]
+        sides[k].append(j)
+        load[k] += per[j]
+    return sides if min(load) >= _FORK_MIN else None
 
 
 @dataclass
@@ -787,8 +856,9 @@ def strand_homology(
     """Homology per (i, j) of the complex with chain group ranks ``dims``
     and the nonzero ``blocks`` in strand order (j, then i): free rank and
     torsion, exact over Z, at (i, j) moved by ``shift``.  ``cube_homology``
-    feeds it a cube's blocks as they are built, ``graded_homology`` a
-    stored complex's.
+    feeds it a cube's blocks as they are built (or runs its strand pass
+    on half of them, with a worker on the other half), ``graded_homology``
+    a stored complex's.
 
     As block (i, j) comes, d^2 = 0 is checked on it and the block (i-1, j)
     held before it; then the held block's ±1 entries are cancelled.  A ±1
@@ -812,6 +882,14 @@ def strand_homology(
     composite with the next is not 0, nothing more is cancelled, the
     checks go on, and a ValueError names every such block.
     """
+    return _table(dims, *_strand_pass(blocks), shift, source)
+
+
+def _strand_pass(blocks: Iterable[tuple[tuple[int, int], SparseIntMatrix]]):
+    """The d^2 check and the cancellation of ``strand_homology`` over
+    ``blocks``: the units cancelled and the Smith form (factors, rank) of
+    each settled block, and the blocks whose composite with the next is
+    not 0."""
     units: dict[tuple[int, int], int] = {}  # per block, the units cancelled
     snf: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
     bad: list[tuple[int, int]] = []
@@ -852,13 +930,16 @@ def strand_homology(
             if not bad:
                 cancel(*held)
         held = key, blk
+    if held is not None and not bad:
+        cancel(*held)
+        settle(())
+    return units, snf, bad
+
+
+def _table(dims, units, snf, bad, shift, source) -> HomologyTable:
+    # the homology table from a strand pass's results over every strand
     if bad:
         raise ValueError(f"d^2 != 0 at blocks {sorted(bad)} of {source or 'complex'}")
-    if held is not None:
-        cancel(*held)
-    if prev is not None:
-        settle(())
-
     s, l = shift
     entries: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for (i, j) in sorted(dims):

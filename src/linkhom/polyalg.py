@@ -31,6 +31,8 @@ __all__ = [
 
 
 def _half_steps(e: Exponent) -> int:
+    if type(e) is int:  # the common case; bool and the rest go through Fraction
+        return 2 * e
     f = Fraction(e) * 2
     if f.denominator != 1:
         raise ValueError(f"exponent {e!r} is not an integer or half-integer")

@@ -89,6 +89,20 @@ def test_half_step_arithmetic():
     assert h.coefficient(1) == 0
 
 
+def test_int_fraction_and_half_integer_keys_agree():
+    ints = LaurentPoly.from_terms(("t", "q"), {(2, -3): 5, (0, 1): -1})
+    fractions = LaurentPoly.from_terms(("t", "q"), {(Fraction(2), Fraction(-6, 2)): 5, (Fraction(0), Fraction(1)): -1})
+    assert ints == fractions and ints.terms == fractions.terms
+    half = LaurentPoly.from_terms(Q, {Fraction(-3, 2): 2, 4: 1})
+    assert half.terms == LaurentPoly.from_terms(Q, {-1.5: 2, Fraction(8, 2): 1}).terms == {(-3,): 2, (8,): 1}
+    assert LaurentPoly.monomial(Q, 3).shift(Fraction(1, 2)) == LaurentPoly.monomial(Q, Fraction(7, 2))
+    assert LaurentPoly.monomial(Q, True) == LaurentPoly.monomial(Q, 1)
+    with pytest.raises(ValueError, match="half-integer"):
+        LaurentPoly.from_terms(Q, {Fraction(1, 3): 1})
+    with pytest.raises(ValueError, match="half-integer"):
+        LaurentPoly.monomial(Q, 1).shift(Fraction(1, 3))
+
+
 def _random_poly(rng, variables, nterms=4, span=4):
     terms = {}
     for _ in range(nterms):
