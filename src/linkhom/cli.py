@@ -167,12 +167,10 @@ def _cmd_homfly(args, out) -> int:
     b = parse_braid(args.braid)
     f = homfly_F(b)
     g = _normalize_G(f, b)
-    rows: list[tuple[str, str]] = []
+    rows = [("F", f.value.render())]
     if args.var == "qt":
-        rows.append(("F", f.value.render()))
         rows.append(("G", g.render()))
     else:
-        rows.append(("F", f.value.render()))
         rows.append(("G(a,q)", homfly_skein_form(g).render()))
     if args.specialize is not None:
         rows.append((f"G_{args.specialize}", specialize_Gn(g, args.specialize).render()))

@@ -29,7 +29,7 @@ parameter, for every graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from math import comb
 
 from .homcore import CubeSpec, CubeStates, GradedComplex, HomologyTable, cube_complex, cube_homology
@@ -292,7 +292,7 @@ def _pn_cube(g: Multigraph, n: int, variant: str) -> tuple:
     return _pn_spec(n, variant), _graph_states(g), None, None, f"pn-complex:n={n}:{variant}"
 
 
-@cache
+@lru_cache(maxsize=8)
 def _pn_spec(n: int, variant: str) -> CubeSpec:
     # one spec per (n, variant), so its edge tables serve every graph
     return CubeSpec(
@@ -398,7 +398,7 @@ def _qn_cube(g: Multigraph, n: int, window: tuple[int, int], source: str) -> tup
     return _qn_spec(n), _graph_states(g), None, window, source
 
 
-@cache
+@lru_cache(maxsize=8)
 def _qn_spec(n: int) -> CubeSpec:
     # one spec per n, so its edge tables serve every graph and window
     return CubeSpec(

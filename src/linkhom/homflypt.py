@@ -3,13 +3,24 @@
 Elements of the algebra are expanded on the permutation basis T_w; the
 quadratic relation T_i^2 = q^2 + (1 - q^2) T_i (eigenvalues 1 and -q^2)
 and the inverse expansion T_i^-1 = q^-2 T_i - q^-2 + 1 follow from the
-skein normalization used throughout.  Neither brings in a denominator,
-so coefficients are Laurent polynomials in t and q.  The trace
-eliminates one strand at a time: a basis permutation either fixes the
-last point (closing a free circle, of value d = (1 + t^-1 q)/(1 - q^2))
+skein normalization used throughout.  Neither brings in a denominator or
+a power of t, so each coefficient lies in Z[Q^+-1] with Q = q^2.
+
+An element keeps an offset L >= 0 and a width W, and packs each
+coefficient c into one int: Q^L c(Q) at Q = 2^W, whose balanced base-2^W
+digits are the coefficients.  Multiplying by Q is c << W, by 1 - Q is
+c - (c << W), and a sum is one int add.  A digit below 2^(W-1) in
+magnitude decodes uniquely, so an element also carries a bound on the
+L1 norm of all its coefficients: T_i, Q T_i^-1 (used for T_i^-1, with L
+raised by one) and E_i each at most triple it.  An operation whose bound
+could reach 2^(W-1) first re-packs the element at a width derived from
+the bound; a word is packed once at the width that it and its trace need.
+
+The trace eliminates one strand at a time: a basis permutation either
+fixes the last point (closing a free circle, of value d = (1 + t^-1 q)/(1 - q^2))
 or factors uniquely through the top transposition.  Terms are kept apart
 by the number k of circles closed, so the trace is sum_k P_k d^k with
-Laurent P_k, formed as one fraction over (1 - q^2)^K and reduced once.
+P_k in Z[Q^+-1], formed as one fraction over (1 - q^2)^K and reduced once.
 
 Wide edges E_i (trivalent resolutions between strands i and i+1) expand
 as T_i + q^2, which lets braid words over sigma/E letters be evaluated
@@ -19,6 +30,7 @@ by the same trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from .linkdiag import BraidWord, InputError
@@ -42,12 +54,10 @@ TQ = ("t", "q")
 Perm = tuple[int, ...]
 
 
-_ONE = LaurentPoly.one(TQ)
-_Q2 = LaurentPoly.monomial(TQ, (0, 2))
-_QINV2 = LaurentPoly.monomial(TQ, (0, -2))
 _ONE_MINUS_Q2 = LaurentPoly.from_terms(TQ, {(0, 0): 1, (0, 2): -1})
-_ONE_MINUS_QINV2 = LaurentPoly.from_terms(TQ, {(0, 0): 1, (0, -2): -1})
 _ONE_PLUS_TINV_Q = LaurentPoly.from_terms(TQ, {(0, 0): 1, (-1, 1): 1})
+
+_T, _QT_INV, _E = 0, 1, 2  # the kernel's right factors: T_i, Q T_i^-1 = T_i - 1 + Q, E_i = T_i + Q
 
 
 def loop_value() -> RationalFn:
@@ -60,85 +70,124 @@ def alpha_value() -> RationalFn:
     return RationalFn.from_poly(LaurentPoly.monomial(TQ, (-1, -1), -1))
 
 
+def _width(bound: int) -> int:
+    """The least width W with bound < 2^(W-1)."""
+    return bound.bit_length() + 1
+
+
+def _unpack(c: int, width: int) -> dict[int, int]:
+    """The nonzero balanced base-2^width digits of c, by exponent."""
+    half, mask, digits, e = 1 << (width - 1), (1 << width) - 1, {}, 0
+    while c:
+        digits[e] = ((c + half) & mask) - half
+        c, e = (c + half) >> width, e + 1
+    return {e: d for e, d in digits.items() if d}
+
+
+def _right(terms: dict[Perm, int], i: int, width: int, kind: int) -> dict[Perm, int]:
+    """Packed coefficients times T_i, Q T_i^-1 or E_i on the right.  With s = w s_i,
+    T_w T_i is T_s if w[i-1] < w[i], else Q T_s + (1 - Q) T_w; so Q T_w T_i^-1 is
+    T_s + (Q - 1) T_w or Q T_s, and T_w E_i is T_s + Q T_w or Q T_s + T_w."""
+    acc: dict[Perm, int] = {}
+    get = acc.get
+    for w, c in terms.items():
+        a, b = w[i - 1], w[i]
+        s = w[:i - 1] + (b, a) + w[i + 1:]
+        cq = c << width
+        if a < b:
+            acc[s] = get(s, 0) + c
+            if kind != _T:
+                acc[w] = get(w, 0) + (cq - c if kind == _QT_INV else cq)
+        else:
+            acc[s] = get(s, 0) + cq
+            if kind != _QT_INV:
+                acc[w] = get(w, 0) + (c - cq if kind == _T else c)
+    return {w: c for w, c in acc.items() if c}
+
+
 class HeckeElement:
     """Linear combination of permutation basis elements T_w, with
-    coefficients in Z[t^+-1, q^+-1]."""
+    coefficients in Z[q^+-2] packed as the module docstring describes."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "terms", "shift", "width", "bound")
 
     def __init__(self, n: int, coeffs: dict[Perm, LaurentPoly | RationalFn] | None = None):
         if n < 1:
             raise ValueError("need at least one strand")
-        self.n = n
-        self.coeffs: dict[Perm, LaurentPoly] = {}
-        if coeffs:
-            for w, c in coeffs.items():
-                if isinstance(c, RationalFn):
-                    c = c.as_poly()
-                if c:
-                    self.coeffs[w] = c
+        digits = {}  # w -> {e: a} with the coefficient sum of a Q^e
+        for w, c in (coeffs or {}).items():
+            c = c.as_poly() if isinstance(c, RationalFn) else c
+            if c.vars != TQ or any(k[0] or k[1] % 4 for k in c.terms):  # half-step exponents
+                raise ValueError(f"Hecke coefficient {c} is not in Z[q^+-2]")
+            digits[w] = {k[1] // 4: a for k, a in c.terms.items()}
+        bound = sum(abs(a) for d in digits.values() for a in d.values())
+        L, W = max(0, max((-e for d in digits.values() for e in d), default=0)), _width(bound)
+        terms = {w: c for w, d in digits.items() if (c := sum(a << (W * (e + L)) for e, a in d.items()))}
+        self.n, self.terms, self.shift, self.width, self.bound = n, terms, L, W, bound
+
+    @classmethod
+    def _of(cls, n: int, terms: dict[Perm, int], shift: int, width: int, bound: int) -> "HeckeElement":
+        h = object.__new__(cls)
+        h.n, h.terms, h.shift, h.width, h.bound = n, terms, shift, width, bound
+        return h
 
     @classmethod
     def identity(cls, n: int) -> "HeckeElement":
-        return cls(n, {tuple(range(1, n + 1)): _ONE})
+        return cls(n, {tuple(range(1, n + 1)): LaurentPoly.one(TQ)})
 
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        if self.n != other.n:
-            raise ValueError("strand count mismatch")
-        acc = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            v = acc.get(w)
-            acc[w] = c if v is None else v + c
-        return HeckeElement(self.n, acc)
+    @property
+    def coeffs(self) -> dict[Perm, LaurentPoly]:
+        L, W = self.shift, self.width
+        return {w: LaurentPoly(TQ, {(0, 4 * (e - L)): a for e, a in _unpack(c, W).items()})
+                for w, c in self.terms.items()}
 
-    def scaled(self, c: LaurentPoly) -> "HeckeElement":
-        return HeckeElement(self.n, {w: v * c for w, v in self.coeffs.items()})
+    def _room(self, growth: int) -> "HeckeElement":
+        """This element, re-packed at twice the width that growth times its
+        bound needs if that product could reach 2^(W-1)."""
+        bound = self.bound * growth
+        if bound < 1 << (self.width - 1):
+            return self
+        width = 2 * _width(bound)
+        terms = {w: sum(a << (width * e) for e, a in _unpack(c, self.width).items()) for w, c in self.terms.items()}
+        return HeckeElement._of(self.n, terms, self.shift, width, self.bound)
+
+    def _times(self, i: int, kind: int) -> "HeckeElement":
+        if not 1 <= i < self.n:
+            raise ValueError(f"generator index {i} out of range")
+        h = self._room(3)
+        terms = _right(h.terms, i, h.width, kind)
+        return HeckeElement._of(self.n, terms, h.shift + (kind == _QT_INV), h.width, 3 * h.bound)
 
     def right_gen(self, i: int) -> "HeckeElement":
         """Multiply by T_i on the right."""
-        if not 1 <= i < self.n:
-            raise ValueError(f"generator index {i} out of range")
-        acc: dict[Perm, LaurentPoly] = {}
-
-        def bump(w: Perm, c: LaurentPoly):
-            v = acc.get(w)
-            acc[w] = c if v is None else v + c
-
-        for w, c in self.coeffs.items():
-            swapped = list(w)
-            swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-            swapped = tuple(swapped)
-            if w[i - 1] < w[i]:
-                bump(swapped, c)
-            else:
-                bump(swapped, c * _Q2)
-                bump(w, c * _ONE_MINUS_Q2)
-        return HeckeElement(self.n, acc)
+        return self._times(i, _T)
 
     def right_gen_inverse(self, i: int) -> "HeckeElement":
         """Multiply by T_i^-1 = q^-2 T_i - q^-2 + 1 on the right."""
-        return self.right_gen(i).scaled(_QINV2) + self.scaled(_ONE_MINUS_QINV2)
+        return self._times(i, _QT_INV)
 
     def right_wide(self, i: int) -> "HeckeElement":
         """Multiply by the wide edge E_i = T_i + q^2 on the right."""
-        return self.right_gen(i) + self.scaled(_Q2)
+        return self._times(i, _E)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HeckeElement) and self.n == other.n and self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return f"HeckeElement({self.n}: 0)"
         parts = [f"T{w}*({c})" for w, c in sorted(self.coeffs.items())]
         return f"HeckeElement({self.n}: " + " + ".join(parts) + ")"
 
 
+def _trace_growth(n: int) -> int:
+    """Growth of the bound in an n-strand trace: 3 per right_gen, then 2^(n-1)."""
+    return 3 ** ((n - 1) * (n - 2) // 2) << (n - 1)
+
+
 def hecke_normal_form(b: BraidWord) -> HeckeElement:
     """Image of a braid word on the permutation basis."""
-    h = HeckeElement.identity(b.strands)
-    for w in b.letters:
-        h = h.right_gen(w) if w > 0 else h.right_gen_inverse(-w)
-    return h
+    return wide_edge_expand(b.strands, b.letters)
 
 
 def wide_edge_expand(strands: int, tokens: Sequence) -> HeckeElement:
@@ -147,17 +196,17 @@ def wide_edge_expand(strands: int, tokens: Sequence) -> HeckeElement:
     Tokens are integers (+-i for braid letters) or strings "Ei" for the
     wide edge between strands i and i+1.
     """
-    h = HeckeElement.identity(strands)
+    # packed once at the width that the word and its trace need (1 is the same int at every width)
+    width = _width(3 ** len(tokens) * _trace_growth(strands))
+    h = HeckeElement._of(strands, HeckeElement.identity(strands).terms, 0, width, 1)
     for tok in tokens:
         if isinstance(tok, str):
             t = tok.strip().upper()
             if not t.startswith("E"):
                 raise ValueError(f"bad token {tok!r}")
-            h = h.right_wide(int(t[1:]))
-        elif tok > 0:
-            h = h.right_gen(tok)
+            h = h._times(int(t[1:]), _E)
         else:
-            h = h.right_gen_inverse(-tok)
+            h = h._times(abs(tok), _T if tok > 0 else _QT_INV)
     return h
 
 
@@ -188,47 +237,49 @@ class HomflyValue:
 
 def markov_trace(h: HeckeElement) -> HomflyValue:
     """Trace normalized so the one-strand unknot has value 1."""
-    return HomflyValue(_trace(h.coeffs, h.n))
+    return HomflyValue(_trace(h))
 
 
-def _trace(coeffs: dict[Perm, LaurentPoly], n: int) -> RationalFn:
+def _trace(h: HeckeElement) -> RationalFn:
     """Sum of P_k d^k over one reduced fraction, where P_k collects the
     terms that closed k free circles on the way down from n strands."""
-    # (permutation, circles closed so far) -> coefficient
-    level: dict[tuple[Perm, int], LaurentPoly] = {(w, 0): c for w, c in coeffs.items()}
-    for p in range(n, 1, -1):
-        lower: dict[tuple[Perm, int], LaurentPoly] = {}
-
-        def bump(key: tuple[Perm, int], c: LaurentPoly):
-            v = lower.get(key)
-            lower[key] = c if v is None else v + c
-
+    h = h._room(_trace_growth(h.n))
+    # (permutation, circles closed so far) -> packed coefficient
+    level: dict[tuple[Perm, int], int] = {(w, 0): c for w, c in h.terms.items()}
+    for p in range(h.n, 1, -1):
+        lower: dict[tuple[Perm, int], int] = {}
         # terms through the top transposition at the same slot and circle
         # count share the generators they are carried through
-        through: dict[tuple[int, int], dict[Perm, LaurentPoly]] = {}
+        through: dict[tuple[int, int], dict[Perm, int]] = {}
         for (w, k), c in level.items():
             if w[p - 1] == p:
-                bump((w[:-1], k + 1), c)
+                key = (w[:-1], k + 1)
+                lower[key] = lower.get(key, 0) + c
                 continue
             slot = w.index(p) + 1
             # w = u . s_(p-1) . (s_(p-2) ... s_slot) with u fixing p
-            u = w[:slot - 1] + w[slot:]
-            through.setdefault((slot, k), {})[u] = c
+            through.setdefault((slot, k), {})[w[:slot - 1] + w[slot:]] = c
         for (slot, k), terms in through.items():
-            elem = HeckeElement(p - 1, terms)
             for gen in range(p - 2, slot - 1, -1):
-                elem = elem.right_gen(gen)
-            for w2, c2 in elem.coeffs.items():
-                bump((w2, k), c2)
+                terms = _right(terms, gen, h.width, _T)
+            for w, c in terms.items():
+                lower[(w, k)] = lower.get((w, k), 0) + c
         level = {key: c for key, c in lower.items() if c}
-    by_circles: dict[int, LaurentPoly] = {}
-    for (_, k), c in level.items():
-        by_circles[k] = by_circles[k] + c if k in by_circles else c
+    # with d = (1 + t^-1 q) / (1 - Q), sum_k P_k d^k is
+    # sum_j (t^-1 q)^j N_j / (1 - Q)^top with N_j = sum_k C(k, j) P_k (1 - Q)^(top - k)
+    by_circles = {k: c for ((_,), k), c in level.items()}  # one term per k, on one strand
     top = max(by_circles, default=0)
-    num = LaurentPoly.zero(TQ)
-    for k, c in by_circles.items():
-        num = num + c * _ONE_PLUS_TINV_Q ** k * _ONE_MINUS_Q2 ** (top - k)
-    return RationalFn(num, _ONE_MINUS_Q2 ** top)
+    sums: dict[int, int] = {}
+    den = 1  # (1 - Q)^(top - k)
+    for k in range(top, -1, -1):
+        c = by_circles.get(k, 0) * den
+        for j in range(k + 1):
+            sums[j] = sums.get(j, 0) + comb(k, j) * c
+        if k:
+            den -= den << h.width
+    num = {(-2 * j, 4 * (e - h.shift) + 2 * j): a for j, c in sums.items() for e, a in _unpack(c, h.width).items()}
+    den = {(0, 4 * e): a for e, a in _unpack(den, h.width).items()}
+    return RationalFn(LaurentPoly(TQ, num), LaurentPoly(TQ, den))
 
 
 def homfly_F(b: BraidWord) -> HomflyValue:
@@ -252,7 +303,10 @@ def _normalize_G(f: HomflyValue, b: BraidWord) -> HomflyValue:
     omega = _omega(b)
     parity = omega & 1
     half_pairs = (omega - parity) // 2
-    value = f.value * (alpha_value() ** half_pairs)
+    # alpha^half_pairs = (-1)^half_pairs t^-half_pairs q^-half_pairs is a unit, so
+    # it scales F's numerator and leaves the fraction reduced and canonical
+    num = f.value.num._shift_half((-2 * half_pairs, -2 * half_pairs))
+    value = RationalFn._of(-num if half_pairs & 1 else num, f.value.den)
     return HomflyValue(value, sqrt_alpha=parity, omega=omega)
 
 
@@ -262,11 +316,13 @@ def specialize_Gn(g: HomflyValue, n: int) -> LaurentPoly:
     if n < 1:
         raise InputError("need n >= 1")
     tval = LaurentPoly.monomial(("q",), 1 - 2 * n, -1)
-    out = g.value.substitute("t", tval)
-    if isinstance(out, RationalFn):
-        if not out.den.is_one():
-            raise ArithmeticError(f"specialization left a denominator: {out.den}")
-        out = out.num
+    a, b = g.value.num._substitute_parts("t", tval)
+    c, d = g.value.den._substitute_parts("t", tval)
+    num, den = a * d, b * c
+    try:
+        out = num.divide_exact(den)
+    except ValueError:
+        raise ArithmeticError(f"specialization left a denominator: {RationalFn(num, den).den}") from None
     if g.sqrt_alpha:
         out = out.shift(n - 1)
     return out

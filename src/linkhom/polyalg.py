@@ -222,6 +222,8 @@ class LaurentPoly:
         den = other.terms
         dk = max(den)
         dc = den[dk]
+        # least exponents add in a product: exact quotient terms are componentwise >= low
+        low = tuple(a - b for a, b in zip(self.min_exps(), other.min_exps()))
         quo: dict[tuple[int, ...], int] = {}
         while rem:
             rk = max(rem)
@@ -229,6 +231,8 @@ class LaurentPoly:
             if rc % dc:
                 raise ValueError("not divisible (coefficient)")
             qk = tuple(a - b for a, b in zip(rk, dk))
+            if qk[0] < low[0] or qk[-1] < low[-1]:
+                raise ValueError("not divisible (the quotient is not a Laurent polynomial)")
             qc = rc // dc
             quo[qk] = qc
             for k, c in den.items():
@@ -475,43 +479,17 @@ def _pp2(p: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
 def _mul2(a, b):
     out: dict[int, dict[int, int]] = {}
     for ka, ca in a.items():
+        neg = _scale1(ca, -1)
         for kb, cb in b.items():
-            k = ka + kb
-            cur = out.get(k)
-            prod = _mul1(ca, cb)
-            if cur is None:
-                out[k] = prod
-            else:
-                merged = dict(cur)
-                for kk, vv in prod.items():
-                    v = merged.get(kk, 0) + vv
-                    if v:
-                        merged[kk] = v
-                    else:
-                        merged.pop(kk, None)
-                if merged:
-                    out[k] = merged
-                else:
-                    out.pop(k, None)
-    return out
+            out[ka + kb] = _sub1(out.get(ka + kb, {}), _mul1(neg, cb))
+    return {k: v for k, v in out.items() if v}
 
 
 def _sub2(a, b):
-    out = {k: dict(v) for k, v in a.items()}
+    out = dict(a)
     for k, coeff in b.items():
-        cur = out.get(k, {})
-        merged = dict(cur)
-        for kk, vv in coeff.items():
-            v = merged.get(kk, 0) - vv
-            if v:
-                merged[kk] = v
-            else:
-                merged.pop(kk, None)
-        if merged:
-            out[k] = merged
-        else:
-            out.pop(k, None)
-    return out
+        out[k] = _sub1(out.get(k, {}), coeff)
+    return {k: v for k, v in out.items() if v}
 
 
 def _gcd2(a, b):
@@ -627,6 +605,14 @@ class RationalFn:
         return nshift._shift_half(unit), dshift
 
     # ---------- constructors ----------
+
+    @classmethod
+    def _of(cls, num: LaurentPoly, den: LaurentPoly) -> "RationalFn":
+        """A fraction already in canonical form, taken as it is (no gcd)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     @classmethod
     def zero(cls, variables: tuple[str, ...]) -> "RationalFn":

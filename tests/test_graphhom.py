@@ -328,3 +328,29 @@ def test_dichromatic_dg_matches_termwise_fold():
         ref = ref_dichromatic_DG(g)
         assert dg == ref
         assert dg.render() == ref.render()
+
+
+def test_spec_caches_are_bounded_and_keep_small_n_warm():
+    from linkhom import graphhom
+
+    graphhom._pn_spec.cache_clear()
+    graphhom._qn_spec.cache_clear()
+    # the graph-torsion sequence: Pn at n = 1, 2 in both variants, Qn at
+    # n = 1, 2 and the enhanced complex, over several graphs
+    for g in (cycle_graph(3), cycle_graph(4), TRIANGLE, Multigraph(2, ((1, 2), (1, 2)))):
+        for n in (1, 2):
+            for variant in ("zero", "xn"):
+                Pn_homology(g, n, variant)
+            Qn_homology(g, n, (0, 2))
+        enhanced_homology(g, (0, 2))
+    pn, qn = graphhom._pn_spec.cache_info(), graphhom._qn_spec.cache_info()
+    assert (pn.misses, pn.hits) == (4, 12)
+    assert (qn.misses, qn.hits) == (2, 10)
+    # a sweep over n keeps only the latest specs and their edge tables
+    for n in range(1, 13):
+        Pn_homology(TRIANGLE, n)
+        Qn_homology(TRIANGLE, 2 - n, (0, 2))
+    pn, qn = graphhom._pn_spec.cache_info(), graphhom._qn_spec.cache_info()
+    assert pn.currsize == qn.currsize == pn.maxsize == qn.maxsize == 8
+    Pn_homology(TRIANGLE, 1)
+    assert graphhom._pn_spec.cache_info().misses == pn.misses + 1

@@ -1,5 +1,6 @@
 """Hecke trace axioms, wide-edge relations, and skein specializations."""
 
+from fractions import Fraction
 import random
 
 import pytest
@@ -333,17 +334,20 @@ def ref_scaled(coeffs, x):
     return {w: c * x for w, c in coeffs.items()}
 
 
-def ref_expand(strands, tokens):
+def ref_step(coeffs, tok):
     q2, qinv2 = rf(tq({(0, 2): 1})), rf(tq({(0, -2): 1}))
+    if isinstance(tok, str):
+        return ref_add(ref_right_gen(coeffs, int(tok[1:])), ref_scaled(coeffs, q2))
+    if tok > 0:
+        return ref_right_gen(coeffs, tok)
+    gen = ref_scaled(ref_right_gen(coeffs, -tok), qinv2)
+    return ref_add(gen, ref_scaled(coeffs, RationalFn.one(TQ) - qinv2))
+
+
+def ref_expand(strands, tokens):
     coeffs = {tuple(range(1, strands + 1)): RationalFn.one(TQ)}
     for tok in tokens:
-        if isinstance(tok, str):
-            coeffs = ref_add(ref_right_gen(coeffs, int(tok[1:])), ref_scaled(coeffs, q2))
-        elif tok > 0:
-            coeffs = ref_right_gen(coeffs, tok)
-        else:
-            gen = ref_scaled(ref_right_gen(coeffs, -tok), qinv2)
-            coeffs = ref_add(gen, ref_scaled(coeffs, RationalFn.one(TQ) - qinv2))
+        coeffs = ref_step(coeffs, tok)
     return coeffs
 
 
@@ -395,3 +399,125 @@ def test_hecke_trace_matches_rational_reference():
 def test_hecke_element_rejects_a_denominator():
     with pytest.raises(ValueError):
         HeckeElement(2, {(1, 2): loop_value()})
+
+
+def test_hecke_trace_matches_rational_reference_on_long_words():
+    # 40-60 letters on 2-3 strands: coefficients of high degree whose
+    # digits run far beyond those of the short words
+    rng = random.Random(1306)
+    largest = 0
+    for strands in (2, 3, 2, 3, 3):
+        gens = [rng.randint(1, strands - 1) for _ in range(rng.randint(40, 60))]
+        tokens = [rng.choice([i, -i, f"E{i}"]) for i in gens]
+        assert any(isinstance(t, str) for t in tokens) and any(t in range(-9, 0) for t in tokens)
+        h = wide_edge_expand(strands, tokens)
+        ref = ref_expand(strands, tokens)
+        assert h.coeffs == {w: c.as_poly() for w, c in ref.items()}
+        largest = max([largest] + [abs(a) for c in h.coeffs.values() for a in c.terms.values()])
+        value = markov_trace(h).value
+        want = ref_trace(ref, strands)
+        assert value == want and value.render() == want.render()
+    assert largest > 10**6
+
+
+def test_packed_digits_decode_up_to_the_edge_of_the_width():
+    from linkhom.homflypt import _unpack, _width
+
+    for width in (2, 3, 8, 31, 64):
+        top = (1 << (width - 1)) - 1
+        assert _width(top) == width
+        for digits in ({0: top}, {0: -top}, {0: top, 1: -top, 3: top}, {1: -top, 2: 1, 4: -1, 5: top}):
+            packed = sum(d << (width * e) for e, d in digits.items())
+            assert _unpack(packed, width) == digits
+            assert _unpack(-packed, width) == {e: -d for e, d in digits.items()}
+    # an element whose one digit is its whole bound, 2^(W-1) - 1
+    for c in (tq({(0, -2): (1 << 40) - 1}), tq({(0, 4): 1 - (1 << 40)})):
+        h = HeckeElement(2, {(2, 1): c})
+        assert h.width == 41 and h.coeffs == {(2, 1): c}
+
+
+def test_operations_repack_when_the_bound_reaches_the_width():
+    ref = {(2, 1): rf(tq({(0, -2): 5, (0, 0): -7, (0, 2): 3})), (1, 2): rf(tq({(0, 2): -1}))}
+    h = HeckeElement(2, ref)
+    assert (h.bound, h.width, h.shift) == (16, 6, 1)  # 16 < 2^5
+    ops = {1: HeckeElement.right_gen, -1: HeckeElement.right_gen_inverse, "E1": HeckeElement.right_wide}
+    widths = []
+    for tok in (1, -1, "E1", -1, 1) + ("E1",) * 30:  # the first bound, 48, reaches 2^5
+        h, ref = ops[tok](h, 1), ref_step(ref, tok)
+        widths.append(h.width)
+        assert h.coeffs == {w: v.as_poly() for w, v in ref.items()}
+    assert (h.bound, h.shift) == (16 * 3**35, 3)
+    assert widths[0] > 6 and sorted(widths) == widths and len(set(widths)) > 2
+    assert max(abs(a) for c in h.coeffs.values() for a in c.terms.values()) >> widths[0]
+    assert markov_trace(h).value == ref_trace(ref, 2)
+    # an element packed narrow is re-packed by the trace
+    five = HeckeElement.identity(5)
+    assert five.width == 2 and markov_trace(five).value == loop_value() ** 4
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{(1, 0): 1}, {(0, 1): 1}, {(0, 0): 1, (0, 3): 2}, {(0, Fraction(1, 2)): 1}, {(-1, 2): 4}],
+)
+def test_hecke_element_rejects_coefficients_outside_z_q2(terms):
+    with pytest.raises(ValueError, match="q\\^\\+-2"):
+        HeckeElement(2, {(1, 2): tq({(0, 0): 1}), (2, 1): tq(terms)})
+
+
+def test_G_is_the_reduced_product_of_F_and_a_power_of_alpha():
+    rng = random.Random(43)
+    for _ in range(16):
+        b = random_word(rng, max_len=7)
+        omega = sum(1 if w > 0 else -1 for w in b.letters) - b.strands + 1
+        want = homfly_F(b).value * alpha_value() ** ((omega - (omega & 1)) // 2)
+        got = homfly_G(b)
+        assert (got.sqrt_alpha, got.omega) == (omega & 1, omega)
+        assert got.value == want and got.value.render() == want.render()
+
+
+def test_specialize_names_the_reduced_denominator_that_survives():
+    one_minus_q2 = tq({(0, 0): 1, (0, 2): -1})
+    with pytest.raises(ArithmeticError, match="^specialization left a denominator: q\\^2 - 1$"):
+        specialize_Gn(HomflyValue(rf(LaurentPoly.one(TQ), one_minus_q2)), 2)
+    value = rf(tq({(0, 0): 1, (-1, 0): 3}), tq({(0, 0): 1, (0, 2): -1, (0, 4): 1}))
+    with pytest.raises(ArithmeticError, match="^specialization left a denominator: q\\^4 - q\\^2 \\+ 1$"):
+        specialize_Gn(HomflyValue(value, sqrt_alpha=1), 3)
+
+
+# The rendered G, G_2 and G_3 of every corpus diagram of up to 8 crossings,
+# the 10 braids of the homfly benchmark and three 8-9 strand words.  The
+# digest was recorded with Hecke coefficients held as LaurentPoly values,
+# an implementation independent of the packed one.
+PINNED_BRAIDS = (
+    "6: -5 -1 5 4 -4 4 2 2 -3 -5 -5 1 1 1 -4",
+    "5: 1 3 1 2 3 4 -1 2 -1 -3 -4 -1 -3 2 -4 -1 -3 4",
+    "5: -4 2 4 3 4 -1 3 3 -1 1 4 -2 -3 -1 2",
+    "6: -2 -3 2 -3 4 3 -1 -2 2 2 5 1 4 -3 -1 5 -3 -5 3 4 -3",
+    "5: 4 1 -3 3 1 4 -2 1 -1 -1 -2 -2 3 -2 -4 3 2 1 1",
+    "5: -4 -3 4 2 -2 -2 -3 4 1 2 1 1 1 -4 1 2 -2 -2 4 -1 -3",
+    "5: -4 1 -2 -1 4 1 1 3 2 2 -2 1 -1 -3 -2 3 4 1 -1 4",
+    "5: -1 3 4 -3 1 3 -2 1 -2 -1 -1 -2 -2 -2 3 -2 -3 4 4 -4 2 4",
+    "6: 5 -4 -3 4 3 5 4 5 3 -2 -5 -2 -3 5 1 -1 -4 2 -1 3 -2 3",
+    "6: -2 2 3 -3 -2 3 -5 1 -5 -1 -3 -4 4 2 -5 2 2 -3 -2",
+    "8: 3 -2 6 1 2 4 4 -4 -4 7 -1 -2 6 -5 -4 -6 6 -1 4 -1 3 6 4 5 5 5 4 2 -6 -3 -7 -2 7 5 -6 -6 -5 3 3"
+    " -5 7 3 1 -3",
+    "9: 5 7 -7 -7 7 3 4 5 1 -6 7 3 -8 -7 2 -2 2 6 8 2 1 6 -2 -6 -6 8 1 3 6 -8 2 4 -8 7 2 -3 -2 -7 -8 1"
+    " 1 -2 4 1 -7 4 6 -4 5 -2 -7 5",
+    "9: 1 -7 -6 4 -8 4 -1 2 -7 7 -1 1 -3 6 -5 -2 -3 -8 3 6 2 2 -1 -5 -2 -5 -8 5 2 8 6 2 -3 -1 7 -1 4 4"
+    " 8 6 7 -4 2 -8 8 -4 2 4 -2",
+)
+
+
+def test_homfly_outputs_match_pinned_digest():
+    import hashlib
+
+    from linkhom.corpus import corpus_diagrams
+
+    words = [b.text() for b in corpus_diagrams(max_crossings=8)] + list(PINNED_BRAIDS)
+    digest = hashlib.sha256()
+    for text in words:
+        g = homfly_G(parse_braid(text))
+        rows = [text, g.render(), specialize_Gn(g, 2).render(), specialize_Gn(g, 3).render()]
+        digest.update(("\n".join(rows) + "\n").encode())
+    assert len(words) == 46
+    assert digest.hexdigest() == "01276e8aa8346314f07fbf9f253ed4157186fefb4ac4c0dcec3a9b639136466a"

@@ -180,6 +180,30 @@ def test_divide_exact_and_failure():
         qp({0: 1, 1: 1}).divide_exact(qp({0: 2}))
 
 
+def test_divide_exact_raises_where_the_quotient_is_a_power_series():
+    # 1 / (1 - q^2) = 1 + q^2 + q^4 + ... : the division would run forever
+    with pytest.raises(ValueError):
+        LaurentPoly.one(Q).divide_exact(qp({0: 1, 2: -1}))
+    with pytest.raises(ValueError):
+        qp({-3: 2, 5: 1}).divide_exact(qp({0: 1, 1: 1}))
+    # (1 + t) / (1 - q) walks t q^-1, t q^-2, ... while staying lex above
+    # the least exponent, so only the bound on each variable stops it
+    with pytest.raises(ValueError):
+        tq({(0, 0): 1, (1, 0): 1}).divide_exact(tq({(0, 0): 1, (0, 1): -1}))
+    with pytest.raises(ValueError):
+        tq({(1, -2): 1}).divide_exact(tq({(1, 1): 1, (0, 0): 1}))
+
+
+def test_divide_exact_recovers_random_factors():
+    rng = random.Random(5)
+    for variables in (Q, QT) * 20:
+        a = _random_poly(rng, variables)
+        b = _random_poly(rng, variables)
+        if b.is_zero():
+            continue
+        assert (a * b).divide_exact(b) == a
+
+
 def test_arity_mismatch_raises():
     with pytest.raises(ValueError):
         qp({0: 1}) + tq({(0, 0): 1})
