@@ -1,9 +1,11 @@
 """Graph polynomials and their categorified chain complexes.
 
 The dichromatic polynomial is computed by the spanning-subgraph state
-sum and cross-checked by deletion-contraction; the Tutte polynomial is
-its reparametrization.  Three chain theories are built over the cube of
-spanning subgraphs:
+sum and cross-checked by deletion-contraction.  Its terms are the table
+from (edges kept, components) to the signed count of such subgraphs, and
+the Tutte polynomial, the specializations and D_G are read off that one
+table.  Three chain theories are built over the cube of spanning
+subgraphs:
 
  * the finite specialization complex, one copy of Z[X]/(X^(n+1)) per
    component, with the added-edge-inside-a-component map either zero or
@@ -158,10 +160,9 @@ def dichromatic(g: Multigraph) -> LaurentPoly:
     acc: dict[tuple[int, int], int] = {}
     for mask in range(1 << g.n_edges):
         i = mask.bit_count()
-        k = states.state(mask)[0]
-        key = (i, k)
+        key = (i, states.state(mask)[0])
         acc[key] = acc.get(key, 0) + (-1 if i & 1 else 1)
-    return LaurentPoly.from_terms(QV, acc)
+    return LaurentPoly(QV, acc)
 
 
 def dichromatic_delete_contract(g: Multigraph) -> LaurentPoly:
@@ -187,15 +188,13 @@ def dichromatic_delete_contract(g: Multigraph) -> LaurentPoly:
 
 def tutte(g: Multigraph) -> LaurentPoly:
     """State sum (x-1)^(k(s)-k(E)) (y-1)^(|s|-N+k(s))."""
-    states = _graph_states(g)
-    k_full = states.state((1 << g.n_edges) - 1)[0]
+    table = dichromatic(g).terms  # (|s|, k(s)) -> (-1)^|s| times the number of such s
+    k_full = min(k for _, k in table)  # the whole edge set has the fewest components
     xm1 = LaurentPoly.from_terms(XY, {(1, 0): 1, (0, 0): -1})
     ym1 = LaurentPoly.from_terms(XY, {(0, 1): 1, (0, 0): -1})
     out = LaurentPoly.zero(XY)
-    for mask in range(1 << g.n_edges):
-        i = mask.bit_count()
-        k = states.state(mask)[0]
-        out = out + xm1 ** (k - k_full) * ym1 ** (i - g.n_vertices + k)
+    for (i, k), c in table.items():
+        out = out + (xm1 ** (k - k_full) * ym1 ** (i - g.n_vertices + k)).scale(-c if i & 1 else c)
     return out
 
 
@@ -237,7 +236,7 @@ def specialize_Pn(g: Multigraph, n: int) -> LaurentPoly:
     braces = LaurentPoly.from_terms(Q, {i: 1 for i in range(n + 1)})
     out = LaurentPoly.zero(Q)
     for (eq, ev), c in p.terms.items():
-        out = out + (qn ** (eq // 2) * braces ** (ev // 2)).scale(c)
+        out = out + (qn ** eq * braces ** ev).scale(c)
     return out
 
 
@@ -252,19 +251,15 @@ def specialize_Qn(g: Multigraph, n: int, window: tuple[int, int]) -> LaurentPoly
     lo, hi = window
     if lo > hi:
         raise InputError("empty window")
-    states = _graph_states(g)
     acc = {e: 0 for e in range(lo, hi + 1)}
-    for mask in range(1 << g.n_edges):
-        i = mask.bit_count()
-        k = states.state(mask)[0]
-        sign = -1 if i & 1 else 1
+    for (i, k), c in dichromatic(g).terms.items():
         # q^i * q^(k(n-1)) * sum_d C(d+k-1, k-1) q^(-d)
         base = i + k * (n - 1)
         for e in range(lo, hi + 1):
             d = base - e
             if d < 0:
                 continue
-            acc[e] += sign * comb(d + k - 1, k - 1)
+            acc[e] += c * comb(d + k - 1, k - 1)
     return LaurentPoly.from_terms(Q, acc)
 
 
@@ -350,7 +345,7 @@ def polygon_reference(k: int, n: int) -> HomologyTable:
 
     entries: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for (ti, qj), c in free.terms.items():
-        entries[(ti // 2, qj // 2)] = (c, ())
+        entries[(ti, qj)] = (c, ())
     for (i, j) in torsion_at:
         rank, tors = entries.get((i, j), (0, ()))
         entries[(i, j)] = (rank, tors + (n + 1,))
@@ -415,16 +410,13 @@ def Qn_homology(g: Multigraph, n: int, window: tuple[int, int]) -> HomologyTable
 
 def dichromatic_DG(g: Multigraph) -> RationalFn:
     """(1 + t^-1 q)^m P(q, (1 + t^-1 q)/(1 - q)), exactly."""
-    states = _graph_states(g)
     m = g.n_edges
     one_plus = LaurentPoly.from_terms(TQ, {(0, 0): 1, (-1, 1): 1})
     one_minus_q = LaurentPoly.from_terms(TQ, {(0, 0): 1, (0, 1): -1})
     # components k -> {edges kept i: signed count (-1)^i of such states}
     by_k: dict[int, dict[int, int]] = {}
-    for mask in range(1 << m):
-        i = mask.bit_count()
-        counts = by_k.setdefault(states.state(mask)[0], {})
-        counts[i] = counts.get(i, 0) + (-1 if i & 1 else 1)
+    for (i, k), c in dichromatic(g).terms.items():
+        by_k.setdefault(k, {})[i] = c
     top = max(by_k)
     num = LaurentPoly.zero(TQ)
     for k, counts in by_k.items():

@@ -812,10 +812,6 @@ class HomologyTable:
         sel = {k: v for k, v in self.entries.items() if lo <= k[0] <= hi}
         return HomologyTable(sel, self.shift, self.source)
 
-    def shifted(self, di: int, dj: int) -> "HomologyTable":
-        sel = {(i + di, j + dj): v for (i, j), v in self.entries.items()}
-        return HomologyTable(sel, self.shift, self.source)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, HomologyTable) and self.entries == other.entries
 

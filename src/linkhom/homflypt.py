@@ -117,9 +117,9 @@ class HeckeElement:
         digits = {}  # w -> {e: a} with the coefficient sum of a Q^e
         for w, c in (coeffs or {}).items():
             c = c.as_poly() if isinstance(c, RationalFn) else c
-            if c.vars != TQ or any(k[0] or k[1] % 4 for k in c.terms):  # half-step exponents
+            if c.vars != TQ or any(k[0] or k[1] % 2 for k in c.terms):
                 raise ValueError(f"Hecke coefficient {c} is not in Z[q^+-2]")
-            digits[w] = {k[1] // 4: a for k, a in c.terms.items()}
+            digits[w] = {k[1] // 2: a for k, a in c.terms.items()}
         bound = sum(abs(a) for d in digits.values() for a in d.values())
         L, W = max(0, max((-e for d in digits.values() for e in d), default=0)), _width(bound)
         terms = {w: c for w, d in digits.items() if (c := sum(a << (W * (e + L)) for e, a in d.items()))}
@@ -138,7 +138,7 @@ class HeckeElement:
     @property
     def coeffs(self) -> dict[Perm, LaurentPoly]:
         L, W = self.shift, self.width
-        return {w: LaurentPoly(TQ, {(0, 4 * (e - L)): a for e, a in _unpack(c, W).items()})
+        return {w: LaurentPoly(TQ, {(0, 2 * (e - L)): a for e, a in _unpack(c, W).items()})
                 for w, c in self.terms.items()}
 
     def _room(self, growth: int) -> "HeckeElement":
@@ -277,8 +277,8 @@ def _trace(h: HeckeElement) -> RationalFn:
             sums[j] = sums.get(j, 0) + comb(k, j) * c
         if k:
             den -= den << h.width
-    num = {(-2 * j, 4 * (e - h.shift) + 2 * j): a for j, c in sums.items() for e, a in _unpack(c, h.width).items()}
-    den = {(0, 4 * e): a for e, a in _unpack(den, h.width).items()}
+    num = {(-j, 2 * (e - h.shift) + j): a for j, c in sums.items() for e, a in _unpack(c, h.width).items()}
+    den = {(0, 2 * e): a for e, a in _unpack(den, h.width).items()}
     return RationalFn(LaurentPoly(TQ, num), LaurentPoly(TQ, den))
 
 
@@ -305,7 +305,7 @@ def _normalize_G(f: HomflyValue, b: BraidWord) -> HomflyValue:
     half_pairs = (omega - parity) // 2
     # alpha^half_pairs = (-1)^half_pairs t^-half_pairs q^-half_pairs is a unit, so
     # it scales F's numerator and leaves the fraction reduced and canonical
-    num = f.value.num._shift_half((-2 * half_pairs, -2 * half_pairs))
+    num = f.value.num.shift((-half_pairs, -half_pairs))
     value = RationalFn._of(-num if half_pairs & 1 else num, f.value.den)
     return HomflyValue(value, sqrt_alpha=parity, omega=omega)
 

@@ -105,7 +105,7 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
                     for e, c in poly.items():
                         acc[e + s] = acc.get(e + s, 0) + w * c
         matchings = nxt
-    return LaurentPoly(Q, {(2 * e,): c for poly in matchings.values() for e, c in poly.items()})  # in half steps
+    return LaurentPoly(Q, {(e,): c for poly in matchings.values() for e, c in poly.items()})
 
 
 def kauffman_bracket_recursive(d: Diagram) -> LaurentPoly:
@@ -488,6 +488,6 @@ def stable_poincare(m: int, n_values) -> tuple[list[tuple[int, LaurentPoly]], li
 
 def _t_coeffs_agree(p1: LaurentPoly, p2: LaurentPoly, bound_exclusive: int) -> bool:
     def slice_poly(p):
-        return {k: v for k, v in p.terms.items() if k[0] // 2 < bound_exclusive}
+        return {k: v for k, v in p.terms.items() if k[0] < bound_exclusive}
 
     return slice_poly(p1) == slice_poly(p2)

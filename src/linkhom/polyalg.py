@@ -2,8 +2,8 @@
 
 Everything is computed over arbitrary-precision integers; there is no
 floating point anywhere in this package.  Polynomials carry one or two
-named variables and admit half-integer exponents, which are stored
-internally as doubled integers (the exponent 3/2 is stored as 3).
+named variables with integer exponents; ``terms`` maps each exponent
+tuple to its nonzero coefficient.
 
 ``LaurentPoly`` arithmetic is plain dict arithmetic on integer
 coefficients.  The polynomial gcd runs only where a ``RationalFn`` is
@@ -16,12 +16,9 @@ at the end, as ``substitute`` does (over den^E * num^N).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from operator import add
-from typing import Mapping, Union
-
-Exponent = Union[int, Fraction]
+from operator import add, index
+from typing import Mapping
 
 __all__ = [
     "LaurentPoly",
@@ -30,28 +27,22 @@ __all__ = [
 ]
 
 
-def _half_steps(e: Exponent) -> int:
-    if type(e) is int:  # the common case; bool and the rest go through Fraction
-        return 2 * e
-    f = Fraction(e) * 2
-    if f.denominator != 1:
-        raise ValueError(f"exponent {e!r} is not an integer or half-integer")
-    return int(f)
-
-
 def _key(arity: int, exps) -> tuple[int, ...]:
     if arity == 1 and not isinstance(exps, tuple):
         exps = (exps,)
     if len(exps) != arity:
         raise ValueError(f"expected {arity} exponents, got {exps!r}")
-    return tuple(_half_steps(e) for e in exps)
+    try:
+        return tuple(map(index, exps))
+    except TypeError:
+        raise ValueError(f"exponents {exps!r} are not integers") from None
 
 
 class LaurentPoly:
     """Laurent polynomial in one or two named variables.
 
     Instances are immutable by convention; all operations return fresh
-    values.  Internal exponents count half-steps.
+    values.
     """
 
     __slots__ = ("vars", "terms")
@@ -125,7 +116,7 @@ class LaurentPoly:
         return g
 
     def min_exps(self) -> tuple[int, ...]:
-        """Componentwise minimum of the (half-step) exponents; zero if empty."""
+        """Componentwise minimum of the exponents; zero if empty."""
         if not self.terms:
             return (0,) * self.arity
         cols = zip(*self.terms.keys())
@@ -178,10 +169,7 @@ class LaurentPoly:
 
     def shift(self, exps) -> "LaurentPoly":
         """Multiply by the monomial with the given exponents."""
-        return self._shift_half(_key(self.arity, exps))
-
-    def _shift_half(self, k0: tuple[int, ...]) -> "LaurentPoly":
-        """Multiply by the monomial with the given half-step exponents."""
+        k0 = _key(self.arity, exps)
         return LaurentPoly(self.vars, {tuple(map(add, k, k0)): c for k, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
@@ -280,12 +268,10 @@ class LaurentPoly:
         # exponent of ``which`` -> the rest of each term, in value.vars
         by_exp: dict[int, dict[tuple[int, ...], int]] = {}
         for k, c in self.terms.items():
-            if k[pos] & 1:
-                raise ValueError("cannot substitute into a half-integer exponent")
             mono = [0] * len(vvars)
             for src, dst in rest_pos:
                 mono[dst] = k[src]
-            by_exp.setdefault(k[pos] // 2, {})[tuple(mono)] = c
+            by_exp.setdefault(k[pos], {})[tuple(mono)] = c
         big_e = max(max(by_exp, default=0), 0)
         big_n = max(-min(by_exp, default=0), 0)
         if big_n and num.is_zero():
@@ -299,12 +285,6 @@ class LaurentPoly:
 
     # ---------- rendering ----------
 
-    def _exp_str(self, e_half: int) -> str:
-        if e_half % 2 == 0:
-            e = e_half // 2
-            return str(e) if e >= 0 else f"({e})"
-        return f"({e_half}/2)"
-
     def render(self) -> str:
         if not self.terms:
             return "0"
@@ -315,10 +295,10 @@ class LaurentPoly:
             for var, e in zip(self.vars, k):
                 if e == 0:
                     continue
-                if e == 2:
+                if e == 1:
                     factors.append(var)
                 else:
-                    factors.append(f"{var}^{self._exp_str(e)}")
+                    factors.append(f"{var}^{e}" if e > 0 else f"{var}^({e})")
             if not factors:
                 body = str(abs(c))
             elif abs(c) == 1:
@@ -344,7 +324,7 @@ class LaurentPoly:
             entry = {var: e for var, e in zip(self.vars, k)}
             entry["c"] = self.terms[k]
             terms.append(entry)
-        return {"vars": list(self.vars), "half_steps": True, "terms": terms}
+        return {"vars": list(self.vars), "terms": terms}
 
 
 def _powers(p: LaurentPoly, top: int) -> list[LaurentPoly]:
@@ -525,40 +505,21 @@ def _pow1(p: dict[int, int], n: int) -> dict[int, int]:
     return out
 
 
-def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """A gcd of two Laurent polynomials, as an ordinary polynomial with
-    minimal exponents zero (unique up to sign)."""
-    if a.vars != b.vars:
-        raise ValueError("variable mismatch")
-    variables = a.vars
-    if a.is_zero() and b.is_zero():
-        return LaurentPoly.zero(variables)
+def _gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """A gcd, up to sign, of two nonzero polynomials with minimal exponents
+    zero; it has minimal exponents zero too."""
+    if a.arity == 1:
+        g = _gcd1({k[0]: c for k, c in a.terms.items()}, {k[0]: c for k, c in b.terms.items()})
+        return LaurentPoly(a.vars, {(k,): c for k, c in g.items()})
 
-    def shifted(p: LaurentPoly):
-        m = p.min_exps()
-        return {tuple(e - me for e, me in zip(k, m)): c for k, c in p.terms.items()}
+    def nest(p: LaurentPoly) -> dict[int, dict[int, int]]:
+        out: dict[int, dict[int, int]] = {}
+        for (e0, e1), c in p.terms.items():
+            out.setdefault(e0, {})[e1] = c
+        return out
 
-    ta, tb = shifted(a), shifted(b)
-    if len(variables) == 1:
-        g = _gcd1({k[0]: c for k, c in ta.items()}, {k[0]: c for k, c in tb.items()})
-        poly = LaurentPoly(variables, {(k,): c for k, c in g.items()})
-    else:
-        def nest(t):
-            out: dict[int, dict[int, int]] = {}
-            for (e0, e1), c in t.items():
-                out.setdefault(e0, {})[e1] = c
-            return out
-
-        g2 = _gcd2(nest(ta), nest(tb))
-        flat = {(e0, e1): c for e0, coeff in g2.items() for e1, c in coeff.items()}
-        poly = LaurentPoly(variables, flat)
-    if poly.is_zero():
-        return poly
-    # normalize minimal exponents to zero and the lex-greatest coefficient positive
-    poly = poly._shift_half(tuple(-e for e in poly.min_exps()))
-    if poly.lex_leading()[1] < 0:
-        poly = -poly
-    return poly
+    g2 = _gcd2(nest(a), nest(b))
+    return LaurentPoly(a.vars, {(e0, e1): c for e0, coeff in g2.items() for e1, c in coeff.items()})
 
 
 class RationalFn:
@@ -593,16 +554,16 @@ class RationalFn:
         mn = num.min_exps()
         md = den.min_exps()
         unit = tuple(a - b for a, b in zip(mn, md))
-        nshift = num._shift_half(tuple(-e for e in mn))
-        dshift = den._shift_half(tuple(-e for e in md))
+        nshift = num.shift(tuple(-e for e in mn))
+        dshift = den.shift(tuple(-e for e in md))
         if not dshift.is_one():
-            g = laurent_gcd(nshift, dshift)
-            if not g.is_one():
+            g = _gcd(nshift, dshift)
+            if len(g.terms) > 1 or g.content() > 1:  # not the unit +-1
                 nshift = nshift.divide_exact(g)
                 dshift = dshift.divide_exact(g)
             if dshift.lex_leading()[1] < 0:
                 nshift, dshift = -nshift, -dshift
-        return nshift._shift_half(unit), dshift
+        return nshift.shift(unit), dshift
 
     # ---------- constructors ----------
 

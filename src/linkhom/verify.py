@@ -418,8 +418,7 @@ def appendix_a_cycle_identity(k: int) -> tuple[bool, str]:
         br = kauffman_bracket(braid_closure(BraidWord(2, letters)))
         rhs = RationalFn.zero(Q)
         usable = True
-        for (e,), c in br.terms.items():
-            m = e // 2
+        for (m,), c in br.terms.items():
             if (m - k) % 2:
                 usable = False
                 break

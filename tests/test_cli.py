@@ -206,3 +206,46 @@ def test_out_of_range_parameters_exit_2(tmp_path, argv):
     code, out, err = invoke([str(gfile) if a == "GRAPH" else a for a in argv])
     assert code == 2 and not out
     assert err.startswith(("input error:", "usage error:"))
+
+
+def _sweep_calls():
+    import random
+
+    from linkhom.corpus import corpus_diagrams
+
+    for b in corpus_diagrams(max_crossings=8):
+        t = b.text()
+        yield ["bracket", t]
+        yield ["jones", t]
+        yield ["homfly", t, "--specialize", "2", "--format", "json"]
+        yield ["homfly", t, "--var", "at"]
+        yield ["kh", t, "--format", "json"]
+        yield ["kh", t, "--poincare"]
+    rng = random.Random(14)
+    for _ in range(25):
+        n = rng.randint(1, 5)
+        edges = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 7))]
+        text = "\n".join([f"v {n}"] + [f"e {u} {v}" for u, v in edges])
+        for flags in (["--dichromatic"], ["--tutte"], ["--pn", "1"], ["--pn", "2"],
+                      ["--qn", "1", "--jwindow=-3..5"], ["--qn", "2", "--jwindow=-2..6"], ["--dg"]):
+            yield ["graph", "poly", text, *flags]
+    yield ["stable", "--m", "2", "--n", "3..6"]
+    for suite in ("kauffman", "theorem18", "theorem20", "theorem23", "theorem24", "theorem8",
+                  "jones-euler", "homfly-axioms", "appendixA", "appendixB", "stability"):
+        yield ["verify", suite]
+
+
+def test_cli_sweep_matches_pinned_digest():
+    # bracket, jones, homfly, kh and poincare on the corpus up to 8 crossings,
+    # every graph poly flag on 25 seeded multigraphs, stable, and the quick
+    # verify suites; the digest was taken before exponents became plain ints
+    import hashlib
+
+    digest, count = hashlib.sha256(), 0
+    for argv in _sweep_calls():
+        code, out, err = invoke(argv)
+        assert code == 0, (argv, err)
+        digest.update(f"{argv}\n{code}\n{out}{err}".encode())
+        count += 1
+    assert count == 385
+    assert digest.hexdigest() == "f65a1c70de813edf281d7d1e6ccd6015cf2d64e1aad50cf5ea18d8a8ee690ea4"

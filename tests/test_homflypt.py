@@ -1,6 +1,5 @@
 """Hecke trace axioms, wide-edge relations, and skein specializations."""
 
-from fractions import Fraction
 import random
 
 import pytest
@@ -457,7 +456,7 @@ def test_operations_repack_when_the_bound_reaches_the_width():
 
 @pytest.mark.parametrize(
     "terms",
-    [{(1, 0): 1}, {(0, 1): 1}, {(0, 0): 1, (0, 3): 2}, {(0, Fraction(1, 2)): 1}, {(-1, 2): 4}],
+    [{(1, 0): 1}, {(0, 1): 1}, {(0, 0): 1, (0, 3): 2}, {(0, -1): 1}, {(-1, 2): 4}],
 )
 def test_hecke_element_rejects_coefficients_outside_z_q2(terms):
     with pytest.raises(ValueError, match="q\\^\\+-2"):
