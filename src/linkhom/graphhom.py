@@ -259,7 +259,8 @@ def specialize_Qn(g: Multigraph, n: int, window: tuple[int, int]) -> LaurentPoly
             d = base - e
             if d < 0:
                 continue
-            acc[e] += c * comb(d + k - 1, k - 1)
+            # with no components (no vertices) the sum is v^0 = 1, at d = 0 alone
+            acc[e] += c * (comb(d + k - 1, k - 1) if k else d == 0)
     return LaurentPoly.from_terms(Q, acc)
 
 
@@ -409,7 +410,9 @@ def Qn_homology(g: Multigraph, n: int, window: tuple[int, int]) -> HomologyTable
 
 
 def dichromatic_DG(g: Multigraph) -> RationalFn:
-    """(1 + t^-1 q)^m P(q, (1 + t^-1 q)/(1 - q)), exactly."""
+    """(1 + t^-1 q)^m P(q, (1 + t^-1 q)/(1 - q)), exactly: one numerator
+    over (1 - q)^top, top the most components of a state, that cancels
+    1 - q while it divides; no polynomial gcd runs."""
     m = g.n_edges
     one_plus = LaurentPoly.from_terms(TQ, {(0, 0): 1, (-1, 1): 1})
     one_minus_q = LaurentPoly.from_terms(TQ, {(0, 0): 1, (0, 1): -1})
@@ -422,4 +425,5 @@ def dichromatic_DG(g: Multigraph) -> RationalFn:
     for k, counts in by_k.items():
         signed = LaurentPoly.from_terms(TQ, {(0, i): c for i, c in counts.items()})
         num = num + signed * one_plus ** (m + k) * one_minus_q ** (top - k)
-    return RationalFn(num, one_minus_q ** top)
+    # 1 - q is irreducible, so it is the only factor num can share with the denominator
+    return RationalFn._over_power(num, one_minus_q, top)

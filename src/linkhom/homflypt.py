@@ -20,7 +20,8 @@ The trace eliminates one strand at a time: a basis permutation either
 fixes the last point (closing a free circle, of value d = (1 + t^-1 q)/(1 - q^2))
 or factors uniquely through the top transposition.  Terms are kept apart
 by the number k of circles closed, so the trace is sum_k P_k d^k with
-P_k in Z[Q^+-1], formed as one fraction over (1 - q^2)^K and reduced once.
+P_k in Z[Q^+-1], formed as one numerator over (1 - q^2)^K that cancels
+1 - q^2 while it divides; no polynomial gcd runs.
 
 Wide edges E_i (trivalent resolutions between strands i and i+1) expand
 as T_i + q^2, which lets braid words over sigma/E letters be evaluated
@@ -275,11 +276,12 @@ def _trace(h: HeckeElement) -> RationalFn:
         c = by_circles.get(k, 0) * den
         for j in range(k + 1):
             sums[j] = sums.get(j, 0) + comb(k, j) * c
-        if k:
-            den -= den << h.width
+        den -= den << h.width
     num = {(-j, 2 * (e - h.shift) + j): a for j, c in sums.items() for e, a in _unpack(c, h.width).items()}
-    den = {(0, 2 * e): a for e, a in _unpack(den, h.width).items()}
-    return RationalFn(LaurentPoly(TQ, num), LaurentPoly(TQ, den))
+    # Only 1 - q^2 as a whole can cancel: t -> -t, q -> -q fixes every term
+    # t^-j q^(2e+j) of num and swaps 1 - q with 1 + q, so num holds both
+    # factors equally often, and (1 - q)^top (1 + q)^top has no other factor.
+    return RationalFn._over_power(LaurentPoly(TQ, num), _ONE_MINUS_Q2, top)
 
 
 def homfly_F(b: BraidWord) -> HomflyValue:

@@ -12,10 +12,19 @@ once, and the ring operations on ``RationalFn`` build one new fraction
 each.  Callers that add up many fractions therefore sum numerators over
 a common denominator as ``LaurentPoly`` and form a single ``RationalFn``
 at the end, as ``substitute`` does (over den^E * num^N).
+
+The gcd is one primitive polynomial remainder sequence for every arity:
+it sees a polynomial as {exponent: coefficient} in its first variable,
+each coefficient an int or a polynomial of the same form in the next
+variable.  Where the denominator is a known power base^n and nothing but
+base itself can cancel, ``RationalFn._over_power`` divides base out of
+the numerator instead and runs no gcd: the HOMFLYPT trace (base 1 - q^2)
+and the graph series D_G (base 1 - q) are formed that way.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd
 from operator import add, index
 from typing import Mapping
@@ -108,12 +117,6 @@ class LaurentPoly:
 
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.arity: 1}
-
-    def content(self) -> int:
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, abs(c))
-        return g
 
     def min_exps(self) -> tuple[int, ...]:
         """Componentwise minimum of the exponents; zero if empty."""
@@ -338,188 +341,96 @@ def _powers(p: LaurentPoly, top: int) -> list[LaurentPoly]:
 # ---------------------------------------------------------------------------
 # polynomial gcd (used by RationalFn reduction)
 # ---------------------------------------------------------------------------
-# Univariate helpers work on dicts {degree: coeff} with nonnegative degrees.
 
 
-def _c1(p: dict[int, int]) -> int:
-    g = 0
-    for c in p.values():
-        g = gcd(g, abs(c))
-    return g
+class _Poly(dict):
+    """{exponent: coefficient} with nonnegative exponents, each coefficient
+    an int or a _Poly in the next variable.  Both kinds of coefficient
+    take +, unary - and *, so one set of helpers serves every arity."""
 
-
-def _pp1(p: dict[int, int]) -> dict[int, int]:
-    g = _c1(p)
-    if g <= 1:
-        return dict(p)
-    return {k: c // g for k, c in p.items()}
-
-
-def _mul1(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            v = out.get(k, 0) + ca * cb
+    def __add__(self, other):
+        out = _Poly(self)
+        for k, c in other.items():
+            v = out[k] + c if k in out else c
             if v:
                 out[k] = v
             else:
-                out.pop(k, None)
-    return out
+                del out[k]
+        return out
+
+    def __neg__(self):
+        return _Poly({k: -c for k, c in self.items()})
+
+    def __mul__(self, other):
+        out = _Poly()
+        for ka, ca in self.items():
+            for kb, cb in other.items():
+                k, c = ka + kb, ca * cb
+                out[k] = out[k] + c if k in out else c
+        return _Poly({k: c for k, c in out.items() if c})
+
+    def term(self, e, c):
+        """c x^e self, where c is a nonzero coefficient of self."""
+        return _Poly({k + e: c * v for k, v in self.items()})
 
 
-def _sub1(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k, 0) - c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _scale1(a: dict[int, int], c: int) -> dict[int, int]:
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
-def _pos1(p: dict[int, int]) -> dict[int, int]:
-    if p and p[max(p)] < 0:
-        return {k: -c for k, c in p.items()}
-    return dict(p)
-
-
-def _gcd1(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    # gcd(0, b) = b up to sign, integer content included
-    if not a:
-        return _pos1(b)
-    if not b:
-        return _pos1(a)
-    ca, cb = _c1(a), _c1(b)
-    a, b = _pp1(a), _pp1(b)
-    while b:
-        da, db = max(a), max(b)
-        if da < db:
-            a, b = b, a
-            continue
-        # pseudo-remainder of a by b
-        lc = b[max(b)]
-        r = _scale1(a, lc ** (da - db + 1))
-        while r and max(r) >= db:
-            dr = max(r)
-            q = r[dr] // b[db]
-            if r[dr] % b[db]:
-                raise ArithmeticError("pseudo division failed")  # pragma: no cover
-            shiftq = {dr - db: q}
-            r = _sub1(r, _mul1(shiftq, b))
-        a, b = b, _pp1(r)
-    g = _pp1(a)
-    cg = gcd(ca, cb)
-    return _pos1(_scale1(g, cg))
-
-
-# Bivariate polynomials as dicts {main_degree: {second_degree: coeff}}.
-
-
-def _c2(p: dict[int, dict[int, int]]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for coeff in p.values():
-        out = _gcd1(out, coeff)
-        if out == {0: 1}:
-            break
-    return out
-
-
-def _div1_exact(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Exact univariate division (raises if not exact)."""
-    if not a:
-        return {}
-    rem = dict(a)
-    db = max(b)
-    quo: dict[int, int] = {}
-    while rem:
-        dr = max(rem)
-        if dr < db or rem[dr] % b[db]:
+def _div(a, b):
+    """The quotient a / b; raises ValueError unless it is exact."""
+    if isinstance(a, int):
+        q, r = divmod(a, b)
+        if r:
             raise ValueError("not divisible")
-        q = rem[dr] // b[db]
-        quo[dr - db] = q
-        rem = _sub1(rem, _mul1({dr - db: q}, b))
+        return q
+    db, quo = max(b), _Poly()
+    while a:
+        da = max(a)
+        if da < db:
+            raise ValueError("not divisible")
+        quo[da - db] = c = _div(a[da], b[db])
+        a = a + b.term(da - db, -c)
     return quo
 
 
-def _pp2(p: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
-    cont = _c2(p)
-    if not p or cont == {0: 1}:
-        return {k: dict(v) for k, v in p.items()}
-    return {k: _div1_exact(v, cont) for k, v in p.items()}
+def _primitive(p: _Poly) -> tuple:
+    """The content of p (a gcd of its coefficients) and p divided by it."""
+    values = list(p.values())
+    g = gcd(*values) if isinstance(values[0], int) else reduce(_gcd, values)
+    return g, _Poly({k: _div(c, g) for k, c in p.items()})
 
 
-def _mul2(a, b):
-    out: dict[int, dict[int, int]] = {}
-    for ka, ca in a.items():
-        neg = _scale1(ca, -1)
-        for kb, cb in b.items():
-            out[ka + kb] = _sub1(out.get(ka + kb, {}), _mul1(neg, cb))
-    return {k: v for k, v in out.items() if v}
-
-
-def _sub2(a, b):
-    out = dict(a)
-    for k, coeff in b.items():
-        out[k] = _sub1(out.get(k, {}), coeff)
-    return {k: v for k, v in out.items() if v}
-
-
-def _gcd2(a, b):
-    if not a:
-        return {k: dict(v) for k, v in b.items()}
-    if not b:
-        return {k: dict(v) for k, v in a.items()}
-    ca, cb = _c2(a), _c2(b)
-    a, b = _pp2(a), _pp2(b)
+def _gcd(a, b):
+    """A gcd of nonzero a and b, up to sign, by the primitive polynomial
+    remainder sequence (Brown, JACM 1971): the gcd of the contents times
+    the last nonzero primitive remainder."""
+    if isinstance(a, int):
+        return gcd(a, b)
+    (ca, a), (cb, b) = _primitive(a), _primitive(b)
     while b:
-        da, db = max(a), max(b)
-        if da < db:
-            a, b = b, a
-            continue
-        lc = b[max(b)]
-        r = {k: _mul1(v, _pow1(lc, da - db + 1)) for k, v in a.items()}
-        while r and max(r) >= db:
-            dr = max(r)
-            lr = r[dr]
-            lb = b[db]
-            q = _div1_exact(lr, lb)
-            r = _sub2(r, _mul2({dr - db: q}, b))
-        a, b = b, _pp2(r)
-    g = _pp2(a)
-    cg = _gcd1(ca, cb)
-    return _mul2(g, {0: cg})
+        # lc(b)^j a minus a multiple of b, of lower degree than b; b is
+        # primitive, so lc(b)^j shares no factor with it (a first pass
+        # with deg a < deg b only swaps them)
+        db, lb = max(b), b[max(b)]
+        while a and max(a) >= db:
+            da = max(a)
+            a = a.term(0, lb) + b.term(da - db, -a[da])
+        a, b = b, a and _primitive(a)[1]
+    return a.term(0, _gcd(ca, cb))
 
 
-def _pow1(p: dict[int, int], n: int) -> dict[int, int]:
-    out = {0: 1}
-    for _ in range(n):
-        out = _mul1(out, p)
+def _nested(p: LaurentPoly) -> _Poly:
+    out = _Poly()
+    for k, c in p.terms.items():
+        inner = out
+        for e in k[:-1]:
+            inner = inner.setdefault(e, _Poly())
+        inner[k[-1]] = c
     return out
 
 
-def _gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """A gcd, up to sign, of two nonzero polynomials with minimal exponents
-    zero; it has minimal exponents zero too."""
-    if a.arity == 1:
-        g = _gcd1({k[0]: c for k, c in a.terms.items()}, {k[0]: c for k, c in b.terms.items()})
-        return LaurentPoly(a.vars, {(k,): c for k, c in g.items()})
-
-    def nest(p: LaurentPoly) -> dict[int, dict[int, int]]:
-        out: dict[int, dict[int, int]] = {}
-        for (e0, e1), c in p.terms.items():
-            out.setdefault(e0, {})[e1] = c
-        return out
-
-    g2 = _gcd2(nest(a), nest(b))
-    return LaurentPoly(a.vars, {(e0, e1): c for e0, coeff in g2.items() for e1, c in coeff.items()})
+def _flat(p) -> dict:
+    if isinstance(p, int):
+        return {(): p}
+    return {(e,) + k: c for e, inner in p.items() for k, c in _flat(inner).items()}
 
 
 class RationalFn:
@@ -557,8 +468,8 @@ class RationalFn:
         nshift = num.shift(tuple(-e for e in mn))
         dshift = den.shift(tuple(-e for e in md))
         if not dshift.is_one():
-            g = _gcd(nshift, dshift)
-            if len(g.terms) > 1 or g.content() > 1:  # not the unit +-1
+            g = LaurentPoly(variables, _flat(_gcd(_nested(nshift), _nested(dshift))))
+            if not (g.is_one() or (-g).is_one()):
                 nshift = nshift.divide_exact(g)
                 dshift = dshift.divide_exact(g)
             if dshift.lex_leading()[1] < 0:
@@ -574,6 +485,23 @@ class RationalFn:
         object.__setattr__(out, "num", num)
         object.__setattr__(out, "den", den)
         return out
+
+    @classmethod
+    def _over_power(cls, num: LaurentPoly, base: LaurentPoly, n: int) -> "RationalFn":
+        """num / base^n in canonical form, by dividing base out of num while
+        it divides (no gcd).  The caller shows that base has minimal
+        exponents zero and integer content 1, and that num shares no factor
+        with base other than powers of base itself."""
+        while n:
+            try:
+                num = num.divide_exact(base)
+            except ValueError:
+                break
+            n -= 1
+        den = base ** n
+        if den.lex_leading()[1] < 0:
+            num, den = -num, -den
+        return cls._of(num, den)
 
     @classmethod
     def zero(cls, variables: tuple[str, ...]) -> "RationalFn":

@@ -1,10 +1,12 @@
 """Graph polynomials, the cube complexes, and the polygon oracle."""
 
+import io
 import itertools
 import random
 
 import pytest
 
+from linkhom.cli import run
 from linkhom.graphhom import (
     Multigraph,
     Pn_homology,
@@ -354,3 +356,30 @@ def test_spec_caches_are_bounded_and_keep_small_n_warm():
     assert pn.currsize == qn.currsize == pn.maxsize == qn.maxsize == 8
     Pn_homology(TRIANGLE, 1)
     assert graphhom._pn_spec.cache_info().misses == pn.misses + 1
+
+
+def test_dichromatic_dg_equals_the_general_reduction():
+    # D_G divides 1 - q out of its numerator instead of running a gcd; the
+    # general reduction of the same value over an extra (1 - q)^2 agrees
+    one_minus_q = LaurentPoly.from_terms(("t", "q"), {(0, 0): 1, (0, 1): -1})
+    rng = random.Random(29)
+    cancelled = 0
+    for _ in range(25):
+        g = random_graph(rng)
+        v = dichromatic_DG(g)
+        ref = RationalFn(v.num * one_minus_q ** 2, v.den * one_minus_q ** 2)
+        assert (v.num, v.den) == (ref.num, ref.den)
+        top = max(k for _, k in dichromatic(g).terms)
+        cancelled += v.den != one_minus_q ** top
+    assert cancelled > 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_qn_of_the_graph_with_no_vertices_is_one(n):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["graph", "poly", "v 0", "--qn", str(n), "--jwindow", "0..2"], out=out, err=err) == 0
+    assert out.getvalue() == "1\n"
+    empty, window = Multigraph(0, ()), (-1, 2)
+    assert specialize_Qn(empty, n, window) == LaurentPoly.one(Q)
+    assert euler_characteristic(Qn_homology(empty, n, window)) == LaurentPoly.one(Q)
+    assert euler_characteristic(enhanced_homology(empty, window)) == LaurentPoly.one(Q)

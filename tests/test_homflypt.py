@@ -1,9 +1,14 @@
 """Hecke trace axioms, wide-edge relations, and skein specializations."""
 
+import io
 import random
 
 import pytest
 
+import linkhom.polyalg
+from linkhom.cli import run
+from linkhom.corpus import corpus_diagrams
+from linkhom.graphhom import Multigraph, dichromatic_DG
 from linkhom.homflypt import (
     HeckeElement,
     HomflyValue,
@@ -520,3 +525,40 @@ def test_homfly_outputs_match_pinned_digest():
         digest.update(("\n".join(rows) + "\n").encode())
     assert len(words) == 46
     assert digest.hexdigest() == "01276e8aa8346314f07fbf9f253ed4157186fefb4ac4c0dcec3a9b639136466a"
+
+
+def test_trace_fraction_equals_the_general_reduction():
+    # the trace divides 1 - q^2 out of its numerator instead of running a gcd;
+    # the general reduction of the same value over an extra (1 - q^2)^2 agrees
+    b2 = tq({(0, 0): 1, (0, 2): -1}) ** 2
+    cancelled = 0
+    for b in corpus_diagrams():
+        v = markov_trace(hecke_normal_form(b)).value
+        ref = RationalFn(v.num * b2, v.den * b2)
+        assert (v.num, v.den) == (ref.num, ref.den)
+        cancelled += v.den.is_one() and b.strands > 1
+    assert cancelled > 0
+
+
+def test_homfly_and_dg_run_no_polynomial_gcd(monkeypatch):
+    braids = ["5: -4 2 4 3 4 -1 3 3 -1 1 4 -2 -3 -1 2", "3: 1 -2 1 -2", "2: 1 1", "4: 1 1 1 2 3"]
+    graphs = [Multigraph(4, ((1, 2), (2, 3), (3, 4), (4, 1), (1, 1))), Multigraph(3, ((1, 2), (1, 2), (2, 3)))]
+
+    def values():
+        out = []
+        for text in braids:
+            g = G(text)
+            stdout = io.StringIO()
+            assert run(["homfly", text, "--specialize", "2"], out=stdout, err=io.StringIO()) == 0
+            out += [g, specialize_Gn(g, 2), specialize_Gn(g, 3), stdout.getvalue()]
+        return out + [dichromatic_DG(g) for g in graphs]
+
+    want = values()
+
+    def no_gcd(a, b):
+        raise AssertionError("the general polynomial gcd ran")
+
+    monkeypatch.setattr(linkhom.polyalg, "_gcd", no_gcd)
+    with pytest.raises(AssertionError, match="general polynomial gcd"):
+        RationalFn(tq({(0, 0): 1, (0, 1): 1}), tq({(0, 0): 1, (0, 2): -1}))
+    assert values() == want

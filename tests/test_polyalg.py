@@ -308,3 +308,62 @@ def test_substitute_zero_into_negative_exponent():
     with pytest.raises(ZeroDivisionError):
         tq({(-1, 0): 1, (1, 1): 1}).substitute("t", LaurentPoly.zero(Q))
     assert tq({(0, 1): 3, (2, 0): 1}).substitute("t", LaurentPoly.zero(Q)) == qp({1: 3})
+
+
+def _reduction_sweep():
+    """Seeded RationalFn(num * m, den * m) constructions in one and two
+    variables: m is a common polynomial factor, an integer content, a
+    content polynomial in the second variable, or 1, and every third
+    denominator is negated, which makes some lex-leading terms negative."""
+    rng = random.Random(23)
+    for i in range(160):
+        variables = (Q, QT)[i % 2]
+        num = _random_poly(rng, variables, nterms=3, span=3)
+        den = _random_poly(rng, variables, nterms=3, span=2)
+        if den.is_zero():
+            continue
+        kind = i // 2 % 4
+        if kind == 0:
+            m = _random_poly(rng, variables, nterms=2, span=2)
+        elif kind == 1:
+            m = LaurentPoly.constant(variables, rng.choice([2, 3, 6, -4]))
+        elif kind == 2:  # a polynomial in q alone: content in the second variable
+            m = LaurentPoly(variables, {(0,) * (len(variables) - 1) + (e,): rng.randint(1, 3) for e in range(rng.randint(1, 3))})
+        else:
+            m = LaurentPoly.one(variables)
+        if m.is_zero():
+            continue
+        if i % 3 == 0:
+            den = -den
+        yield RationalFn(num * m, den * m)
+
+
+def test_rational_reduction_sweep_matches_pinned_digest():
+    # the digest was taken while each arity had its own hand-written gcd
+    import hashlib
+    import json
+
+    digest, count, reduced = hashlib.sha256(), 0, 0
+    for f in _reduction_sweep():
+        digest.update(f"{f.render()}\n{json.dumps(f.to_json(), sort_keys=True)}\n".encode())
+        count += 1
+        reduced += not f.den.is_one()
+    assert (count, reduced, digest.hexdigest()) == (
+        159, 154, "29e0ff8bd9d77a7bd7e737893816c7174c2ff14e37b792a29f3a48678e8d25eb")
+
+
+def test_over_power_edge_cases_equal_the_general_reduction():
+    one_minus_q = tq({(0, 0): 1, (0, 1): -1})
+    one_plus_t = tq({(0, 0): 1, (1, 0): 1})
+    cases = [
+        (tq({(-1, 2): 3, (0, 0): -1}), 0),  # n = 0: the numerator alone
+        (LaurentPoly.zero(QT), 3),  # zero over 1
+        (one_plus_t.shift((2, -1)), 3),  # base never divides: (1 - q)^3 stays, sign fixed
+        (one_plus_t * one_minus_q ** 2, 3),  # two of three powers cancel
+        (one_plus_t * one_minus_q ** 4, 3),  # every power cancels, one stays in the numerator
+    ]
+    for num, n in cases:
+        got = RationalFn._over_power(num, one_minus_q, n)
+        want = RationalFn(num, one_minus_q ** n)
+        assert (got.num, got.den) == (want.num, want.den)
+    assert RationalFn._over_power(one_plus_t, one_minus_q, 3).den == -one_minus_q ** 3
