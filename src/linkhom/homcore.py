@@ -407,15 +407,6 @@ class GradedComplex:
     def dim(self, i: int, j: int) -> int:
         return self.dims.get((i, j), 0)
 
-    def verify_d_squared(self) -> list[tuple[int, int]]:
-        """The blocks (i, j) whose composite with block (i+1, j) is not 0."""
-        bad = []
-        for (i, j), first in self.diff.items():
-            second = self.diff.get((i + 1, j))
-            if second is not None and not _composite_is_zero((i, j), first, second):
-                bad.append((i, j))
-        return sorted(bad)
-
     def strands(self) -> Iterator[tuple[tuple[int, int], SparseIntMatrix]]:
         """A copy of each block, keyed by (i, j), in strand order (j, then
         i): the form ``strand_homology`` takes over, the complex left as

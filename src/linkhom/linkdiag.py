@@ -118,8 +118,10 @@ class Crossing:
     arcs: tuple[int, int, int, int]  # PD slots (a, b, c, d)
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("crossing sign must be +1 or -1")
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise InputError(f"crossing sign must be +1 or -1, not {self.sign!r}")
+        if type(self.arcs) is not tuple or len(self.arcs) != 4 or any(type(a) is not int for a in self.arcs):
+            raise InputError(f"crossing arcs must be a tuple of 4 ints, not {self.arcs!r}")
 
     def joins(self, bit: int) -> tuple[tuple[int, int], tuple[int, int]]:
         a, b, c, d = self.arcs
@@ -141,10 +143,13 @@ class Diagram:
                 counts[arc] = counts.get(arc, 0) + 1
         for arc, n in counts.items():
             if n != 2:
-                raise ValueError(f"arc {arc} occupies {n} slots, expected 2")
+                raise InputError(f"arc {arc} occupies {n} slots, expected 2")
         for lp in self.loops:
-            if lp in counts:
-                raise ValueError(f"loop label {lp} collides with an arc label")
+            if type(lp) is not int or lp in counts:
+                raise InputError(f"loop label {lp!r} must be an int that labels nothing else")
+            counts[lp] = 1
+        if type(self.provenance) is not str:
+            raise InputError(f"provenance must be a string, not {self.provenance!r}")
 
     @property
     def n_crossings(self) -> int:
@@ -170,60 +175,47 @@ class Diagram:
 
 
 def braid_closure(b: BraidWord) -> Diagram:
-    """Closure of a braid word; crossings carry the (type, occurrence) order."""
+    """Closure of a braid word.
+
+    Arcs 0..p-1 enter at the bottom of the braid, and each letter ends the
+    arcs at its two positions and starts two new ones.  The closure joins
+    the top arc at position i to bottom arc i.  Bottom arcs never move, and
+    an arc a letter starts is the top arc of at most one position, so the
+    join is one {top: bottom} map.  A position no letter touches closes
+    into a crossing-free loop.  The arcs are numbered in the order they
+    start (the bottom arcs by position, then each letter's two), and the
+    crossings ordered by generator, then by occurrence in the word.
+    """
     p = b.strands
-    cur = list(range(p))  # arc id currently at each strand position
-    next_arc = p
-    raw = []  # (type index, occurrence, sign, slots)
-    occ: dict[int, int] = {}
-    for w in b.letters:
+    cur = list(range(p))  # the arc at each position, going up the braid
+    raw = []  # (generator, sign, slots)
+    for k, w in enumerate(b.letters):
         i = abs(w) - 1
-        x, y = cur[i], cur[i + 1]
-        u, v = next_arc, next_arc + 1
-        next_arc += 2
-        if w > 0:
-            slots = (y, v, u, x)
-        else:
-            slots = (x, y, v, u)
-        occ[abs(w)] = occ.get(abs(w), 0) + 1
-        raw.append((abs(w), occ[abs(w)], 1 if w > 0 else -1, slots))
+        x, y, u, v = cur[i], cur[i + 1], p + 2 * k, p + 2 * k + 1
+        raw.append((abs(w), 1, (y, v, u, x)) if w > 0 else (abs(w), -1, (x, y, v, u)))
         cur[i], cur[i + 1] = u, v
-
-    # closure: identify the top arc at each position with the bottom arc
-    parent = list(range(next_arc))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(p):
-        ra, rb = find(cur[i]), find(i)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    used = set()
-    for _, _, _, slots in raw:
-        used.update(find(a) for a in slots)
-    relabel = {root: idx for idx, root in enumerate(sorted(used))}
-    loops = tuple(range(len(used), len(used) + sum(1 for i in range(p) if find(i) not in used and find(i) == i)))
-
-    raw.sort(key=lambda r: (r[0], r[1]))
-    crossings = tuple(
-        Crossing(sign, tuple(relabel[find(a)] for a in slots)) for _, _, sign, slots in raw
-    )
+    bottom = {top: i for i, top in enumerate(cur) if top != i}
+    raw.sort(key=lambda r: r[0])  # stable: each generator's letters stay in word order
+    arcs = sorted({bottom.get(a, a) for _, _, slots in raw for a in slots})
+    label = {arc: n for n, arc in enumerate(arcs)}
+    crossings = tuple(Crossing(sign, tuple(label[bottom.get(a, a)] for a in slots)) for _, sign, slots in raw)
+    loops = tuple(range(len(arcs), len(arcs) + p - len(bottom)))
     return Diagram(crossings, loops, provenance="braid-closure")
 
 
 def parse_pd(text: str) -> Diagram:
-    """Parse PD lines "X a b c d"; slot a is the incoming under-strand.
+    """Parse PD lines "X a b c d", one per crossing, numbered 0, 1, ...
 
-    Orientations are inferred: the under-strand runs a -> c, and each arc
-    label must be incoming at one of its two slots and outgoing at the
-    other.  A component threaded only through over-slots is oriented at
-    one crossing by the consecutive-numbering convention, and from there
-    by propagation like the rest.
+    Slot a is the incoming under-strand and the slots run counterclockwise.
+    Each arc label fills exactly two slots.  Each component is oriented in
+    one walk: from the slot c where an under-strand leaves a crossing,
+    along the arc to the slot it enters by, on through the opposite slot,
+    until the walk closes.  A component that passes over at every crossing
+    is walked from its first crossing, in the direction its labels count
+    up by one there (mod 2n, the consecutive numbering of PD codes).  A
+    strand that would enter at slot c, or an all-over component numbered
+    otherwise, is an InputError.  A positive crossing's over-strand leaves
+    by slot b.
     """
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
@@ -231,75 +223,49 @@ def parse_pd(text: str) -> Diagram:
     quads = []
     for ln in lines:
         toks = ln.replace(",", " ").split()
-        if toks[0].upper() != "X" or len(toks) != 5:
+        if len(toks) != 5 or toks[0].upper() != "X":
             raise InputError(f"malformed PD line {ln!r}")
         try:
             quads.append(tuple(int(t) for t in toks[1:]))
         except ValueError:
             raise InputError(f"malformed PD line {ln!r}") from None
-
-    counts: dict[int, int] = {}
-    for q in quads:
-        for arc in q:
-            counts[arc] = counts.get(arc, 0) + 1
-    for arc, n in counts.items():
-        if n != 2:
-            raise InputError(f"arc {arc} appears {n} times, expected 2")
-
-    # direction[h] for slot handles (crossing index, slot index): +1 out, -1 in
-    direction: dict[tuple[int, int], int] = {}
-    slots_of_arc: dict[int, list[tuple[int, int]]] = {}
+    ends: dict[int, list[tuple[int, int]]] = {}  # arc -> its (crossing, slot)s
     for ci, q in enumerate(quads):
-        for si, arc in enumerate(q):
-            slots_of_arc.setdefault(arc, []).append((ci, si))
-    for ci, q in enumerate(quads):
-        direction[(ci, 0)] = -1  # incoming under
-        direction[(ci, 2)] = +1  # outgoing under
+        for slot, arc in enumerate(q):
+            ends.setdefault(arc, []).append((ci, slot))
+    for arc, at in ends.items():
+        if len(at) != 2:
+            raise InputError(f"arc {arc} appears {len(at)} times, expected 2")
 
+    # following an arc, then the opposite slot, permutes the slots, so each
+    # walk closes where it began, and a strand entering at slot c is the
+    # only way two under-strands can disagree
+    leaves: dict[tuple[int, int], bool] = {}  # (crossing, slot) -> leaves by it
+
+    def walk(ci: int, slot: int) -> None:
+        while (ci, slot) not in leaves:
+            leaves[ci, slot] = True
+            arc = quads[ci][slot]
+            first, second = ends[arc]
+            ci, slot = second if first == (ci, slot) else first
+            if slot == 2:
+                raise InputError(f"arc {arc} enters crossing {ci} where its under-strand leaves")
+            leaves[ci, slot] = False
+            slot ^= 2
+
+    for ci in range(len(quads)):
+        walk(ci, 2)
     total = 2 * len(quads)
-    changed = True
-    while changed:
-        changed = False
-        for arc, (h1, h2) in slots_of_arc.items():
-            d1, d2 = direction.get(h1), direction.get(h2)
-            if d1 is not None and d2 is None:
-                direction[h2] = -d1
-                changed = True
-            elif d2 is not None and d1 is None:
-                direction[h1] = -d2
-                changed = True
-            elif d1 is not None and d2 is not None and d1 == d2:
-                raise InputError(f"inconsistent orientation at arc {arc}")
-        for ci, q in enumerate(quads):
-            db, dd = direction.get((ci, 1)), direction.get((ci, 3))
-            if db is not None and dd is None:
-                direction[(ci, 3)] = -db
-                changed = True
-            elif dd is not None and db is None:
-                direction[(ci, 1)] = -dd
-                changed = True
-            elif db is not None and dd is not None and db == dd:
-                raise InputError(f"inconsistent over-strand orientation at crossing {ci}")
-        unset = [ci for ci in range(len(quads)) if (ci, 1) not in direction]
-        if not changed and unset:
-            # an all-over component: orient its first crossing by
-            # consecutive numbering, then propagate from there
-            ci = unset[0]
-            b, d = quads[ci][1], quads[ci][3]
-            if (b - d) % total == 1:
-                direction[(ci, 1)], direction[(ci, 3)] = +1, -1
-            elif (d - b) % total == 1:
-                direction[(ci, 1)], direction[(ci, 3)] = -1, +1
-            else:
-                raise InputError(f"cannot infer over-strand orientation at crossing {ci}")
-            changed = True
-
-    crossings = []
-    for ci, q in enumerate(quads):
-        # positive crossing: over-strand enters at slot d and exits at slot b
-        sign = 1 if direction[(ci, 3)] == -1 else -1
-        crossings.append(Crossing(sign, q))
-    return Diagram(tuple(crossings), (), provenance="pd-code")
+    for ci, (_, b, _, d) in enumerate(quads):
+        if (ci, 1) in leaves:
+            continue
+        if (b - d) % total == 1:
+            walk(ci, 1)
+        elif (d - b) % total == 1:
+            walk(ci, 3)
+        else:
+            raise InputError(f"cannot orient the over-strand at crossing {ci}: arcs {b} and {d} are not consecutive")
+    return Diagram(tuple(Crossing(1 if leaves[ci, 1] else -1, q) for ci, q in enumerate(quads)))
 
 
 def resolve_crossing(d: Diagram, crossing: int, bit: int) -> Diagram:
@@ -356,6 +322,10 @@ def diagram_to_json(d: Diagram) -> str:
 
 
 def diagram_from_json(text: str) -> Diagram:
-    data = json.loads(text)
-    crossings = tuple(Crossing(x["sign"], tuple(x["arcs"])) for x in data["crossings"])
-    return Diagram(crossings, tuple(data["loops"]), provenance=data["provenance"])
+    """Read ``diagram_to_json``'s text back; anything else is an InputError."""
+    try:
+        data = json.loads(text)
+        crossings = tuple(Crossing(x["sign"], tuple(x["arcs"])) for x in data["crossings"])
+        return Diagram(crossings, tuple(data["loops"]), provenance=data["provenance"])
+    except (json.JSONDecodeError, LookupError, TypeError) as exc:
+        raise InputError(f"malformed diagram JSON: {exc!r}") from None

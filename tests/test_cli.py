@@ -60,6 +60,26 @@ def test_kh_accepts_pd_file(tmp_path):
     assert {"i": -3, "j": -9, "rank": 1, "torsion": []} in rows
 
 
+def test_kh_pd_with_all_over_component(tmp_path):
+    # the component {1, 2} passes over at both crossings, and its labels
+    # are consecutive: the PD reads as the closure of "2: 1 -1"
+    pd = tmp_path / "unlink.pd"
+    pd.write_text("X 3 2 4 1\nX 4 2 3 1\n")
+    code, out, _ = invoke(["kh", str(pd)])
+    assert code == 0
+    assert out == invoke(["kh", "2: 1 -1"])[1]
+
+
+def test_kh_pd_all_over_component_not_consecutive_exits_2(tmp_path):
+    # the same link with the over component's labels 1 and 3: nothing
+    # orients it, and the message names the crossing it was read at
+    pd = tmp_path / "unlink.pd"
+    pd.write_text("X 2 3 4 1\nX 4 3 2 1\n")
+    code, out, err = invoke(["kh", str(pd)])
+    assert code == 2 and not out
+    assert err.startswith("input error:") and "crossing 0" in err
+
+
 def test_homfly_command():
     code, out, _ = invoke(["homfly", "2: 1 1 1", "--specialize", "2"])
     assert code == 0

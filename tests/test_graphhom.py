@@ -141,7 +141,7 @@ def test_pn_complex_euler_matches_specialization():
         g = random_graph(rng, max_vertices=4, max_edges=5)
         for variant in ("zero", "xn"):
             c = build_Pn_complex(g, 1, variant)
-            assert c.verify_d_squared() == []
+            graded_homology(c)  # raises where d^2 != 0
             assert euler_characteristic(c) == specialize_Pn(g, 1)
         c2 = build_Pn_complex(g, 2)
         assert euler_characteristic(c2) == specialize_Pn(g, 2)
@@ -238,7 +238,7 @@ def test_qn_euler_matches_series():
         window = (-3, g.n_edges + g.n_vertices)
         for n in (2, 1):
             c = build_Qn_complex(g, n, window)
-            assert c.verify_d_squared() == []
+            graded_homology(c)  # raises where d^2 != 0
             assert euler_characteristic(c) == specialize_Qn(g, n, window)
 
 

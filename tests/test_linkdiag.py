@@ -1,13 +1,18 @@
 """Diagram combinatorics: parsing, closures, smoothings, cube edges."""
 
+import functools
+import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
 from linkhom.linkdiag import (
     BraidWord,
+    Crossing,
     Diagram,
+    InputError,
     braid_closure,
     conjugate,
     diagram_from_json,
@@ -18,7 +23,8 @@ from linkhom.linkdiag import (
     resolve_crossing,
     stabilize,
 )
-from linkhom.khovanov import _states, jones_unnormalized
+from linkhom.corpus import corpus_diagrams, random_words
+from linkhom.khovanov import _states, jones_unnormalized, khovanov_homology
 
 TREFOIL_PD = """
 X 1 4 2 5
@@ -209,12 +215,16 @@ def test_parse_pd_positive_trefoil():
 
 
 def test_parse_pd_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="arc 1 appears 1 times"):
         parse_pd("X 1 2 3 4")  # labels used once
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         parse_pd("")
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         parse_pd("Y 1 2 2 1")
+    with pytest.raises(InputError):
+        parse_pd("X 1 2 2 1\n,")  # a line of separators only
+    with pytest.raises(InputError, match="arc 1 enters crossing 1"):
+        parse_pd("X 2 3 1 3\nX 2 4 1 4")  # both under-strands leave into arc 1
 
 
 @pytest.mark.parametrize(
@@ -255,14 +265,175 @@ def test_appendix_circle_component_relation():
 
 
 def test_diagram_immutable_and_validated():
-    from linkhom.linkdiag import Crossing
-
-    # loops may not collide with arc labels
-    with pytest.raises(ValueError):
+    # loops may not collide with arc labels or with each other
+    with pytest.raises(InputError, match="loop label 0"):
         Diagram((Crossing(1, (0, 1, 0, 1)),), (0,), provenance="pd-code")
+    with pytest.raises(InputError, match="loop label 2"):
+        Diagram((Crossing(1, (0, 1, 0, 1)),), (2, 2), provenance="pd-code")
     # every arc must fill exactly two slots
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="arc 0 occupies 1 slots"):
         Diagram((Crossing(1, (0, 1, 2, 3)),), (), provenance="pd-code")
     d = braid_closure(parse_braid("2: 1"))
     with pytest.raises(AttributeError):
         d.loops = ()
+
+
+@pytest.mark.parametrize(
+    "sign, arcs",
+    [(1, (1, 2, 3)), (1, (1, 2, 3, 4, 5)), (1, (1, 2, 3, 4.0)), (1, ("1", 2, 3, 4)), (1, [1, 2, 1, 2]),
+     (0, (1, 2, 1, 2)), (True, (1, 2, 1, 2))],
+    ids=["three-arcs", "five-arcs", "float-arc", "str-arc", "list", "sign-0", "sign-bool"],
+)
+def test_crossing_rejects_malformed_fields(sign, arcs):
+    with pytest.raises(InputError, match="crossing"):
+        Crossing(sign, arcs)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{",
+        "{}",
+        "[]",
+        '{"crossings": [{"sign": 1}], "loops": [], "provenance": "pd-code"}',
+        '{"crossings": 5, "loops": [], "provenance": "pd-code"}',
+        '{"crossings": [[1, 2, 1, 2]], "loops": [], "provenance": "pd-code"}',
+        '{"crossings": [{"sign": 1, "arcs": "1212"}], "loops": [], "provenance": "pd-code"}',
+        '{"crossings": [{"sign": "1", "arcs": [1, 2, 1, 2]}], "loops": [], "provenance": "pd-code"}',
+        '{"crossings": [], "loops": ["a"], "provenance": "pd-code"}',
+        '{"crossings": [], "loops": [], "provenance": 5}',
+    ],
+    ids=["bad-json", "missing-keys", "list", "missing-arcs", "crossings-int", "crossing-list", "arcs-str",
+         "sign-str", "loop-str", "provenance-int"],
+)
+def test_diagram_from_json_rejects_malformed_input(text):
+    with pytest.raises(InputError):
+        diagram_from_json(text)
+
+
+def pd_text(crossings) -> str:
+    """PD lines "X a b c d": ``Crossing.arcs`` is already in slot order."""
+    return "\n".join("X " + " ".join(map(str, x.arcs)) for x in crossings)
+
+
+def relabel(crossings, labels) -> tuple:
+    return tuple(Crossing(x.sign, tuple(labels[a] for a in x.arcs)) for x in crossings)
+
+
+def in_slots(x: Crossing) -> tuple[int, int]:
+    """The slots where the strands enter: a for the under-strand, d for
+    the over-strand of a positive crossing and b for a negative one's."""
+    return 0, 3 if x.sign > 0 else 1
+
+
+def successors(crossings) -> dict[int, int]:
+    """The arc that follows each arc along its component's orientation."""
+    return {x.arcs[s]: x.arcs[s ^ 2] for x in crossings for s in in_slots(x)}
+
+
+def consecutive(crossings) -> tuple:
+    """The crossings with their arcs renumbered 1, 2, ... along each
+    component, each starting at an arc that enters its first crossing, so
+    the numbering never wraps at that crossing."""
+    after, labels = successors(crossings), {}
+    for x in crossings:
+        for s in in_slots(x):
+            arc = x.arcs[s]
+            while arc not in labels:
+                labels[arc] = len(labels) + 1
+                arc = after[arc]
+    return relabel(crossings, labels)
+
+def has_all_over_component(crossings) -> bool:
+    after, under = successors(crossings), {x.arcs[0] for x in crossings}
+    for start in after:
+        arc, comp = start, set()
+        while arc not in comp:
+            comp.add(arc)
+            arc = after[arc]
+        if not comp & under:
+            return True
+    return False
+
+
+def round_trip_cases():
+    """Every corpus closure and 200 seeded random ones, with their mirrors,
+    each with PD texts and the crossings each must parse to: the diagram
+    written as it is, with its lines shuffled and its labels permuted, and
+    renumbered consecutively after the shuffle.  Where a link has an
+    all-over component, only the consecutive text has a defined reading,
+    and the others come with None.  Closures with crossing-free loops have
+    no PD code and are left out."""
+    rng = random.Random(16)
+    for b in corpus_diagrams() + random_words(16, 200):
+        d = braid_closure(b)
+        if d.loops:
+            continue
+        for e in (d, mirror(d)):
+            arcs = e.arc_labels()
+            permuted = dict(zip(arcs, rng.sample(range(1, len(arcs) + 1), len(arcs))))
+            shuffled = relabel(rng.sample(e.crossings, len(e.crossings)), permuted)
+            readable = not has_all_over_component(e.crossings)
+            texts = [(e.crossings, readable), (shuffled, readable), (consecutive(shuffled), True)]
+            yield e, e is d, [(pd_text(xs), xs if ok else None) for xs, ok in texts]
+
+
+def test_pd_round_trip():
+    # parsing gives back the crossings and signs; on up to 8 crossings the
+    # shuffled and renumbered diagram has the Jones polynomial of the
+    # closure it came from, and the Khovanov table too where the closure
+    # is not a mirror (a mirror's table is the dual one, and doubles the
+    # time)
+    read = unread = 0
+    for d, unmirrored, texts in round_trip_cases():
+        for text, expected in texts:
+            if expected is None:
+                unread += 1
+                continue
+            parsed = parse_pd(text)
+            assert parsed.crossings == expected, text
+            read += 1
+        if d.n_crossings <= 8:
+            assert jones_unnormalized(parsed) == jones_unnormalized(d), text
+            if unmirrored:
+                assert khovanov_homology(parsed).entries == khovanov_homology(d).entries, text
+    assert (read, unread) == (1136, 58)
+
+
+def random_pd(rng: random.Random) -> str:
+    """1-4 crossings whose labels 1..2n are each used twice, in random
+    slots: most of these texts cannot be oriented."""
+    n = rng.randint(1, 4)
+    labels = [arc for arc in range(1, 2 * n + 1) for _ in range(2)]
+    rng.shuffle(labels)
+    return "\n".join("X " + " ".join(map(str, labels[k:k + 4])) for k in range(0, 4 * n, 4))
+
+
+def test_parse_pd_matches_pinned_digest():
+    # every round-trip text and 20,000 random quads; each records its
+    # signed crossings or the refusal, whose message names an arc or a
+    # crossing
+    rng = random.Random(17)
+    texts = [text for _, _, texts in round_trip_cases() for text, _ in texts]
+    texts += [random_pd(rng) for _ in range(20000)]
+    digest, refused = hashlib.sha256(), 0
+    for text in texts:
+        try:
+            record = [(x.sign, x.arcs) for x in parse_pd(text).crossings]
+        except InputError as exc:
+            assert re.search(r"\b(arc|crossing) -?\d+", str(exc)), (text, str(exc))
+            record, refused = "InputError", refused + 1
+        digest.update(f"{text}\n{record}\n".encode())
+    assert (len(texts), refused) == (21194, 11978)
+    assert digest.hexdigest() == "29c0938ea89a11707bd06bf041044f6be921ff89da78993cbafb8535786facc4"
+
+
+def test_braid_closure_matches_pinned_digest():
+    # the corpus and 3,000 seeded words on up to 7 strands, with
+    # crossing-free strands and loops among them
+    words = corpus_diagrams() + random_words(3, 3000, max_strands=7, max_crossings=16)
+    digest = hashlib.sha256()
+    for b in words:
+        digest.update(f"{b.text()}\n{diagram_to_json(braid_closure(b))}\n".encode())
+    assert sum(1 for b in words if braid_closure(b).loops) == 802
+    assert digest.hexdigest() == "89c612b5d2cf8f1004d59bb6706cd36e7b56ec3fc33ce9e06fc98b166a38accd"
