@@ -7,20 +7,22 @@ and the elimination takes the rows over and works on them in place.
 
 The differential keeps the degree j, so a complex is a direct sum of
 j-strands (the blocks (i, j) for one j, in increasing i), and homology is
-computed strand by strand from a stream of blocks in strand order.  As
-each block (i, j) comes, d^2 = 0 is checked on it and the block (i-1, j)
-before it, and then every ±1 entry of (i-1, j) is cancelled by Gaussian
-elimination (Bar-Natan, "Fast Khovanov homology computations", Lemma
-4.2): a unit entry from generator x of C_i to y of C_{i+1} turns its
-block into the Schur complement of that entry, and the neighbouring
-blocks lose only row x and column y.  A unit alone in its row has no
-fill-in: its column's other entries are simply deleted.  Once the next
-block is cancelled too, what is left of a block is settled: its Smith
-normal form gives the ranks and torsion invariant factors, read in the
-block's own numbering.  Only a strand's last blocks are held, and a
-block's rows are freed as they are cancelled.  The Smith normal form is
-the same unit cancellation followed by Euclid steps, so there is one way
-to eliminate a ±1 entry.
+computed strand by strand from a stream of blocks in strand order.  A
+±1 entry from generator x of C_i to y of C_{i+1} is cancelled by
+Gaussian elimination (Bar-Natan, "Fast Khovanov homology computations",
+Lemma 4.2): its block becomes the Schur complement of that entry, and
+the neighbouring blocks lose only row x and column y.  Block (i, j)
+drops the columns that block (i-1, j) cancelled, is checked for d^2 = 0
+against block (i+1, j), has every ±1 alone in its row cancelled in one
+sweep (no fill-in), and then its other units by least Markowitz cost.
+The check stays exact: in the basis of C_i the cancellation leaves, the
+dropped columns are 0, as d^2 = 0 held into C_i, and the others are
+unchanged.  Once the next block is cancelled too, what is left of a
+block is settled: its Smith normal form gives the ranks and torsion
+invariant factors, in the block's own numbering.  Only a strand's last
+blocks are held, and a block's rows are freed as they are cancelled.
+The Smith normal form is the same unit cancellation followed by Euclid
+steps, so there is one way to eliminate a ±1 entry.
 
 The Khovanov and graph complexes come from one cube engine,
 ``cube_blocks``: a ``CubeStates`` table gives the parts (circles or
@@ -46,7 +48,7 @@ run every strand here.  The table does not depend on the split.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 from math import gcd
@@ -128,32 +130,51 @@ class _Elimination:
     entry in column c (as the keys of a dict, in the order they gained
     it: a third the size of a set on long columns), and ``by_len`` buckets
     the rows by length, so the shortest ones are found without a scan of
-    every row.  The unit cancellation of ``strand_homology`` and the
-    Smith normal form (``diagonal``) both work on it.  It takes the row
-    storage it is given over, less the columns in ``skip_cols``, and
-    changes it: a caller that keeps the matrix hands in a copy.
+    every row.  On the way in, ``sweep`` cancels the ±1 entries alone in
+    their row; then the unit cancellation of ``strand_homology`` or the
+    Smith normal form (``diagonal``) works on it.  It takes the row
+    storage it is given over and changes it: a caller that keeps the
+    matrix hands in a copy.
     """
 
-    __slots__ = ("rows", "cols", "by_len", "unitless")
+    __slots__ = ("rows", "cols", "by_len", "unitless", "swept")
 
-    def __init__(self, rows: dict[int, dict[int, int]], skip_cols: Iterable[int] = ()):
+    def __init__(self, rows: dict[int, dict[int, int]]):
         cols: defaultdict[int, dict[int, None]] = defaultdict(dict)
         for r, row in rows.items():
             for c in row:
                 cols[c][r] = None
-        for c in skip_cols:
-            for r in cols.pop(c, ()):
-                row = rows[r]
-                del row[c]
-                if not row:
-                    del rows[r]
+        self.rows, self.cols = rows, dict(cols)
+        self.swept = self.sweep()
         by_len: dict[int, dict[int, None]] = {}
         for r, row in rows.items():
             by_len.setdefault(len(row), {})[r] = None
-        self.rows = rows
-        self.cols = dict(cols)
         self.by_len = by_len
         self.unitless: set[int] = set()  # rows seen without a ±1 and unchanged since
+
+    def sweep(self) -> list[tuple[int, int]]:
+        """Cancel every ±1 alone in its row, in one pass; returns the pivots
+        (row, column) in order.  Such a pivot's column is simply deleted,
+        and a row left with one entry goes to the end of the queue (first
+        in, first out: a stack leaves more row operations to the rest)."""
+        rows, cols = self.rows, self.cols
+        queue = deque(r for r, row in rows.items() if len(row) == 1)
+        pivots: list[tuple[int, int]] = []
+        while queue:
+            pr = queue.popleft()
+            if pr not in rows:  # its entry went with another pivot's column
+                continue
+            ((pc, v),) = rows[pr].items()
+            if v == 1 or v == -1:
+                for r2 in cols.pop(pc):  # row pr among them: it goes too
+                    row2 = rows[r2]
+                    del row2[pc]
+                    if len(row2) == 1:
+                        queue.append(r2)
+                    elif not row2:
+                        del rows[r2]
+                pivots.append((pr, pc))
+        return pivots
 
     def relen(self, r: int, old: int, new: int):
         # move row r from the bucket of length old to that of length new
@@ -242,37 +263,9 @@ class _Elimination:
 
     def cancel_unit(self, pr: int, pc: int):
         """Clear column pc against the ±1 at (pr, pc), then drop row pr and
-        column pc: what is left is the Schur complement of that entry.
-
-        When row pr holds only the pivot, clearing the column changes no
-        other entry, so the column's other entries are deleted directly.
-        """
+        column pc: what is left is the Schur complement of that entry."""
         rows, cols = self.rows, self.cols
-        prow = rows[pr]
-        if len(prow) == 1:
-            by_len = self.by_len
-            for r2 in cols.pop(pc):  # relen(r2, new + 1, new), written out: this is hot
-                if r2 == pr:
-                    continue
-                row2 = rows[r2]
-                del row2[pc]
-                new = len(row2)
-                bucket = by_len[new + 1]
-                del bucket[r2]
-                if not bucket:
-                    del by_len[new + 1]
-                if new:
-                    bucket = by_len.get(new)
-                    if bucket is None:
-                        by_len[new] = {r2: None}
-                    else:
-                        bucket[r2] = None
-                else:
-                    del rows[r2]
-            del rows[pr]
-            self.relen(pr, 1, 0)
-            return
-        u = prow[pc]
+        u = rows[pr][pc]
         for r2 in list(cols[pc]):
             if r2 != pr:
                 self.row_op(r2, pr, rows[r2][pc] * u)
@@ -283,17 +276,17 @@ class _Elimination:
         """Diagonalize by integer row and column operations, in place, until
         no row is left; returns the diagonal.
 
-        While a ±1 entry is left, ``unit_pivot`` and ``cancel_unit`` take
-        it and a 1 goes on the diagonal.  Otherwise Euclid steps start
-        from ``choose_pivot``: the pivot column is cleared by row
-        operations, then the pivot row by column operations, which touch
-        no other row once the column holds only the pivot.  A nonzero
-        remainder is smaller than the pivot and becomes the next one.  A
-        pivot left alone in its row and column goes on the diagonal; a
-        remainder of 1 goes back to the unit cancellation.
+        Each pivot of the sweep puts a 1 on the diagonal, and so does each
+        ±1 that ``unit_pivot`` and ``cancel_unit`` take while one is left.
+        Then Euclid steps start from ``choose_pivot``: the pivot column is
+        cleared by row operations, then the pivot row by column operations,
+        which touch no other row once the column holds only the pivot.  A
+        smaller nonzero remainder becomes the next pivot.  A pivot left
+        alone in its row and column goes on the diagonal; a remainder of 1
+        goes back to the unit cancellation.
         """
         rows, cols = self.rows, self.cols
-        diag: list[int] = []
+        diag = [1] * len(self.swept)
         while rows:
             unit = self.unit_pivot()
             if unit is not None:
@@ -847,14 +840,15 @@ def strand_homology(
     on half of them, with a worker on the other half), ``graded_homology``
     a stored complex's.
 
-    As block (i, j) comes, d^2 = 0 is checked on it and the block (i-1, j)
-    held before it; then the held block's ±1 entries are cancelled.  A ±1
-    entry of block (i, j) joins a generator x of C_i to a generator y of
-    C_{i+1}; Gaussian elimination cancels the pair, and the block becomes
-    the Schur complement of that entry.  The block before it loses only
-    row x and the block after it only column y: the entry is a unit, and
-    nothing else in the complex changes.  What is left is a chain complex
-    homotopy equivalent over Z to the input, with no ±1 entry.
+    A ±1 entry from generator x of C_i to y of C_{i+1} is cancelled by
+    Gaussian elimination: its block becomes the Schur complement of the
+    entry, the block before loses row x and the block after column y,
+    and what is left is homotopy equivalent over Z.  Block (i, j) drops
+    the columns y that block (i-1, j) cancelled, is checked against block
+    (i+1, j) for d^2 = 0, then loses its ±1 entries alone in their row in
+    one sweep and its other units by least Markowitz cost.  The check of
+    the reduced block is exact: the row operations on C_i leave the other
+    columns alone and, as d^2 = 0 held into C_i, make the dropped ones 0.
 
     Once block (i, j) is cancelled, the block (i-1, j) is settled: it
     drops the rows that (i, j) cancelled, and the Smith normal form of
@@ -863,11 +857,11 @@ def strand_homology(
     in, and the torsion is the non-unit factors of the block coming in.
 
     Each block's rows are taken over, not copied, and changed in place,
-    so at most two raw blocks (the held one and the one arriving) and the
-    working forms of the two blocks before them are alive at once.
+    so at most two blocks' rows (the held one and the one arriving) and
+    the working forms of the two blocks before them are alive at once.
     Cancelling is sound only on a chain complex: after a block whose
-    composite with the next is not 0, nothing more is cancelled, the
-    checks go on, and a ValueError names every such block.
+    composite with the next is not 0, nothing more is cancelled or
+    dropped, the checks go on, and a ValueError names every such block.
     """
     return _table(dims, *_strand_pass(blocks), shift, source)
 
@@ -880,42 +874,48 @@ def _strand_pass(blocks: Iterable[tuple[tuple[int, int], SparseIntMatrix]]):
     units: dict[tuple[int, int], int] = {}  # per block, the units cancelled
     snf: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
     bad: list[tuple[int, int]] = []
-    prev = None  # (key, working form, row count, column count, cancelled targets)
+    prev = None  # (key, working form, row count, column count)
 
     def settle(drop: Iterable[int]):
         # the held block's residue, less the rows cancelled one step on
-        key, st, n_rows, n_cols, _ = prev
+        key, st, n_rows, n_cols = prev
         rows = st.rows
         for r in drop:
             rows.pop(r, None)
         if rows:
             snf[key] = smith_normal_form(SparseIntMatrix._of_rows(n_rows, n_cols, rows))
 
-    def cancel(key: tuple[int, int], blk: SparseIntMatrix):
+    def cancel(key: tuple[int, int], blk: SparseIntMatrix) -> set[int]:
+        # the block's units cancelled; returns the rows they took
         nonlocal prev
-        i, j = key
-        if prev is not None and prev[0] != (i - 1, j):
+        if prev is not None and prev[0] != (key[0] - 1, key[1]):
             settle(())
             prev = None
-        st = _Elimination(blk.data, skip_cols=prev[4] if prev is not None else ())
-        sources: set[int] = set()
-        targets: set[int] = set()
+        st = _Elimination(blk.data)
+        pivots = list(st.swept)
         while (p := st.unit_pivot()) is not None:
             st.cancel_unit(*p)
-            targets.add(p[0])
-            sources.add(p[1])
-        units[key] = len(sources)
+            pivots.append(p)
+        units[key] = len(pivots)
         if prev is not None:
-            settle(sources)
-        prev = (key, st, blk.rows, blk.cols, targets)
+            settle(c for _, c in pivots)
+        prev = (key, st, blk.rows, blk.cols)
+        return {r for r, _ in pivots}
 
-    held = None  # the last block, raw until the next one is checked against it
+    held = None  # the last block, checked once the next one comes
     for key, blk in blocks:
-        if held is not None:
-            if held[0] == (key[0] - 1, key[1]) and not _composite_is_zero(held[0], held[1], blk):
-                bad.append(held[0])
-            if not bad:
-                cancel(*held)
+        follows = held is not None and held[0] == (key[0] - 1, key[1])
+        if follows and not _composite_is_zero(held[0], held[1], blk):
+            bad.append(held[0])
+        if held is not None and not bad:
+            targets = cancel(*held)
+            if follows:  # blk's columns lose the generators cancelled into them
+                for r in [r for r, row in blk.data.items() if not targets.isdisjoint(row)]:
+                    row = blk.data[r]
+                    for c in targets.intersection(row):
+                        del row[c]
+                    if not row:
+                        del blk.data[r]
         held = key, blk
     if held is not None and not bad:
         cancel(*held)

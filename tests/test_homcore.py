@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from linkhom.corpus import corpus_diagrams
+from linkhom.corpus import DIAGRAMS, corpus_diagrams
 from linkhom import homcore
 from linkhom.graphhom import (
     Multigraph,
@@ -38,7 +38,7 @@ from linkhom.khovanov import (
     torus_diagram,
     unnormalized_homology,
 )
-from linkhom.linkdiag import braid_closure
+from linkhom.linkdiag import braid_closure, parse_braid
 from linkhom.polyalg import LaurentPoly
 
 
@@ -375,19 +375,28 @@ def assert_unit_free_residue(cplx, expected):
     shapes = {(blk.rows, blk.cols) for blk in cplx.diff.values()}
     handed = []
     snf = homcore.smith_normal_form
-    made, cancel = homcore._Elimination.__init__, homcore._Elimination.cancel_unit
+    work = homcore._Elimination
+    made, sweep, cancel = work.__init__, work.sweep, work.cancel_unit
     strand = []  # the strand's working forms, in the order they were made
     cancelled: dict[int, set[int]] = {}  # by id of a working form, the columns it cancelled
     in_snf = False
 
-    def making(st, rows, skip_cols=()):
-        made(st, rows, skip_cols)
+    def making(st, rows):
+        made(st, rows)
         if not in_snf:
             strand.append(st)
 
+    def sweeping(st):
+        pivots = sweep(st)
+        assert all(r not in st.rows and c not in st.cols for r, c in pivots)
+        if not in_snf:
+            cancelled.setdefault(id(st), set()).update(c for _, c in pivots)
+        return pivots
+
     def cancelling(st, r, c):
         cancel(st, r, c)
-        cancelled.setdefault(id(st), set()).add(c)
+        if not in_snf:
+            cancelled.setdefault(id(st), set()).add(c)
 
     def watched(m):
         nonlocal in_snf
@@ -407,8 +416,9 @@ def assert_unit_free_residue(cplx, expected):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homcore, "smith_normal_form", watched)
-        mp.setattr(homcore._Elimination, "__init__", making)
-        mp.setattr(homcore._Elimination, "cancel_unit", cancelling)
+        mp.setattr(work, "__init__", making)
+        mp.setattr(work, "sweep", sweeping)
+        mp.setattr(work, "cancel_unit", cancelling)
         assert graded_homology(cplx).entries == expected
     assert len(handed) <= len(cplx.diff)
 
@@ -464,6 +474,109 @@ def test_d_squared_violations_streamed_from_a_broken_cube():
     assert len({j for _, j in bad}) > 1
     with pytest.raises(ValueError, match=re.escape(f"at blocks {bad} of")):
         strand_homology(*cube_blocks(broken, _states(d)))
+
+
+def cancelled_rows(cplx):
+    """Per block of ``cplx``, the rows that its unit cancellation takes in
+    the strand pass: the columns the block after it drops before its
+    d^2 check."""
+    work = homcore._Elimination
+    made, cancel = work.__init__, work.cancel_unit
+    copies = {}  # id of a block's copy -> (key, the copy), kept alive
+    forms = {}  # id of a block's working form -> (key, rows it cancelled, the form)
+
+    def making(st, rows):
+        made(st, rows)
+        if id(rows) in copies:
+            forms[id(st)] = (copies[id(rows)][0], {r for r, _ in st.swept}, st)
+
+    def cancelling(st, r, c):
+        cancel(st, r, c)
+        if id(st) in forms:
+            forms[id(st)][1].add(r)
+
+    def tagged():
+        for key, blk in cplx.strands():
+            copies[id(blk.data)] = (key, blk)
+            yield key, blk
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(work, "__init__", making)
+        mp.setattr(work, "cancel_unit", cancelling)
+        strand_homology(cplx.dims, tagged())
+    return {key: rows for key, rows, _ in forms.values()}
+
+
+def put(blk, r, c, v):
+    # set entry (r, c) of a stored block, leaving no empty row
+    row = blk.data.setdefault(r, {})
+    if v:
+        row[c] = v
+    else:
+        row.pop(c, None)
+        if not row:
+            del blk.data[r]
+
+
+def test_d_squared_check_on_reduced_blocks_names_the_raw_violations():
+    # one entry of a stored complex changed at a time, in turn: in a column
+    # that the block before cancels (so the pass would drop it before the
+    # check), in another column of a block whose predecessor was
+    # cancelled, and anywhere; the ValueError must name exactly the blocks
+    # whose raw composite with the next is not 0
+    words = ("3: 1 2 1 2 1 2 1 2", "4: 1 2 3 1 2 3", "3: 1 -2 1 -2")
+    assert set(words) <= set(DIAGRAMS)
+    complexes = [build_khovanov_complex(braid_closure(parse_braid(w)), normalized=True) for w in words]
+    complexes.append(build_Pn_complex(THETA, 2, "zero"))
+    rng = random.Random(5)
+    cases = 0
+    for cplx in complexes:
+        before = snapshot(cplx)
+        dropped = cancelled_rows(cplx)
+        after = [(i, j) for (i, j) in cplx.diff if dropped.get((i - 1, j))]
+        for kind in ("dropped column", "kept column", "anywhere") * 3:
+            for _ in range(200):
+                key = rng.choice(sorted(after if kind != "anywhere" else cplx.diff))
+                blk = cplx.diff[key]
+                cut = dropped.get((key[0] - 1, key[1]), set())
+                cols = sorted(cut) if kind == "dropped column" else [c for c in range(blk.cols) if c not in cut]
+                r, c = rng.randrange(blk.rows), rng.choice(cols)
+                old = blk.data.get(r, {}).get(c, 0)
+                put(blk, r, c, old + rng.choice((-2, -1, 1, 2)))
+                bad = sorted(
+                    (i, j) for (i, j), b in cplx.diff.items()
+                    if (i + 1, j) in cplx.diff and not homcore._composite_is_zero((i, j), b, cplx.diff[i + 1, j])
+                )
+                if bad:
+                    with pytest.raises(ValueError, match=re.escape(f"at blocks {bad} of")):
+                        graded_homology(cplx)
+                    cases += 1
+                put(blk, r, c, old)
+                if bad:
+                    break
+            else:
+                raise AssertionError(f"no entry of {cplx.source} breaks d^2 = 0 ({kind})")
+        assert snapshot(cplx) == before
+    assert cases == 36
+
+
+def test_elimination_row_ops_pinned(monkeypatch):
+    # the row operations of the serial strand pass (the sweep of lone ±1
+    # rows makes none), pinned so that a change to the order of the
+    # cancellation shows
+    monkeypatch.setattr(homcore, "_FORK_MIN", float("inf"))
+    row_op, counts = homcore._Elimination.row_op, []
+
+    def counting(st, r2, r1, q):
+        counts.append(r2)
+        row_op(st, r2, r1, q)
+
+    monkeypatch.setattr(homcore._Elimination, "row_op", counting)
+    khovanov_homology(torus_diagram(3, 5))
+    assert len(counts) == 8716
+    counts.clear()
+    Pn_homology(THETA, 2, "zero")
+    assert len(counts) == 1081
 
 
 def test_streaming_frees_blocks(monkeypatch):
