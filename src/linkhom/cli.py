@@ -14,7 +14,6 @@ import os
 import sys
 
 from .graphhom import (
-    Multigraph,
     Pn_homology,
     Qn_homology,
     dichromatic,
@@ -42,13 +41,17 @@ class UsageError(Exception):
     pass
 
 
-def _load_diagram(spec: str) -> Diagram:
-    """Inline braid text, or a path to a file holding braid or PD lines."""
-    text = spec
+def _read(spec: str) -> str:
+    """The text of the file named ``spec``, or else ``spec`` itself."""
     if os.path.exists(spec):
         with open(spec) as f:
-            text = f.read()
-    stripped = text.strip()
+            return f.read()
+    return spec
+
+
+def _load_diagram(spec: str) -> Diagram:
+    """Inline braid text, or a path to a file holding braid or PD lines."""
+    stripped = _read(spec).strip()
     if not stripped:
         raise UsageError("empty diagram input")
     first = stripped.splitlines()[0].strip()
@@ -57,14 +60,6 @@ def _load_diagram(spec: str) -> Diagram:
     if ":" in stripped:
         return braid_closure(parse_braid(stripped))
     raise UsageError(f"cannot interpret {spec!r} as a braid or PD code")
-
-
-def _load_graph(spec: str) -> Multigraph:
-    text = spec
-    if os.path.exists(spec):
-        with open(spec) as f:
-            text = f.read()
-    return parse_graph(text)
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -91,61 +86,81 @@ def _emit_table(table: HomologyTable, fmt: str, out) -> None:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: parsing does not change it."""
+    """The argument parser, built once: parsing does not change it.  Each
+    subcommand sets ``run``, the function that carries it out and returns
+    its exit code (None for 0)."""
     ap = argparse.ArgumentParser(prog="linkhom", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_br = sub.add_parser("bracket", help="Kauffman bracket of a diagram")
     p_br.add_argument("input", help="braid text like '2: 1 1 1', or a file of braid/PD lines")
+    p_br.set_defaults(run=_cmd_bracket)
 
     p_jones = sub.add_parser("jones", help="unnormalized Jones polynomial")
     p_jones.add_argument("input")
+    p_jones.set_defaults(run=_cmd_jones)
 
     p_kh = sub.add_parser("kh", help="Khovanov homology of a link diagram")
     p_kh.add_argument("input")
-    p_kh.add_argument("--table", action="store_true", help="print the homology table (default)")
-    p_kh.add_argument("--poincare", action="store_true", help="print the two-variable Poincare polynomial")
-    p_kh.add_argument("--width", action="store_true", help="print the diagonal/width report")
-    p_kh.add_argument("--jwindow", default=None, help="restrict to q-degrees a..b")
+    shown = p_kh.add_mutually_exclusive_group()
+    shown.add_argument("--table", action="store_true", help="print the homology table (default)")
+    shown.add_argument("--poincare", action="store_true", help="print the two-variable Poincare polynomial")
+    shown.add_argument("--width", action="store_true", help="print the diagonal/width report")
+    p_kh.add_argument("--jwindow", default=None, help="restrict to q-degrees a..b; a negative a is written --jwindow=-5..5")
     p_kh.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+    p_kh.set_defaults(run=_cmd_kh)
 
     p_hf = sub.add_parser("homfly", help="HOMFLYPT values of a braid closure")
     p_hf.add_argument("braid")
     p_hf.add_argument("--var", choices=("qt", "at"), default="qt")
     p_hf.add_argument("--specialize", type=int, default=None, metavar="N")
     p_hf.add_argument("--format", choices=("json", "pretty"), default="pretty")
+    p_hf.set_defaults(run=_cmd_homfly)
 
     p_graph = sub.add_parser("graph", help="graph polynomials and homology")
     gsub = p_graph.add_subparsers(dest="graph_command", required=True)
     p_gp = gsub.add_parser("poly", help="graph polynomials")
     p_gp.add_argument("input", help="graph file ('v N' then 'e u v' lines) or inline text")
-    p_gp.add_argument("--dichromatic", action="store_true")
-    p_gp.add_argument("--tutte", action="store_true")
-    p_gp.add_argument("--pn", type=int, default=None, metavar="N")
-    p_gp.add_argument("--qn", type=int, default=None, metavar="N")
-    p_gp.add_argument("--dg", action="store_true")
-    p_gp.add_argument("--jwindow", default=None)
+    which = p_gp.add_mutually_exclusive_group(required=True)
+    which.add_argument("--dichromatic", action="store_true")
+    which.add_argument("--tutte", action="store_true")
+    which.add_argument("--pn", type=int, default=None, metavar="N")
+    which.add_argument("--qn", type=int, default=None, metavar="N")
+    which.add_argument("--dg", action="store_true")
+    p_gp.add_argument("--jwindow", default=None, help="q-degrees a..b of --qn; a negative a is written --jwindow=-5..5")
+    p_gp.set_defaults(run=_cmd_graph_poly)
     p_gk = gsub.add_parser("kh", help="graph homology tables")
     p_gk.add_argument("input")
     p_gk.add_argument("--theory", choices=("pn", "qn", "enhanced"), required=True)
-    p_gk.add_argument("--n", type=int, default=1)
-    p_gk.add_argument("--variant", choices=("zero", "xn"), default="zero")
-    p_gk.add_argument("--jwindow", default=None)
+    p_gk.add_argument("--n", type=int, default=None, help="n of pn and qn (default 1)")
+    p_gk.add_argument("--variant", choices=("zero", "xn"), default=None, help="variant of pn (default zero)")
+    p_gk.add_argument("--jwindow", default=None, help="q-degrees a..b of qn and enhanced; a negative a is written --jwindow=-5..5")
     p_gk.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+    p_gk.set_defaults(run=_cmd_graph_kh)
 
     p_st = sub.add_parser("stable", help="stable normalized torus series")
     p_st.add_argument("--m", type=int, required=True)
     p_st.add_argument("--n", required=True, help="twist values, e.g. 3..6 or 3,4,5")
+    p_st.set_defaults(run=_cmd_stable)
 
     p_vf = sub.add_parser("verify", help="run a named verification suite")
     p_vf.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}, all")
     p_vf.add_argument("--slow", action="store_true", help="include the slow tier")
     p_vf.add_argument("--p", type=int, default=None)
     p_vf.add_argument("--q", type=int, default=None)
+    p_vf.set_defaults(run=_cmd_verify)
     return ap
 
 
-def _cmd_kh(args, out) -> int:
+def _cmd_bracket(args, out) -> None:
+    print(kauffman_bracket(_load_diagram(args.input)).render(), file=out)
+
+
+def _cmd_jones(args, out) -> None:
+    print(jones_unnormalized(_load_diagram(args.input)).render(), file=out)
+
+
+def _cmd_kh(args, out) -> None:
     d = _load_diagram(args.input)
     window = _parse_window(args.jwindow) if args.jwindow else None
     table = khovanov_homology(d, jwindow=window)
@@ -160,10 +175,9 @@ def _cmd_kh(args, out) -> int:
         )
     else:
         _emit_table(table, args.format, out)
-    return 0
 
 
-def _cmd_homfly(args, out) -> int:
+def _cmd_homfly(args, out) -> None:
     b = parse_braid(args.braid)
     f = homfly_F(b)
     g = _normalize_G(f, b)
@@ -181,14 +195,12 @@ def _cmd_homfly(args, out) -> int:
     else:
         for k, v in rows:
             print(f"{k} = {v}", file=out)
-    return 0
 
 
-def _cmd_graph_poly(args, out) -> int:
-    g = _load_graph(args.input)
-    chosen = [bool(args.dichromatic), bool(args.tutte), args.pn is not None, args.qn is not None, bool(args.dg)]
-    if sum(chosen) != 1:
-        raise UsageError("choose exactly one of --dichromatic/--tutte/--pn/--qn/--dg")
+def _cmd_graph_poly(args, out) -> None:
+    if args.jwindow is not None and args.qn is None:
+        raise UsageError("--jwindow goes only with --qn")
+    g = parse_graph(_read(args.input))
     if args.dichromatic:
         print(dichromatic(g).render(), file=out)
     elif args.tutte:
@@ -201,23 +213,25 @@ def _cmd_graph_poly(args, out) -> int:
         print(specialize_Qn(g, args.qn, _parse_window(args.jwindow)).render(), file=out)
     else:
         print(dichromatic_DG(g).render(), file=out)
-    return 0
 
 
-def _cmd_graph_kh(args, out) -> int:
-    g = _load_graph(args.input)
-    if args.theory == "pn":
-        table = Pn_homology(g, args.n, args.variant)
+def _cmd_graph_kh(args, out) -> None:
+    theory = args.theory
+    for flag, value, theories in (("--n", args.n, ("pn", "qn")), ("--variant", args.variant, ("pn",)),
+                                  ("--jwindow", args.jwindow, ("qn", "enhanced"))):
+        if value is not None and theory not in theories:
+            raise UsageError(f"{flag} does not go with theory {theory!r}")
+    if not args.jwindow and theory != "pn":
+        raise UsageError(f"theory {theory!r} requires --jwindow a..b")
+    g = parse_graph(_read(args.input))
+    n = 1 if args.n is None else args.n
+    if theory == "pn":
+        table = Pn_homology(g, n, args.variant or "zero")
+    elif theory == "qn":
+        table = Qn_homology(g, n, _parse_window(args.jwindow))
     else:
-        if not args.jwindow:
-            raise UsageError(f"theory {args.theory!r} requires --jwindow a..b")
-        window = _parse_window(args.jwindow)
-        if args.theory == "qn":
-            table = Qn_homology(g, args.n, window)
-        else:
-            table = enhanced_homology(g, window)
+        table = enhanced_homology(g, _parse_window(args.jwindow))
     _emit_table(table, args.format, out)
-    return 0
 
 
 def _parse_n_values(text: str) -> list[int]:
@@ -270,25 +284,7 @@ def run(argv, out=None, err=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        if args.command == "bracket":
-            print(kauffman_bracket(_load_diagram(args.input)).render(), file=out)
-            return 0
-        if args.command == "jones":
-            print(jones_unnormalized(_load_diagram(args.input)).render(), file=out)
-            return 0
-        if args.command == "kh":
-            return _cmd_kh(args, out)
-        if args.command == "homfly":
-            return _cmd_homfly(args, out)
-        if args.command == "graph":
-            if args.graph_command == "poly":
-                return _cmd_graph_poly(args, out)
-            return _cmd_graph_kh(args, out)
-        if args.command == "stable":
-            return _cmd_stable(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args, out) or 0
     except UsageError as e:
         print(f"usage error: {e}", file=err)
         return 2

@@ -350,7 +350,7 @@ def polygon_reference(k: int, n: int) -> HomologyTable:
     for (i, j) in torsion_at:
         rank, tors = entries.get((i, j), (0, ()))
         entries[(i, j)] = (rank, tors + (n + 1,))
-    return HomologyTable(entries, source=f"polygon-reference:k={k},n={n}")
+    return HomologyTable(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -131,10 +131,10 @@ class _Elimination:
     it: a third the size of a set on long columns), and ``by_len`` buckets
     the rows by length, so the shortest ones are found without a scan of
     every row.  On the way in, ``sweep`` cancels the ±1 entries alone in
-    their row; then the unit cancellation of ``strand_homology`` or the
-    Smith normal form (``diagonal``) works on it.  It takes the row
-    storage it is given over and changes it: a caller that keeps the
-    matrix hands in a copy.
+    their row; then ``cancel_units`` takes the other ±1 entries, for
+    ``strand_homology`` or between the Euclid steps of ``diagonal``.  It
+    takes the row storage it is given over and changes it: a caller that
+    keeps the matrix hands in a copy.
     """
 
     __slots__ = ("rows", "cols", "by_len", "unitless", "swept")
@@ -272,27 +272,34 @@ class _Elimination:
         self.drop_row(pr)
         del cols[pc]
 
+    def cancel_units(self) -> list[tuple[int, int]]:
+        """Cancel the ±1 entries of ``unit_pivot`` one at a time while one is
+        left; returns the pivots (row, column) in order."""
+        pivots = []
+        while (p := self.unit_pivot()) is not None:
+            self.cancel_unit(*p)
+            pivots.append(p)
+        return pivots
+
     def diagonal(self) -> list[int]:
         """Diagonalize by integer row and column operations, in place, until
         no row is left; returns the diagonal.
 
         Each pivot of the sweep puts a 1 on the diagonal, and so does each
-        ±1 that ``unit_pivot`` and ``cancel_unit`` take while one is left.
-        Then Euclid steps start from ``choose_pivot``: the pivot column is
-        cleared by row operations, then the pivot row by column operations,
-        which touch no other row once the column holds only the pivot.  A
-        smaller nonzero remainder becomes the next pivot.  A pivot left
-        alone in its row and column goes on the diagonal; a remainder of 1
-        goes back to the unit cancellation.
+        of ``cancel_units``.  Then one Euclid pivot, from ``choose_pivot``,
+        and ``cancel_units`` again, until no row is left.  The pivot column
+        is cleared by row operations, then the pivot row by column
+        operations, which touch no other row once the column holds only the
+        pivot.  A smaller nonzero remainder becomes the next pivot.  A pivot
+        left alone in its row and column goes on the diagonal; a remainder
+        of 1 goes back to the unit cancellation.
         """
         rows, cols = self.rows, self.cols
         diag = [1] * len(self.swept)
-        while rows:
-            unit = self.unit_pivot()
-            if unit is not None:
-                self.cancel_unit(*unit)
-                diag.append(1)
-                continue
+        while True:
+            diag += [1] * len(self.cancel_units())
+            if not rows:
+                return diag
             pr, pc = self.choose_pivot()
             while True:
                 prow = rows[pr]
@@ -336,26 +343,22 @@ class _Elimination:
                 # some remainder is smaller than the pivot: switch pivot column
                 self.unitless.discard(pr)
                 pc = min((c for c in prow if c != pc), key=lambda c: prow[c])
-        return diag
 
 
 def smith_normal_form(m: SparseIntMatrix) -> tuple[tuple[int, ...], int]:
     """Invariant factors (divisibility-chained) and the rank."""
     diag = _Elimination({r: row.copy() for r, row in m.data.items()}).diagonal()
-    # pairwise gcd/lcm passes turn an arbitrary diagonal into the chain;
-    # a 1 divides everything, so only the other factors take part
+    # one pass of pairwise gcd/lcm swaps turns the diagonal into the chain:
+    # once d[i] has met every later factor it divides them all, and a swap
+    # of two multiples of d[i] leaves multiples of it.  A 1 divides
+    # everything, so only the other factors take part
     d = sorted(f for f in diag if f != 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                a, b = d[i], d[j]
-                if b % a:
-                    g = gcd(a, b)
-                    d[i], d[j] = g, a // g * b
-                    changed = True
-        d.sort()
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            a, b = d[i], d[j]
+            if b % a:
+                g = gcd(a, b)
+                d[i], d[j] = g, a // g * b
     return (1,) * (len(diag) - len(d)) + tuple(d), len(diag)
 
 
@@ -396,9 +399,6 @@ class GradedComplex:
     diff: dict[tuple[int, int], SparseIntMatrix] = field(default_factory=dict)
     shift: tuple[int, int] = (0, 0)
     source: str = ""
-
-    def dim(self, i: int, j: int) -> int:
-        return self.dims.get((i, j), 0)
 
     def strands(self) -> Iterator[tuple[tuple[int, int], SparseIntMatrix]]:
         """A copy of each block, keyed by (i, j), in strand order (j, then
@@ -474,8 +474,10 @@ class CubeSpec:
     ``inside(x)`` the new labels of the part, each with coefficient 1.
     Every map must keep j.
 
-    The labelings and the edge tables of ``edge_map`` are kept on the
-    spec, so every complex built from one spec shares them.
+    The labelings and the edge tables are kept on the spec, so every
+    complex built from one spec shares them.  The edge tables (``_edges``)
+    are the cube engine's cache: it looks a table up there and calls
+    ``edge_map`` only on a miss.
     """
 
     top: int | None
@@ -506,14 +508,9 @@ class CubeSpec:
         sum, entries), where entries is the flat tuple (target rank, source
         rank, value, target rank, ...) in increasing order, or () when the
         map is 0 there.  A flat tuple of ints is the smallest form that
-        replays with no per-row work, and tables are made once per spec.
+        replays with no per-row work.  It is stored in ``_edges[shape]``,
+        which the caller made and looks up first.
         """
-        table = self._edges.get(shape)
-        if table is None:
-            table = self._edges[shape] = {}
-        out = table.get(tt)
-        if out is not None:
-            return out
         a, b, c = self.grading
         tk, p, image = shape
         k = len(image)
@@ -545,7 +542,7 @@ class CubeSpec:
                 key = (rank[tuple(target)], r)
                 counts[key] = counts.get(key, 0) + 1
         flat = tuple(x for (tr, r), v in sorted(counts.items()) for x in (tr, r, v))
-        out = table[tt] = (t, flat) if flat else ()
+        out = self._edges[shape][tt] = (t, flat) if flat else ()
         return out
 
 
@@ -777,14 +774,9 @@ class HomologyTable:
     """Free rank plus torsion invariant factors per bidegree (i, j)."""
 
     entries: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = field(default_factory=dict)
-    shift: tuple[int, int] = (0, 0)
-    source: str = ""
 
     def rank(self, i: int, j: int) -> int:
         return self.entries.get((i, j), (0, ()))[0]
-
-    def torsion(self, i: int, j: int) -> tuple[int, ...]:
-        return self.entries.get((i, j), (0, ()))[1]
 
     def group(self, i: int, j: int) -> tuple[int, tuple[int, ...]]:
         return self.entries.get((i, j), (0, ()))
@@ -794,10 +786,7 @@ class HomologyTable:
 
     def restrict_i(self, lo: int, hi: int) -> "HomologyTable":
         sel = {k: v for k, v in self.entries.items() if lo <= k[0] <= hi}
-        return HomologyTable(sel, self.shift, self.source)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HomologyTable) and self.entries == other.entries
+        return HomologyTable(sel)
 
     def to_json(self) -> str:
         rows = [
@@ -892,10 +881,7 @@ def _strand_pass(blocks: Iterable[tuple[tuple[int, int], SparseIntMatrix]]):
             settle(())
             prev = None
         st = _Elimination(blk.data)
-        pivots = list(st.swept)
-        while (p := st.unit_pivot()) is not None:
-            st.cancel_unit(*p)
-            pivots.append(p)
+        pivots = st.swept + st.cancel_units()
         units[key] = len(pivots)
         if prev is not None:
             settle(c for _, c in pivots)
@@ -940,7 +926,7 @@ def _table(dims, units, snf, bad, shift, source) -> HomologyTable:
             raise ArithmeticError(f"negative free rank at ({i},{j})")
         if free or torsion:
             entries[(i + s, j + l)] = (free, torsion)
-    return HomologyTable(entries, shift=shift, source=source)
+    return HomologyTable(entries)
 
 
 def graded_homology(c: GradedComplex) -> HomologyTable:

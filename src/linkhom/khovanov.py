@@ -386,7 +386,7 @@ def _cone_structure_ok(d: Diagram, complexes, nu: int, violations: list[str]) ->
 def torus_diagram(p: int, q: int) -> Diagram:
     """Closure of (sigma_1 ... sigma_(p-1))^q on p strands."""
     if p < 1 or q < 0:
-        raise ValueError("torus parameters need p >= 1, q >= 0")
+        raise InputError("torus parameters need p >= 1, q >= 0")
     word = tuple(range(1, p)) * q
     return braid_closure(BraidWord(p, word))
 
@@ -473,6 +473,8 @@ def stable_poincare(m: int, n_values) -> tuple[list[tuple[int, LaurentPoly]], li
     if m < 2:
         raise InputError("need m >= 2")
     ns = sorted(n_values)
+    if len(set(ns)) < len(ns):
+        raise InputError(f"repeated twist value in {ns}")
     polys = []
     for n in ns:
         t = khovanov_homology(torus_diagram(m, n))

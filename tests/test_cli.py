@@ -218,6 +218,8 @@ def test_graph_edge_out_of_range_exits_2(tmp_path):
         pytest.param(["verify", "theorem24", "--p", "1"], id="theorem24-p"),
         pytest.param(["verify", "theorem24", "--p", "0"], id="theorem24-p-zero"),
         pytest.param(["kh", "2: 1 1 1", "--jwindow", "9..5"], id="kh-reversed-window"),
+        pytest.param(["stable", "--m", "2", "--n=-1..1"], id="stable-negative-twist"),
+        pytest.param(["stable", "--m", "2", "--n", "3,3"], id="stable-repeated-twist"),
     ],
 )
 def test_out_of_range_parameters_exit_2(tmp_path, argv):
@@ -226,6 +228,48 @@ def test_out_of_range_parameters_exit_2(tmp_path, argv):
     code, out, err = invoke([str(gfile) if a == "GRAPH" else a for a in argv])
     assert code == 2 and not out
     assert err.startswith(("input error:", "usage error:"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["kh", "3: 1 2 1 2", "--poincare", "--width"], id="kh-poincare-width"),
+        pytest.param(["kh", "3: 1 2 1 2", "--table", "--poincare"], id="kh-table-poincare"),
+        pytest.param(["graph", "kh", "GRAPH", "--theory", "enhanced", "--n", "5", "--jwindow", "0..2"], id="enhanced-n"),
+        pytest.param(["graph", "kh", "GRAPH", "--theory", "enhanced", "--variant", "xn", "--jwindow", "0..2"],
+                     id="enhanced-variant"),
+        pytest.param(["graph", "kh", "GRAPH", "--theory", "qn", "--variant", "xn", "--jwindow", "0..2"], id="qn-variant"),
+        pytest.param(["graph", "kh", "GRAPH", "--theory", "pn", "--jwindow", "0..2"], id="pn-jwindow"),
+        pytest.param(["graph", "poly", "GRAPH", "--pn", "2", "--jwindow", "0..1"], id="poly-pn-jwindow"),
+        pytest.param(["graph", "poly", "GRAPH", "--tutte", "--jwindow", "0..1"], id="poly-tutte-jwindow"),
+    ],
+)
+def test_flags_that_change_nothing_exit_2(tmp_path, capsys, argv):
+    # each of these once ran and dropped a flag without a word
+    gfile = tmp_path / "tri.g"
+    gfile.write_text("v 3\ne 1 2\ne 2 3\ne 1 3\n")
+    code, out, err = invoke([str(gfile) if a == "GRAPH" else a for a in argv])
+    assert code == 2 and not out
+    # argparse reports a clash of options on the process's stderr
+    assert err.startswith("usage error:") or "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["--tutte", "--dg"], ["--pn", "2", "--qn", "2", "--jwindow", "0..2"]])
+def test_graph_poly_takes_exactly_one_polynomial(capsys, flags):
+    code, out, err = invoke(["graph", "poly", "v 3\ne 1 2", *flags])
+    assert code == 2 and not out
+    assert "--dichromatic" in err + capsys.readouterr().err
+
+
+def test_graph_kh_defaults_fill_in_where_they_apply():
+    tri = "v 3\ne 1 2\ne 2 3\ne 1 3"
+    pairs = [
+        (["--theory", "pn"], ["--theory", "pn", "--n", "1", "--variant", "zero"]),
+        (["--theory", "qn", "--jwindow=-2..4"], ["--theory", "qn", "--n", "1", "--jwindow=-2..4"]),
+    ]
+    for short, full in pairs:
+        code, out, _ = invoke(["graph", "kh", tri, *short])
+        assert code == 0 and out and invoke(["graph", "kh", tri, *full]) == (0, out, "")
 
 
 def _sweep_calls():

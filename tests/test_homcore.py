@@ -347,6 +347,47 @@ def test_torsion_chain_large_entries():
     assert smith_normal_form(m) == ((1, 6), 2)
 
 
+def factors_by_primes(values):
+    """Oracle: the invariant factors of a diagonal with nonzero ``values``.
+    Per prime, the exponents of the values sorted increasingly; the k-th
+    factor is the product of every prime to its k-th exponent."""
+    exponents: dict[int, list[int]] = {}
+    for k, v in enumerate(values):
+        v, p = abs(v), 2
+        while v > 1:
+            while v % p == 0:
+                exponents.setdefault(p, [0] * len(values))[k] += 1
+                v //= p
+            p += 1
+    factors = [1] * len(values)
+    for p, exps in exponents.items():
+        for k, e in enumerate(sorted(exps)):
+            factors[k] *= p**e
+    return tuple(factors)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(4, 6, 10, 15, 9), (9, 15, 10, 6, 4), (12, 18, 8, 27), (2, 3, 5, 7), (-4, 6, 1, -1, 35, 14), (30, 1, 30)],
+)
+def test_snf_chain_of_diagonals_against_prime_oracle(values):
+    # the gcd/lcm swaps meet several primes at once: on diag(4, 6, 10, 15, 9)
+    # the 2s, 3s and 5s each end in a different place
+    m = mat(len(values), len(values), {(k, k): v for k, v in enumerate(values)})
+    assert smith_normal_form(m) == (factors_by_primes(values), len(values))
+
+
+def test_snf_chain_of_seeded_monomial_matrices():
+    # one nonzero per row and column, at a random place and with a random sign
+    rng = random.Random(18)
+    pool = [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 20, 25, 27, 30, 36, 45, 49, 60, 90]
+    for _ in range(300):
+        values = [rng.choice(pool) * rng.choice((1, -1)) for _ in range(rng.randint(1, 8))]
+        cols = rng.sample(range(len(values) + 2), len(values))
+        m = mat(len(values), len(values) + 2, {(k, c): v for k, (c, v) in enumerate(zip(cols, values))})
+        assert smith_normal_form(m) == (factors_by_primes(values), len(values)), values
+
+
 def test_rank_only_helper():
     m = mat(2, 3, {(0, 0): 2, (1, 2): 5})
     assert smith_normal_form(m)[1] == 2
@@ -358,7 +399,7 @@ def per_block_homology(c):
     s, l = c.shift
     out = {}
     for (i, j) in set(c.dims) | set(c.diff):
-        dim = c.dim(i, j)
+        dim = c.dims.get((i, j), 0)
         if dim:
             factors_in, rank_in = snf.get((i - 1, j), ((), 0))
             free = dim - snf.get((i, j), ((), 0))[1] - rank_in

@@ -160,8 +160,7 @@ def test_skein_triples():
 def test_single_crossing_complex_shape():
     d = closure("2: 1")
     c = build_khovanov_complex(d)
-    assert c.dim(0, 2) == 1 and c.dim(0, 0) == 2 and c.dim(0, -2) == 1
-    assert c.dim(1, 2) == 1 and c.dim(1, 0) == 1
+    assert c.dims == {(0, 2): 1, (0, 0): 2, (0, -2): 1, (1, 2): 1, (1, 0): 1}
     graded_homology(c)  # raises where d^2 != 0
 
 

@@ -65,7 +65,6 @@ def test_worker_tables_equal_the_serial_path(label, forks, monkeypatch):
     serial = khovanov_homology(d)
     assert len(forks) == 1
     assert forked.to_json() == serial.to_json() and forked.pretty() == serial.pretty()
-    assert forked.shift == serial.shift and forked.source == serial.source
 
 
 def test_small_cube_stays_serial(forks):
