@@ -34,11 +34,18 @@ from .khovanov import (
     width_report,
 )
 from .linkdiag import Diagram, InputError, braid_closure, parse_braid, parse_pd
-from .verify import SUITES, run_suite
+from .verify import SLOW_SUITES, SUITES, run_suite
 
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's usage errors as ``UsageError``, for ``run`` to report."""
+
+    def error(self, message):
+        raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 def _read(spec: str) -> str:
@@ -89,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: parsing does not change it.  Each
     subcommand sets ``run``, the function that carries it out and returns
     its exit code (None for 0)."""
-    ap = argparse.ArgumentParser(prog="linkhom", description=__doc__)
+    ap = _Parser(prog="linkhom", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_br = sub.add_parser("bracket", help="Kauffman bracket of a diagram")
@@ -261,10 +268,13 @@ def _cmd_stable(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    try:
-        reports = run_suite(args.suite, slow=args.slow, p=args.p, q=args.q)
-    except KeyError:
+    if args.suite != "all" and args.suite not in SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}, all")
+    if (args.p, args.q) != (None, None) and args.suite != "theorem24":
+        raise UsageError("--p and --q go only with suite theorem24")
+    if args.slow and args.suite not in (*SLOW_SUITES, "all"):
+        raise UsageError(f"suite {args.suite!r} has no slow tier; --slow goes with {', '.join(SLOW_SUITES)} and all")
+    reports = run_suite(args.suite, slow=args.slow, p=args.p, q=args.q)
     code = 0
     for rep in reports:
         for line in rep.lines():
@@ -278,13 +288,11 @@ def _cmd_verify(args, out) -> int:
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
+        args = _build_parser().parse_args(argv)
         return args.run(args, out) or 0
+    except SystemExit as e:  # --help
+        return 2 if e.code not in (0, None) else 0
     except UsageError as e:
         print(f"usage error: {e}", file=err)
         return 2

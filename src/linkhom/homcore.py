@@ -36,7 +36,7 @@ callers that read the complex itself, and ``graded_homology`` feeds a
 stored complex's blocks, copied, to the same consumer.
 
 The strands are independent, so a large cube is shared with one forked
-worker: once the positions and edges are worked out, ``cube_homology``
+worker: once the positions, edges and edge tables are made, ``cube_homology``
 splits the strands into two sets of about equal generators, the worker
 runs the strand pass (the d^2 check, the cancellation and the Smith
 forms) on one set while this process runs it on the other, and the
@@ -486,7 +486,7 @@ class CubeSpec:
     split: Callable[[int], Iterable[tuple[int, int]]] | None = None
     inside: Callable[[int], Iterable[int]] | None = None
     _labelings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _edges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _edges: defaultdict = field(default_factory=lambda: defaultdict(dict), init=False, repr=False, compare=False)
 
     def labels(self, k: int, t: int) -> list[tuple[int, ...]]:
         """The labelings of k parts with label sum t, in lexicographic order."""
@@ -509,7 +509,7 @@ class CubeSpec:
         rank, value, target rank, ...) in increasing order, or () when the
         map is 0 there.  A flat tuple of ints is the smallest form that
         replays with no per-row work.  It is stored in ``_edges[shape]``,
-        which the caller made and looks up first.
+        which the caller looks up first.
         """
         a, b, c = self.grading
         tk, p, image = shape
@@ -581,9 +581,10 @@ def cube_blocks(
     counts, where each source part lands and the part the edge touches,
     not on the state.  ``spec.edge_map`` tabulates each shape's map once
     per target label sum, and the tables stay on the spec for later
-    calls.  Each table is replayed on every edge of its shape with the
-    edge's cube sign (-1)^(number of set coordinates below it), which
-    makes every square anticommute.  Each state's incoming edges (shape,
+    calls; all that the blocks read are made here, with the edges.  Each
+    table is replayed on every edge of its shape with the edge's cube
+    sign (-1)^(number of set coordinates below it), which makes every
+    square anticommute.  Each state's incoming edges (shape,
     sign, source positions) are worked out once, with the positions, and
     serve every strand the state is in; the parts of the states are not
     read after that.
@@ -603,10 +604,9 @@ def cube_blocks(
         raise ValueError("unbounded labels need a degree window")
     n = len(states.joins)
     lo, hi = (0, n) if columns is None else (columns[0], min(columns[1], n))
-    labels, state, tables = spec.labels, states.state, spec._edges
+    labels, state, tables, edge_map = spec.labels, states.state, spec._edges, spec.edge_map
     # the element whose part an edge touches: joined when its coordinate is 1
     anchor = [pairs[1][0][0] for pairs in states.joins]
-    kinds: dict[tuple, tuple[dict, tuple]] = {}  # shape -> (its tables, shape), one per shape
     dims: dict[tuple[int, int], int] = {}
     ints: list[int] = []  # ints[p] is p: one object per index value
     # per state, per label sum t: the position of its first generator in
@@ -615,8 +615,8 @@ def cube_blocks(
     # per (i, j): the states with generators there, by increasing mask,
     # each followed by its label sum, first position and generator count
     holders: dict[tuple[int, int], list[int]] = {}
-    # per state above degree lo with generators: (kind, cube sign, source
-    # firsts) for each edge coming in
+    # per state above degree lo with generators: (the edge tables of its
+    # shape, cube sign, source firsts) for each edge coming in
     edges: dict[int, tuple] = {}
     below: dict[int, tuple] = {}  # the states of degree i - 1
     for i in range(lo, hi + 1):
@@ -625,6 +625,7 @@ def cube_blocks(
             base = a * i + b * k
             t_hi = top * k if top is not None else (base - window[0]) // c
             out = firsts[mask] = []
+            live = set()  # the label sums with generators
             for t in range(t_hi + 1):
                 j = base - c * t
                 count = len(labels(k, t)) if window is None or window[0] <= j <= window[1] else 0
@@ -636,8 +637,9 @@ def cube_blocks(
                 if len(ints) < off + count:
                     ints.extend(range(len(ints), off + count))
                 out.append(ints[off])
+                live.add(t)
                 holders.setdefault((i, j), []).extend((mask, t, ints[off], count))
-            if i == lo or out.count(None) == len(out):  # no block ends here
+            if i == lo or not live:  # no block ends here
                 continue
             into: list = []
             rest = mask
@@ -646,33 +648,31 @@ def cube_blocks(
                 rest ^= bit
                 _, part, mins = below[mask ^ bit]
                 shape = (k, part[anchor[bit.bit_length() - 1]], tuple(map(tpart.__getitem__, mins)))
-                kind = kinds.get(shape)
-                if kind is None:
-                    kind = kinds[shape] = (tables.setdefault(shape, {}), shape)
-                into += (kind, -1 if (mask & (bit - 1)).bit_count() & 1 else 1, firsts[mask ^ bit])
+                table = tables[shape]
+                if not table.keys() >= live:
+                    for tt in live - table.keys():
+                        edge_map(shape, tt)
+                into += (table, -1 if (mask & (bit - 1)).bit_count() & 1 else 1, firsts[mask ^ bit])
             edges[mask] = tuple(into)
         below = here
-    return dims, _CubeStrands(spec, dims, ints, holders, edges)
+    return dims, _CubeStrands(dims, ints, holders, edges)
 
 
 class _CubeStrands:
     """The blocks of ``cube_blocks``: iterating builds them one at a time
     in strand order, and ``only(js)`` builds the strands of the j in
-    ``js`` alone.  The edge tables it makes on the way are kept on the
-    spec and listed in ``fresh`` as (shape, target label sum)."""
+    ``js`` alone, from the edge tables ``cube_blocks`` made."""
 
-    __slots__ = ("spec", "dims", "ints", "holders", "edges", "fresh")
+    __slots__ = ("dims", "ints", "holders", "edges")
 
-    def __init__(self, spec: CubeSpec, dims, ints, holders, edges):
-        self.spec, self.dims, self.ints, self.holders, self.edges = spec, dims, ints, holders, edges
-        self.fresh: list[tuple] = []
+    def __init__(self, dims, ints, holders, edges):
+        self.dims, self.ints, self.holders, self.edges = dims, ints, holders, edges
 
     def __iter__(self) -> Iterator[tuple[tuple[int, int], SparseIntMatrix]]:
         return self.only(None)
 
     def only(self, js: Iterable[int] | None) -> Iterator[tuple[tuple[int, int], SparseIntMatrix]]:
         dims, ints, holders, edges = self.dims, self.ints, self.holders, self.edges
-        edge_map, fresh = self.spec.edge_map, self.fresh
         keep = None if js is None else set(js)
         keys = (k for k in dims if (k[0] + 1, k[1]) in dims and (keep is None or k[1] in keep))
         for i, j in sorted(keys, key=lambda k: (k[1], k[0])):
@@ -682,11 +682,8 @@ class _CubeStrands:
                 rows = ints[first:first + count]
                 out = [{} for _ in rows]
                 it = iter(edges[tmask])
-                for kind, sign, sfirsts in zip(it, it, it):
-                    group = kind[0].get(tt)
-                    if group is None:
-                        group = edge_map(kind[1], tt)
-                        fresh.append((kind[1], tt))
+                for table, sign, sfirsts in zip(it, it, it):
+                    group = table[tt]
                     if group and group[0] < len(sfirsts):
                         off = sfirsts[group[0]]
                         if off is not None:
@@ -730,9 +727,9 @@ def cube_homology(
     generators.  When both hold at least ``_FORK_MIN`` generators, the
     platform has ``os.fork`` and the process runs one thread, one forked
     worker runs the strand pass on one set while this process runs it on
-    the other; the worker sends its cancelled units, Smith forms, bad
-    blocks and new edge tables back through a pipe (``marshal``), and
-    one table is assembled from both.  Otherwise the pass runs here on
+    the other; the worker sends the strand pass's result (cancelled
+    units, Smith forms, bad blocks) back through a pipe (``marshal``),
+    and one table is assembled from both.  Otherwise the pass runs here on
     every strand.  The table is the same either way.
     """
     dims, blocks = cube_blocks(spec, states, columns, window)
@@ -740,12 +737,9 @@ def cube_homology(
     if halves is None:
         return strand_homology(dims, blocks, shift, source)
     mine, theirs = halves
-    (units, snf, bad), (w_units, w_snf, w_bad, fresh) = fork_join(
-        lambda: _strand_pass(blocks.only(mine)),
-        lambda: (*_strand_pass(blocks.only(theirs)), [(sh, tt, spec._edges[sh][tt]) for sh, tt in blocks.fresh]),
+    (units, snf, bad), (w_units, w_snf, w_bad) = fork_join(
+        lambda: _strand_pass(blocks.only(mine)), lambda: _strand_pass(blocks.only(theirs))
     )
-    for sh, tt, table in fresh:  # the worker's edge tables, kept for later calls
-        spec._edges[sh].setdefault(tt, table)
     return _table(dims, units | w_units, snf | w_snf, bad + w_bad, shift, source)
 
 

@@ -21,7 +21,7 @@ math/0606318), not a state sum over the 2^n resolutions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import pairwise, product
 from math import comb
 
 from .homcore import (
@@ -407,16 +407,13 @@ class StabilityReport:
         )
 
 
-def _tables_equal_below(a: HomologyTable, b: HomologyTable, i_bound: int, mismatches, tag: str, dj: int = 0) -> bool:
-    """Equality of free rank and torsion for all i < i_bound; b read at j+dj."""
+def _differences_below(a: HomologyTable, b: HomologyTable, i_bound: int, dj: int = 0) -> list[str]:
+    """The bidegrees (i, j) with i < i_bound where a at (i, j) and b at
+    (i, j + dj) differ in free rank or torsion, one line each."""
     keys = {k for k in a.entries if k[0] < i_bound}
     keys |= {(i, j - dj) for (i, j) in b.entries if i < i_bound}
-    ok = True
-    for (i, j) in sorted(keys):
-        if a.group(i, j) != b.group(i, j + dj):
-            ok = False
-            mismatches.append(f"{tag}: ({i},{j}) {a.group(i, j)} != {b.group(i, j + dj)}")
-    return ok
+    return [f"({i},{j}) {a.group(i, j)} != {b.group(i, j + dj)}"
+            for i, j in sorted(keys) if a.group(i, j) != b.group(i, j + dj)]
 
 
 def stability_check(p: int, q_range, i_max: int | None = None) -> StabilityReport:
@@ -425,71 +422,49 @@ def stability_check(p: int, q_range, i_max: int | None = None) -> StabilityRepor
     Checks, for consecutive q in ``q_range``, equality of H^(i,j) between
     the q and q-1 twist diagrams for i < p+q-3; the shared stable window
     i < 2p-1 across all listed q; and the strand-reduction identity
-    H^(i,j)(D_(p,p)) = H^(i,j+1)(D_(p-1,p)) for i < 2p-3.
+    H^(i,j)(D_(p,p)) = H^(i,j+1)(D_(p-1,p)) for i < 2p-3.  Each diagram's
+    table is computed once, up to the largest i any comparison reads.
     """
     qs = sorted(q_range)
     if p < 2 or not qs or p >= qs[0]:
         raise ValueError("need 2 <= p < min(q_range)")
+    cap = float("inf") if i_max is None else i_max + 1
+    # each comparison: (first diagram, second, i bound, j shift, tag)
+    twists = [((p, q), (p, q - 1), min(p + q - 3, cap), 0, f"(p,q)=({p},{q}) vs ({p},{q-1})") for q in qs]
+    windows = [((p, q1), (p, q2), min(2 * p - 1, cap), 0, f"window ({p},{q1}) vs ({p},{q2})")
+               for q1, q2 in pairwise(qs)]
+    reduction = ((p, p), (p - 1, p), min(2 * p - 3, cap), 1, f"({p},{p}) vs ({p-1},{p}) shifted")
+    reads: dict[tuple[int, int], int] = {}
+    for first, second, bound, _, _ in (*twists, *windows, reduction):
+        for key in (first, second):
+            reads[key] = max(bound, reads.get(key, bound))
+    tables = {key: unnormalized_homology(torus_diagram(*key), irange=(0, bound - 1)) for key, bound in reads.items()}
     report = StabilityReport()
-    cache: dict[tuple[int, int], HomologyTable] = {}
 
-    def table(pp: int, qq: int, bound: int) -> HomologyTable:
-        key = (pp, qq)
-        if key not in cache:
-            cache[key] = unnormalized_homology(torus_diagram(pp, qq), irange=(0, bound))
-        return cache[key]
+    def agree(first, second, bound, dj, tag) -> bool:
+        diffs = _differences_below(tables[first], tables[second], bound, dj)
+        report.mismatches.extend(f"{tag}: {d}" for d in diffs)
+        return not diffs
 
-    for q in qs:
-        bound = p + q - 3
-        if i_max is not None:
-            bound = min(bound, i_max + 1)
-        ta = table(p, q, bound)
-        tb = table(p, q - 1, bound)
-        ok = _tables_equal_below(ta, tb, bound, report.mismatches, f"(p,q)=({p},{q}) vs ({p},{q-1})")
-        report.drop_one_twist.append((q, bound, ok))
-
-    window = 2 * p - 1
-    if i_max is not None:
-        window = min(window, i_max + 1)
-    for q1, q2 in zip(qs, qs[1:]):
-        ta = table(p, q1, window)
-        tb = table(p, q2, window)
-        ok = _tables_equal_below(ta, tb, window, report.mismatches, f"window ({p},{q1}) vs ({p},{q2})")
-        report.shared_window.append((q1, q2, window, ok))
-
-    bound = 2 * p - 3
-    if i_max is not None:
-        bound = min(bound, i_max + 1)
-    tp = unnormalized_homology(torus_diagram(p, p), irange=(0, bound))
-    tq = unnormalized_homology(torus_diagram(p - 1, p), irange=(0, bound))
-    ok = _tables_equal_below(tp, tq, bound, report.mismatches, f"({p},{p}) vs ({p-1},{p}) shifted", dj=1)
-    report.strand_reduction = (bound, ok)
+    report.drop_one_twist = [(c[0][1], c[2], agree(*c)) for c in twists]
+    report.shared_window = [(c[0][1], c[1][1], c[2], agree(*c)) for c in windows]
+    report.strand_reduction = (reduction[2], agree(*reduction))
     return report
 
 
 def stable_poincare(m: int, n_values) -> tuple[list[tuple[int, LaurentPoly]], list[tuple[int, int, int, bool]]]:
     """Normalized Poincare polynomials q^(-(m-1)n) P(T_(m,n)) plus the
-    stable-agreement report for consecutive n (t-powers below m+n-3)."""
+    stable-agreement report for consecutive n: the groups, torsion
+    included, at t-powers below m+n-3, after the same shift."""
     if m < 2:
         raise InputError("need m >= 2")
     ns = sorted(n_values)
     if len(set(ns)) < len(ns):
         raise InputError(f"repeated twist value in {ns}")
-    polys = []
-    for n in ns:
-        t = khovanov_homology(torus_diagram(m, n))
-        p = poincare_polynomial(t).shift((0, -(m - 1) * n))
-        polys.append((n, p))
+    tables = [khovanov_homology(torus_diagram(m, n)) for n in ns]
+    polys = [(n, poincare_polynomial(t).shift((0, -(m - 1) * n))) for n, t in zip(ns, tables)]
     agreements = []
-    for (n1, p1), (n2, p2) in zip(polys, polys[1:]):
+    for (n1, t1), (n2, t2) in pairwise(zip(ns, tables)):
         bound = m + n1 - 3
-        ok = _t_coeffs_agree(p1, p2, bound)
-        agreements.append((n1, n2, bound, ok))
+        agreements.append((n1, n2, bound, not _differences_below(t1, t2, bound, (m - 1) * (n2 - n1))))
     return polys, agreements
-
-
-def _t_coeffs_agree(p1: LaurentPoly, p2: LaurentPoly, bound_exclusive: int) -> bool:
-    def slice_poly(p):
-        return {k: v for k, v in p.terms.items() if k[0] < bound_exclusive}
-
-    return slice_poly(p1) == slice_poly(p2)

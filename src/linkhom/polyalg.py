@@ -16,17 +16,18 @@ at the end, as ``substitute`` does (over den^E * num^N).
 The gcd is one primitive polynomial remainder sequence for every arity:
 it sees a polynomial as {exponent: coefficient} in its first variable,
 each coefficient an int or a polynomial of the same form in the next
-variable.  Where the denominator is a known power base^n and nothing but
-base itself can cancel, ``RationalFn._over_power`` divides base out of
-the numerator instead and runs no gcd: the HOMFLYPT trace (base 1 - q^2)
-and the graph series D_G (base 1 - q) are formed that way.
+variable; the one exact division works on the same form.  Where the
+denominator is a known power base^n and nothing but base itself can
+cancel, ``RationalFn._over_power`` divides base out of the numerator
+instead and runs no gcd: the HOMFLYPT trace (base 1 - q^2) and the
+graph series D_G (base 1 - q) are formed that way.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from math import gcd
-from operator import add, index
+from operator import add, index, sub
 from typing import Mapping
 
 __all__ = [
@@ -203,37 +204,17 @@ class LaurentPoly:
     # ---------- division ----------
 
     def divide_exact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises ValueError when the quotient is not a Laurent polynomial."""
+        """Exact division; raises ValueError when the quotient is not a
+        Laurent polynomial.  ``_div`` divides what is left once both
+        monomial parts are split off."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero(self.vars)
-        rem = dict(self.terms)
-        den = other.terms
-        dk = max(den)
-        dc = den[dk]
-        # least exponents add in a product: exact quotient terms are componentwise >= low
-        low = tuple(a - b for a, b in zip(self.min_exps(), other.min_exps()))
-        quo: dict[tuple[int, ...], int] = {}
-        while rem:
-            rk = max(rem)
-            rc = rem[rk]
-            if rc % dc:
-                raise ValueError("not divisible (coefficient)")
-            qk = tuple(a - b for a, b in zip(rk, dk))
-            if qk[0] < low[0] or qk[-1] < low[-1]:
-                raise ValueError("not divisible (the quotient is not a Laurent polynomial)")
-            qc = rc // dc
-            quo[qk] = qc
-            for k, c in den.items():
-                kk = tuple(a + b for a, b in zip(qk, k))
-                v = rem.get(kk, 0) - qc * c
-                if v:
-                    rem[kk] = v
-                else:
-                    rem.pop(kk, None)
-        return LaurentPoly(self.vars, quo)
+        (ls, a), (lo, b) = _nested(self), _nested(other)
+        quo, low = _flat(_div(a, b)), tuple(map(sub, ls, lo))
+        return LaurentPoly(self.vars, {tuple(map(add, k, low)): c for k, c in quo.items()})
 
     # ---------- substitution ----------
 
@@ -375,19 +356,27 @@ class _Poly(dict):
 
 
 def _div(a, b):
-    """The quotient a / b; raises ValueError unless it is exact."""
+    """The quotient a / b; raises ValueError unless it is exact.  a is
+    copied once, and each degree of its top variable, from the top down,
+    gives one quotient term, whose multiple of b leaves the degrees below."""
     if isinstance(a, int):
         q, r = divmod(a, b)
         if r:
             raise ValueError("not divisible")
         return q
-    db, quo = max(b), _Poly()
-    while a:
-        da = max(a)
-        if da < db:
-            raise ValueError("not divisible")
-        quo[da - db] = c = _div(a[da], b[db])
-        a = a + b.term(da - db, -c)
+    db = max(b)
+    lb, rest = b[db], [(k - db, -v) for k, v in b.items() if k != db]  # -b below its top, shifted
+    a, quo = _Poly(a), _Poly()
+    for da in range(max(a), db - 1, -1):
+        if da in a:
+            c = quo[da - db] = _div(a.pop(da), lb)
+            for e, v in rest:
+                k, w = da + e, c * v
+                w = a.pop(k) + w if k in a else w
+                if w:
+                    a[k] = w
+    if a:
+        raise ValueError("not divisible")
     return quo
 
 
@@ -417,14 +406,17 @@ def _gcd(a, b):
     return a.term(0, _gcd(ca, cb))
 
 
-def _nested(p: LaurentPoly) -> _Poly:
+def _nested(p: LaurentPoly) -> tuple[tuple[int, ...], _Poly]:
+    """The least exponents of p, and p over that monomial, nested."""
+    low = p.min_exps()
     out = _Poly()
     for k, c in p.terms.items():
+        *outer, last = map(sub, k, low)
         inner = out
-        for e in k[:-1]:
+        for e in outer:
             inner = inner.setdefault(e, _Poly())
-        inner[k[-1]] = c
-    return out
+        inner[last] = c
+    return low, out
 
 
 def _flat(p) -> dict:
@@ -458,23 +450,18 @@ class RationalFn:
 
     @staticmethod
     def _reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-        variables = num.vars
         if num.is_zero():
-            return num, LaurentPoly.one(variables)
-        # strip the monomial parts
-        mn = num.min_exps()
-        md = den.min_exps()
-        unit = tuple(a - b for a, b in zip(mn, md))
-        nshift = num.shift(tuple(-e for e in mn))
-        dshift = den.shift(tuple(-e for e in md))
-        if not dshift.is_one():
-            g = LaurentPoly(variables, _flat(_gcd(_nested(nshift), _nested(dshift))))
+            return num, LaurentPoly.one(num.vars)
+        # the denominator's monomial part moves to the numerator
+        low = tuple(-e for e in den.min_exps())
+        num, den = num.shift(low), den.shift(low)
+        if not den.is_one():
+            g = LaurentPoly(num.vars, _flat(_gcd(_nested(num)[1], _nested(den)[1])))
             if not (g.is_one() or (-g).is_one()):
-                nshift = nshift.divide_exact(g)
-                dshift = dshift.divide_exact(g)
-            if dshift.lex_leading()[1] < 0:
-                nshift, dshift = -nshift, -dshift
-        return nshift.shift(unit), dshift
+                num, den = num.divide_exact(g), den.divide_exact(g)
+            if den.lex_leading()[1] < 0:
+                num, den = -num, -den
+        return num, den
 
     # ---------- constructors ----------
 

@@ -455,24 +455,25 @@ def suite_appendix_a() -> SuiteReport:
 
 
 SUITES = {
-    "kauffman": lambda slow, p, q: suite_kauffman(),
-    "khovanov-basic": lambda slow, p, q: suite_khovanov_basic(),
-    "theorem18": lambda slow, p, q: suite_theorem18(),
-    "theorem20": lambda slow, p, q: suite_theorem20(slow),
-    "theorem23": lambda slow, p, q: suite_theorem23(slow),
-    "theorem24": lambda slow, p, q: suite_theorem24(3 if p is None else p, 4 if q is None else q),
-    "theorem8": lambda slow, p, q: suite_theorem8(),
-    "jones-euler": lambda slow, p, q: suite_jones_euler(),
-    "homfly-axioms": lambda slow, p, q: suite_homfly_axioms(),
-    "appendixA": lambda slow, p, q: suite_appendix_a(),
-    "appendixB": lambda slow, p, q: suite_appendix_b(),
-    "stability": lambda slow, p, q: suite_stability(),
+    "kauffman": suite_kauffman,
+    "khovanov-basic": suite_khovanov_basic,
+    "theorem18": suite_theorem18,
+    "theorem20": suite_theorem20,
+    "theorem23": suite_theorem23,
+    "theorem24": suite_theorem24,
+    "theorem8": suite_theorem8,
+    "jones-euler": suite_jones_euler,
+    "homfly-axioms": suite_homfly_axioms,
+    "appendixA": suite_appendix_a,
+    "appendixB": suite_appendix_b,
+    "stability": suite_stability,
 }
+SLOW_SUITES = ("theorem20", "theorem23")  # the suites with a slow tier
 
 
 def run_suite(name: str, slow: bool = False, p: int | None = None, q: int | None = None) -> list[SuiteReport]:
-    if name == "all":
-        return [fn(slow, None, None) for key, fn in SUITES.items()]
-    if name not in SUITES:
-        raise KeyError(name)
-    return [SUITES[name](slow, p, q)]
+    """The reports of suite ``name``, or of every suite for "all": ``slow``
+    goes to the suites that have a slow tier, and p and q, where given, to theorem24."""
+    pq = {k: v for k, v in (("p", p), ("q", q)) if v is not None}
+    return [SUITES[key](slow) if key in SLOW_SUITES else SUITES[key](**pq) if key == "theorem24" else SUITES[key]()
+            for key in (SUITES if name == "all" else [name])]

@@ -12,9 +12,11 @@ import pytest
 
 import linkhom
 from linkhom.corpus import corpus_diagrams
-from linkhom.homcore import euler_characteristic, graded_homology, poincare_polynomial
+from linkhom import khovanov
+from linkhom.homcore import HomologyTable, euler_characteristic, graded_homology, poincare_polynomial
 from linkhom.khovanov import (
     _cone_structure_ok,
+    _differences_below,
     _states,
     build_khovanov_complex,
     jones_normalized,
@@ -402,6 +404,32 @@ def test_jwindow_matches_full_computation():
 def test_stability_small():
     rep = stability_check(2, [3, 4])
     assert rep.ok, rep.mismatches
+
+
+def test_stability_check_computes_each_diagram_once(monkeypatch):
+    # T(3,3) is read by a twist comparison and by the strand reduction
+    calls = []
+    real = khovanov.unnormalized_homology
+
+    def counted(d, irange=None):
+        calls.append((d.crossings, d.loops))
+        return real(d, irange)
+
+    monkeypatch.setattr(khovanov, "unnormalized_homology", counted)
+    rep = stability_check(3, [4, 5, 6], i_max=4)
+    assert rep.ok, rep.mismatches
+    assert len(calls) == len(set(calls)) == 5
+
+
+def test_differences_below_sees_torsion():
+    a = HomologyTable({(0, 1): (1, ()), (2, 5): (0, (2,)), (3, 7): (1, (2,))})
+    b = HomologyTable({(0, 1): (1, ()), (3, 7): (1, (4,))})
+    assert poincare_polynomial(a) == poincare_polynomial(b)  # the free ranks agree
+    assert _differences_below(a, b, 4) == ["(2,5) (0, (2,)) != (0, ())", "(3,7) (1, (2,)) != (1, (4,))"]
+    assert _differences_below(a, b, 3) == ["(2,5) (0, (2,)) != (0, ())"]
+    assert _differences_below(a, b, 2) == []
+    moved = HomologyTable({(i, j + 2): g for (i, j), g in a.entries.items()})
+    assert _differences_below(a, moved, 4, 2) == [] and _differences_below(a, moved, 4)
 
 
 def test_stable_poincare_m2():

@@ -178,6 +178,15 @@ def test_divide_exact_and_failure():
     assert p.divide_exact(d) == d
     with pytest.raises(ValueError):
         qp({0: 1, 1: 1}).divide_exact(qp({0: 2}))
+    # negative exponents in both variables, in the quotient and the divisor
+    quo = tq({(-2, -3): 2, (1, -1): -1, (0, 2): 3, (-1, 0): 5})
+    den = tq({(-1, 0): 1, (0, -2): 1, (2, 1): -1})
+    assert (quo * den).divide_exact(den) == quo
+    # the only remainder sits in the lowest degree, after every quotient term
+    with pytest.raises(ValueError):
+        (d * d + qp({0: 1})).divide_exact(d)
+    with pytest.raises(ValueError):
+        (quo * den + tq({(-3, -5): 1})).divide_exact(den)
 
 
 def test_divide_exact_raises_where_the_quotient_is_a_power_series():
@@ -202,6 +211,11 @@ def test_divide_exact_recovers_random_factors():
         if b.is_zero():
             continue
         assert (a * b).divide_exact(b) == a
+    # a long product: 40 factors 1 - q^2 and 60 terms
+    long = qp({e: rng.choice([-3, -2, -1, 1, 2, 3]) for e in range(-20, 100, 2)})
+    power = qp({0: 1, 2: -1}) ** 40
+    assert (long * power).divide_exact(power) == long
+    assert (long * power).divide_exact(long) == power
 
 
 def test_arity_mismatch_raises():

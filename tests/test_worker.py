@@ -88,8 +88,8 @@ def test_no_worker_while_another_thread_runs(forks):
 
 
 def test_worker_edge_tables_come_back():
-    # the edge tables the worker makes are kept on the spec, as the serial
-    # path keeps its own
+    # every edge table is made before the fork, so the forked path leaves
+    # the same tables on the spec as the serial path
     def fresh():
         return CubeSpec(top=_KHOVANOV.top, grading=_KHOVANOV.grading, merge=_KHOVANOV.merge, split=_KHOVANOV.split)
 
