@@ -29,7 +29,6 @@ from .graphhom import (
     Multigraph,
     Pn_homology,
     Qn_homology,
-    build_enhanced_complex,
     build_Pn_complex,
     build_Qn_complex,
     dichromatic,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
 
@@ -42,10 +43,16 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises argparse's usage errors as ``UsageError``, for ``run`` to report."""
+    """Raises argparse's usage errors (``UsageError``) and help (``Help``) for ``run``."""
+
+    class Help(Exception):
+        """The help text, for ``run`` to print on its ``out``."""
 
     def error(self, message):
         raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
+
+    def print_help(self, file=None):
+        raise self.Help(self.format_help())
 
 
 def _read(spec: str) -> str:
@@ -61,8 +68,7 @@ def _load_diagram(spec: str) -> Diagram:
     stripped = _read(spec).strip()
     if not stripped:
         raise UsageError("empty diagram input")
-    first = stripped.splitlines()[0].strip()
-    if first[:1].upper() == "X":
+    if stripped[:1].upper() == "X":
         return parse_pd(stripped)
     if ":" in stripped:
         return braid_closure(parse_braid(stripped))
@@ -176,10 +182,7 @@ def _cmd_kh(args, out) -> None:
     elif args.width:
         w = width_report(table)
         kind = "thin" if w.thin else "thick"
-        print(
-            f"diagonals {list(w.diagonals)} width {w.width} ({kind})",
-            file=out,
-        )
+        print(f"diagonals {list(w.diagonals)} width {w.width} ({kind})", file=out)
     else:
         _emit_table(table, args.format, out)
 
@@ -196,8 +199,6 @@ def _cmd_homfly(args, out) -> None:
     if args.specialize is not None:
         rows.append((f"G_{args.specialize}", specialize_Gn(g, args.specialize).render()))
     if args.format == "json":
-        import json
-
         print(json.dumps({k: v for k, v in rows}, sort_keys=True), file=out)
     else:
         for k, v in rows:
@@ -291,8 +292,9 @@ def run(argv, out=None, err=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.run(args, out) or 0
-    except SystemExit as e:  # --help
-        return 2 if e.code not in (0, None) else 0
+    except _Parser.Help as e:
+        print(e, end="", file=out)
+        return 0
     except UsageError as e:
         print(f"usage error: {e}", file=err)
         return 2

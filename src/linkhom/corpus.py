@@ -87,7 +87,7 @@ def corpus_diagrams(max_crossings: int = 12) -> list[BraidWord]:
     return out
 
 
-def random_words(seed: int, count: int, max_strands: int = 4, max_crossings: int = 10, positive: bool = False):
+def random_words(seed: int, count: int, max_strands: int = 4, max_crossings: int = 10):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -96,18 +96,18 @@ def random_words(seed: int, count: int, max_strands: int = 4, max_crossings: int
         letters = []
         for _ in range(length):
             k = rng.randint(1, strands - 1)
-            letters.append(k if positive else rng.choice([k, -k]))
+            letters.append(rng.choice([k, -k]))
         out.append(BraidWord(strands, tuple(letters)))
     return out
 
 
-def random_positive_knots(seed: int, count: int, max_strands: int = 4, max_crossings: int = 12):
+def random_positive_knots(seed: int, count: int):
     """Positive braid words whose closure is a single component."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        strands = rng.randint(2, max_strands)
-        length = rng.randint(strands, max_crossings)
+        strands = rng.randint(2, 4)
+        length = rng.randint(strands, 12)
         letters = tuple(rng.randint(1, strands - 1) for _ in range(length))
         b = BraidWord(strands, letters)
         if b.is_knot():

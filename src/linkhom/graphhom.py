@@ -50,7 +50,6 @@ __all__ = [
     "build_Pn_complex",
     "Pn_homology",
     "polygon_reference",
-    "build_enhanced_complex",
     "enhanced_homology",
     "build_Qn_complex",
     "Qn_homology",
@@ -363,16 +362,11 @@ def _enhanced_cube(g: Multigraph, window: tuple[int, int]) -> GradedComplex:
     i = |s| and j = |s| + k(s) - |labels|.  Adding an edge merges labels
     additively, or increments the label of the component it lands in.
     This is the per-degree polynomial complex for n = 2."""
-    return cube_complex(*_qn_cube(g, 2, window, "enhanced"))
-
-
-def build_enhanced_complex(g: Multigraph, j: int) -> GradedComplex:
-    """Single fixed-degree slice of the enhanced-state cube."""
-    return _enhanced_cube(g, (j, j))
+    return cube_complex(*_qn_cube(g, 2, window))
 
 
 def enhanced_homology(g: Multigraph, window: tuple[int, int]) -> HomologyTable:
-    return cube_homology(*_qn_cube(g, 2, window, "enhanced"))
+    return cube_homology(*_qn_cube(g, 2, window))
 
 
 def build_Qn_complex(g: Multigraph, n: int, window: tuple[int, int]) -> GradedComplex:
@@ -380,10 +374,10 @@ def build_Qn_complex(g: Multigraph, n: int, window: tuple[int, int]) -> GradedCo
     component (indexed by smallest vertex), merge maps substituting the
     larger variable and multiplying by x^(2-n), internal edges multiplying
     by x.  Exact inside the window since differentials preserve degree."""
-    return cube_complex(*_qn_cube(g, n, window, f"qn-complex:n={n}"))
+    return cube_complex(*_qn_cube(g, n, window))
 
 
-def _qn_cube(g: Multigraph, n: int, window: tuple[int, int], source: str) -> tuple:
+def _qn_cube(g: Multigraph, n: int, window: tuple[int, int]) -> tuple:
     # the arguments of cube_complex and cube_homology for the per-degree
     # polynomial complex, checked
     if n > 2:
@@ -391,7 +385,7 @@ def _qn_cube(g: Multigraph, n: int, window: tuple[int, int], source: str) -> tup
     lo, hi = window
     if lo > hi:
         raise InputError("empty degree window")
-    return _qn_spec(n), _graph_states(g), None, window, source
+    return _qn_spec(n), _graph_states(g), None, window, f"qn-complex:n={n}"
 
 
 @lru_cache(maxsize=8)
@@ -406,7 +400,7 @@ def _qn_spec(n: int) -> CubeSpec:
 
 
 def Qn_homology(g: Multigraph, n: int, window: tuple[int, int]) -> HomologyTable:
-    return cube_homology(*_qn_cube(g, n, window, f"qn-complex:n={n}"))
+    return cube_homology(*_qn_cube(g, n, window))
 
 
 def dichromatic_DG(g: Multigraph) -> RationalFn:

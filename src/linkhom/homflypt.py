@@ -153,23 +153,12 @@ class HeckeElement:
         return HeckeElement._of(self.n, terms, self.shift, width, self.bound)
 
     def _times(self, i: int, kind: int) -> "HeckeElement":
+        """This element times T_i, Q T_i^-1 or E_i (kind _T, _QT_INV or _E) on the right."""
         if not 1 <= i < self.n:
             raise ValueError(f"generator index {i} out of range")
         h = self._room(3)
         terms = _right(h.terms, i, h.width, kind)
         return HeckeElement._of(self.n, terms, h.shift + (kind == _QT_INV), h.width, 3 * h.bound)
-
-    def right_gen(self, i: int) -> "HeckeElement":
-        """Multiply by T_i on the right."""
-        return self._times(i, _T)
-
-    def right_gen_inverse(self, i: int) -> "HeckeElement":
-        """Multiply by T_i^-1 = q^-2 T_i - q^-2 + 1 on the right."""
-        return self._times(i, _QT_INV)
-
-    def right_wide(self, i: int) -> "HeckeElement":
-        """Multiply by the wide edge E_i = T_i + q^2 on the right."""
-        return self._times(i, _E)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HeckeElement) and self.n == other.n and self.coeffs == other.coeffs
@@ -182,7 +171,7 @@ class HeckeElement:
 
 
 def _trace_growth(n: int) -> int:
-    """Growth of the bound in an n-strand trace: 3 per right_gen, then 2^(n-1)."""
+    """Growth of the bound in an n-strand trace: 3 per generator, then 2^(n-1)."""
     return 3 ** ((n - 1) * (n - 2) // 2) << (n - 1)
 
 
@@ -197,9 +186,11 @@ def wide_edge_expand(strands: int, tokens: Sequence) -> HeckeElement:
     Tokens are integers (+-i for braid letters) or strings "Ei" for the
     wide edge between strands i and i+1.
     """
-    # packed once at the width that the word and its trace need (1 is the same int at every width)
+    if strands < 1:
+        raise ValueError("need at least one strand")
+    # the identity, packed once at the width that the word and its trace need
     width = _width(3 ** len(tokens) * _trace_growth(strands))
-    h = HeckeElement._of(strands, HeckeElement.identity(strands).terms, 0, width, 1)
+    h = HeckeElement._of(strands, {tuple(range(1, strands + 1)): 1}, 0, width, 1)
     for tok in tokens:
         if isinstance(tok, str):
             t = tok.strip().upper()
@@ -216,13 +207,11 @@ class HomflyValue:
     """Value in q, t with an optional overall half power of alpha.
 
     The represented quantity is value * sqrt(alpha)^sqrt_alpha with
-    alpha = -t^-1 q^-1; sqrt_alpha is 0 or 1 and omega records the full
-    writhe-minus-strands normalization exponent when known.
+    alpha = -t^-1 q^-1; sqrt_alpha is 0 or 1.
     """
 
     value: RationalFn
     sqrt_alpha: int = 0
-    omega: int | None = None
 
     def __post_init__(self):
         if self.sqrt_alpha not in (0, 1):
@@ -309,7 +298,7 @@ def _normalize_G(f: HomflyValue, b: BraidWord) -> HomflyValue:
     # it scales F's numerator and leaves the fraction reduced and canonical
     num = f.value.num.shift((-half_pairs, -half_pairs))
     value = RationalFn._of(-num if half_pairs & 1 else num, f.value.den)
-    return HomflyValue(value, sqrt_alpha=parity, omega=omega)
+    return HomflyValue(value, sqrt_alpha=parity)
 
 
 def specialize_Gn(g: HomflyValue, n: int) -> LaurentPoly:

@@ -216,8 +216,6 @@ def unnormalized_homology(
 @dataclass(frozen=True)
 class WidthReport:
     diagonals: tuple[int, ...]
-    a_min: int
-    a_max: int
     width: int
     thin: bool
 
@@ -226,9 +224,8 @@ def width_report(t: HomologyTable) -> WidthReport:
     diags = sorted({j - 2 * i for (i, j), (rank, _) in t.entries.items() if rank > 0})
     if not diags:
         raise ValueError("empty homology table")
-    a_min, a_max = diags[0], diags[-1]
-    width = (a_max - a_min) // 2 + 1
-    return WidthReport(tuple(diags), a_min, a_max, width, thin=(width == 2))
+    width = (diags[-1] - diags[0]) // 2 + 1
+    return WidthReport(tuple(diags), width, thin=(width == 2))
 
 
 @dataclass

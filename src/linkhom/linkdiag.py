@@ -163,10 +163,6 @@ class Diagram:
     def n_minus(self) -> int:
         return sum(1 for x in self.crossings if x.sign < 0)
 
-    @property
-    def writhe(self) -> int:
-        return self.n_plus - self.n_minus
-
     def arc_labels(self) -> tuple[int, ...]:
         out = set()
         for x in self.crossings:

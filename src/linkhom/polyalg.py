@@ -604,8 +604,8 @@ class RationalFn:
 # ---------------------------------------------------------------------------
 
 
-def quantum_integer(k: int, var: str = "q") -> LaurentPoly:
+def quantum_integer(k: int) -> LaurentPoly:
     """[k] = q^(k-1) + q^(k-3) + ... + q^(1-k); [0] = 0."""
     if k < 0:
         raise ValueError("quantum integer defined for k >= 0")
-    return LaurentPoly.from_terms((var,), {k - 1 - 2 * i: 1 for i in range(k)})
+    return LaurentPoly.from_terms(("q",), {k - 1 - 2 * i: 1 for i in range(k)})

@@ -2,9 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import linkhom
 from linkhom.cli import _build_parser, run
 
 
@@ -165,6 +169,27 @@ def test_parser_built_once():
     assert [code for code, _, _ in results] == [0, 1, 2, 2, 0]
     assert results[0][1] == results[-1][1] == "-q^9 + q^5 + q^3 + q\n"
     assert _build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["kh", "--help"]], ids=["top", "kh"])
+def test_help_goes_to_out(argv, capsys):
+    code, out, err = invoke(argv)
+    assert code == 0 and out.startswith("usage: linkhom") and not err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_main_as_a_module():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(linkhom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def main(*argv):
+        return subprocess.run([sys.executable, "-m", "linkhom.cli", *argv], env=env, capture_output=True, text=True)
+
+    done = main("kh", "2: 1 1 1", "--format", "json")
+    assert (done.returncode, done.stdout, done.stderr) == (0, invoke(["kh", "2: 1 1 1", "--format", "json"])[1], "")
+    assert {"i": 3, "j": 7, "rank": 0, "torsion": [2]} in json.loads(done.stdout)
+    done = main("kh", "2: 1 1 1", "--no-such-flag")
+    assert done.returncode == 2 and not done.stdout and done.stderr.startswith("usage error:")
 
 
 def test_usage_errors():

@@ -11,8 +11,8 @@ from linkhom.graphhom import (
     Multigraph,
     Pn_homology,
     Qn_homology,
+    _enhanced_cube,
     _graph_states,
-    build_enhanced_complex,
     build_Pn_complex,
     build_Qn_complex,
     cycle_graph,
@@ -193,17 +193,17 @@ def test_pn_homology_invariant_under_relabeling():
 
 def test_enhanced_single_vertex():
     for j in (1, 0, -1, -3):
-        c = build_enhanced_complex(Multigraph(1, ()), j)
+        c = _enhanced_cube(Multigraph(1, ()), (j, j))
         assert c.dims == {(0, j): 1}
         assert not c.diff
         t = graded_homology(c)
         assert t.entries == {(0, j): (1, ())}
     # j > 1 is empty: labels must be nonnegative
-    assert build_enhanced_complex(Multigraph(1, ()), 2).dims == {}
+    assert _enhanced_cube(Multigraph(1, ()), (2, 2)).dims == {}
 
 
 def test_enhanced_single_edge_j2():
-    c = build_enhanced_complex(Multigraph(2, ((1, 2),)), 2)
+    c = _enhanced_cube(Multigraph(2, ((1, 2),)), (2, 2))
     assert c.dims == {(0, 2): 1, (1, 2): 1}
     assert not graded_homology(c).entries
 
@@ -213,22 +213,24 @@ def test_enhanced_euler_matches_jg_series():
     for _ in range(10):
         g = random_graph(rng, max_vertices=4, max_edges=5)
         window = (-4, g.n_edges + g.n_vertices)
-        table_chi = euler_characteristic(enhanced_complex_for(g, window))
+        table_chi = euler_characteristic(_enhanced_cube(g, window))
         assert table_chi == specialize_Qn(g, 2, window)
 
 
-def enhanced_complex_for(g, window):
-    from linkhom.graphhom import _enhanced_cube
-
-    return _enhanced_cube(g, window)
-
-
-def test_qn_complex_matches_enhanced_for_n2():
+def test_qn_complex_matches_enhanced_for_n2(monkeypatch):
     rng = random.Random(17)
     for _ in range(6):
         g = random_graph(rng, max_vertices=4, max_edges=4)
         window = (-3, g.n_edges + g.n_vertices)
         assert enhanced_homology(g, window) == Qn_homology(g, 2, window)
+    # the enhanced homology is the n = 2 complex's: one engine call, argument for argument
+    from linkhom import graphhom
+
+    calls = []
+    monkeypatch.setattr(graphhom, "cube_homology", lambda spec, states, *rest: calls.append((spec, states.joins, rest)))
+    enhanced_homology(g, window)
+    Qn_homology(g, 2, window)
+    assert calls[0] == calls[1] and calls[0][2][-1] == "qn-complex:n=2"
 
 
 def test_qn_euler_matches_series():

@@ -251,6 +251,15 @@ def test_width_reports():
         width_report(khovanov_homology(closure("2: 1")).restrict_i(5, 6))
 
 
+def test_thin_knots_carry_only_z2_torsion():
+    # Shumakovitch, "Torsion of the Khovanov homology" (math/0405474)
+    knots = [b for b in corpus_diagrams(max_crossings=12) if b.is_knot()]
+    thin = [t for t in (khovanov_homology(braid_closure(b)) for b in knots) if width_report(t).thin]
+    factors = [f for t in thin for _, torsion in t.entries.values() for f in torsion]
+    assert (len(knots), len(thin), len(factors)) == (15, 13, 14)
+    assert set(factors) == {2}
+
+
 def test_j_parity_matches_component_count():
     rng = random.Random(7)
     for _ in range(8):
