@@ -43,7 +43,6 @@ from .graphhom import (
 from .khovanov import (
     build_khovanov_complex,
     jones_normalized,
-    jones_skein_check,
     jones_unnormalized,
     kauffman_bracket,
     khovanov_homology,

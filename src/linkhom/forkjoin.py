@@ -20,10 +20,12 @@ from typing import Callable
 
 
 def can_fork() -> bool:
-    """Whether a worker may be forked: the platform has ``os.fork`` and
-    this process runs one thread (a fork copies only the calling thread,
-    and a lock another thread holds would stay locked in the worker)."""
-    return hasattr(os, "fork") and threading.active_count() == 1
+    """Whether a worker may be forked and run beside this process: the
+    platform has ``os.fork``, this process may use a second CPU, and it
+    runs one thread (a fork copies only the calling thread, and a lock
+    another thread holds would stay locked in the worker)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return hasattr(os, "fork") and cpus > 1 and threading.active_count() == 1
 
 
 def fork_join(here: Callable[[], object], there: Callable[[], object]) -> tuple[object, object]:

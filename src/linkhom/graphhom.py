@@ -357,15 +357,11 @@ def polygon_reference(k: int, n: int) -> HomologyTable:
 # ---------------------------------------------------------------------------
 
 
-def _enhanced_cube(g: Multigraph, window: tuple[int, int]) -> GradedComplex:
-    """Enhanced-state cube: states carry nonnegative labels on components,
-    i = |s| and j = |s| + k(s) - |labels|.  Adding an edge merges labels
-    additively, or increments the label of the component it lands in.
-    This is the per-degree polynomial complex for n = 2."""
-    return cube_complex(*_qn_cube(g, 2, window))
-
-
 def enhanced_homology(g: Multigraph, window: tuple[int, int]) -> HomologyTable:
+    """Homology of the enhanced-state cube: states carry nonnegative labels
+    on components, i = |s| and j = |s| + k(s) - |labels|.  Adding an edge
+    merges labels additively, or increments the label of the component it
+    lands in.  This is the per-degree polynomial complex for n = 2."""
     return cube_homology(*_qn_cube(g, 2, window))
 
 

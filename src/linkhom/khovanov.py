@@ -42,7 +42,6 @@ __all__ = [
     "kauffman_bracket_recursive",
     "jones_unnormalized",
     "jones_normalized",
-    "jones_skein_check",
     "build_khovanov_complex",
     "khovanov_homology",
     "unnormalized_homology",
@@ -129,22 +128,6 @@ def jones_normalized(d: Diagram) -> LaurentPoly:
     """Unnormalized Jones divided by the unknot value q + q^-1."""
     circle = LaurentPoly.from_terms(Q, {1: 1, -1: 1})
     return jones_unnormalized(d).divide_exact(circle)
-
-
-def jones_skein_check(l_plus: Diagram, l_minus: Diagram, l_zero: Diagram) -> bool:
-    """q^-2 J(L+) - q^2 J(L-) = (q^-1 - q) J(L0), exactly."""
-    if not (
-        l_plus.n_crossings == l_minus.n_crossings == l_zero.n_crossings + 1
-        and l_plus.n_plus == l_zero.n_plus + 1
-        and l_plus.n_minus == l_zero.n_minus
-        and l_minus.n_plus == l_zero.n_plus
-        and l_minus.n_minus == l_zero.n_minus + 1
-    ):
-        raise ValueError("diagrams do not form a skein triple at one crossing")
-    jp, jm, j0 = (jones_unnormalized(x) for x in (l_plus, l_minus, l_zero))
-    lhs = jp.shift(-2) - jm.shift(2)
-    rhs = LaurentPoly.from_terms(Q, {-1: 1, 1: -1}) * j0
-    return lhs == rhs
 
 
 # Labels 0 and 1 stand for 1 and X: m(1 1) = 1, m(1 X) = m(X 1) = X,

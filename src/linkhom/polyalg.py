@@ -110,9 +110,6 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coefficient(self, exps) -> int:
-        return self.terms.get(_key(self.arity, exps), 0)
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 

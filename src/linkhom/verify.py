@@ -302,10 +302,9 @@ def suite_homfly_axioms() -> SuiteReport:
     for _ in range(20):  # braid relation
         b = rand_word(max_strands=3)
         i = rng.randint(1, b.strands - 1) if b.strands > 2 else 1
-        if b.strands < 3:
-            b = BraidWord(3, b.letters)
-        w1 = BraidWord(3, b.letters + (1, 2, 1))
-        w2 = BraidWord(3, b.letters + (2, 1, 2))
+        n = max(b.strands, i + 2)
+        w1 = BraidWord(n, b.letters + (i, i + 1, i))
+        w2 = BraidWord(n, b.letters + (i + 1, i, i + 1))
         if hecke_normal_form(w1) != hecke_normal_form(w2):
             fails.append("braid relation")
     for _ in range(10):  # positive stabilization

@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 
 from linkhom.corpus import corpus_diagrams
-from linkhom.graphhom import Multigraph, _enhanced_cube, _graph_states, build_Pn_complex, build_Qn_complex
+from linkhom.graphhom import Multigraph, _graph_states, build_Pn_complex, build_Qn_complex
 from linkhom.homcore import GradedComplex, SparseIntMatrix
 from linkhom.khovanov import _states, build_khovanov_complex
 from linkhom.linkdiag import braid_closure
@@ -175,4 +175,4 @@ def test_graph_blocks_match_reference():
         assert_same_blocks(build_Qn_complex(g, 1, (0, 2)), ref_qn(g, 1, (0, 2), "qn-complex:n=1"))
         assert_same_blocks(build_Qn_complex(g, 2, (2, 4)), ref_qn(g, 2, (2, 4), "qn-complex:n=2"))
         for window in ((3, 4), (5, 6)):
-            assert_same_blocks(_enhanced_cube(g, window), ref_qn(g, 2, window, "qn-complex:n=2"))
+            assert_same_blocks(build_Qn_complex(g, 2, window), ref_qn(g, 2, window, "qn-complex:n=2"))

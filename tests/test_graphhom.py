@@ -11,7 +11,6 @@ from linkhom.graphhom import (
     Multigraph,
     Pn_homology,
     Qn_homology,
-    _enhanced_cube,
     _graph_states,
     build_Pn_complex,
     build_Qn_complex,
@@ -193,17 +192,17 @@ def test_pn_homology_invariant_under_relabeling():
 
 def test_enhanced_single_vertex():
     for j in (1, 0, -1, -3):
-        c = _enhanced_cube(Multigraph(1, ()), (j, j))
+        c = build_Qn_complex(Multigraph(1, ()), 2, (j, j))
         assert c.dims == {(0, j): 1}
         assert not c.diff
         t = graded_homology(c)
         assert t.entries == {(0, j): (1, ())}
     # j > 1 is empty: labels must be nonnegative
-    assert _enhanced_cube(Multigraph(1, ()), (2, 2)).dims == {}
+    assert build_Qn_complex(Multigraph(1, ()), 2, (2, 2)).dims == {}
 
 
 def test_enhanced_single_edge_j2():
-    c = _enhanced_cube(Multigraph(2, ((1, 2),)), (2, 2))
+    c = build_Qn_complex(Multigraph(2, ((1, 2),)), 2, (2, 2))
     assert c.dims == {(0, 2): 1, (1, 2): 1}
     assert not graded_homology(c).entries
 
@@ -213,7 +212,7 @@ def test_enhanced_euler_matches_jg_series():
     for _ in range(10):
         g = random_graph(rng, max_vertices=4, max_edges=5)
         window = (-4, g.n_edges + g.n_vertices)
-        table_chi = euler_characteristic(_enhanced_cube(g, window))
+        table_chi = euler_characteristic(build_Qn_complex(g, 2, window))
         assert table_chi == specialize_Qn(g, 2, window)
 
 

@@ -75,12 +75,6 @@ def test_quantum_integer_defining_relation():
         assert quantum_integer(k) * qm == expected
 
 
-def test_coefficient_access():
-    p = qp({2: 1, 0: 2})
-    assert p.coefficient(2) == 1
-    assert LaurentPoly.zero(Q).coefficient(1) == 0
-
-
 def test_terms_are_keyed_by_the_exponents():
     p = LaurentPoly.from_terms(QT, {(2, -3): 5, (0, 1): -1})
     assert p.terms == {(2, -3): 5, (0, 1): -1}
@@ -98,8 +92,6 @@ def test_non_integer_exponents_are_rejected(e):
         LaurentPoly.monomial(Q, e)
     with pytest.raises(ValueError, match="not integers"):
         qp({1: 1}).shift(e)
-    with pytest.raises(ValueError, match="not integers"):
-        qp({1: 1}).coefficient(e)
 
 
 def _random_poly(rng, variables, nterms=4, span=4):

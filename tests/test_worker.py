@@ -41,7 +41,9 @@ def assert_no_child():
 
 @pytest.fixture
 def forks(monkeypatch):
-    # the pids of the workers forked, as the parent sees them
+    # the pids of the workers forked, as the parent sees them, on two CPUs
+    # whatever the runner has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pids = []
     real = os.fork
 
@@ -72,6 +74,14 @@ def test_small_cube_stays_serial(forks):
     assert forks == []
 
 
+def test_no_worker_on_one_cpu(forks, monkeypatch):
+    d = torus_diagram(3, 5)
+    expected = khovanov_homology(d)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert khovanov_homology(d).to_json() == expected.to_json()
+    assert len(forks) == 1
+
+
 def test_no_worker_while_another_thread_runs(forks):
     d = torus_diagram(3, 5)
     expected = khovanov_homology(d)
@@ -87,7 +97,7 @@ def test_no_worker_while_another_thread_runs(forks):
     assert len(forks) == 1
 
 
-def test_worker_edge_tables_come_back():
+def test_worker_edge_tables_come_back(forks):
     # every edge table is made before the fork, so the forked path leaves
     # the same tables on the spec as the serial path
     def fresh():
@@ -99,6 +109,7 @@ def test_worker_edge_tables_come_back():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homcore, "_FORK_MIN", float("inf"))
         cube_homology(serial, _states(d))
+    assert len(forks) == 1
     assert forked._edges == serial._edges
 
 
@@ -155,9 +166,10 @@ def test_worker_that_dies_without_a_reply():
     assert_no_child()
 
 
-def test_failed_fork_runs_both_sides_here(monkeypatch):
+def test_failed_fork_runs_both_sides_here(forks, monkeypatch):
     d = torus_diagram(3, 5)
     expected = khovanov_homology(d)
+    assert len(forks) == 1
 
     def fork():
         raise BlockingIOError("no process")
