@@ -180,6 +180,8 @@ def _cmd_kh(args, out) -> None:
     if args.poincare:
         print(poincare_polynomial(table).render(), file=out)
     elif args.width:
+        if window and not any(rank for rank, _ in table.entries.values()):
+            raise UsageError(f"--jwindow {args.jwindow} holds no free rank, so it has no width")
         w = width_report(table)
         kind = "thin" if w.thin else "thick"
         print(f"diagonals {list(w.diagonals)} width {w.width} ({kind})", file=out)

@@ -6,15 +6,15 @@ and the inverse expansion T_i^-1 = q^-2 T_i - q^-2 + 1 follow from the
 skein normalization used throughout.  Neither brings in a denominator or
 a power of t, so each coefficient lies in Z[Q^+-1] with Q = q^2.
 
-An element keeps an offset L >= 0 and a width W, and packs each
-coefficient c into one int: Q^L c(Q) at Q = 2^W, whose balanced base-2^W
-digits are the coefficients.  Multiplying by Q is c << W, by 1 - Q is
+An element is made only from a braid or wide-edge word, and packed once.
+Each coefficient c becomes one int, Q^L c(Q) at Q = 2^W, whose balanced
+base-2^W digits are the coefficients; L counts the letters T_i^-1, which
+are applied as Q T_i^-1.  Multiplying by Q is c << W, by 1 - Q is
 c - (c << W), and a sum is one int add.  A digit below 2^(W-1) in
-magnitude decodes uniquely, so an element also carries a bound on the
-L1 norm of all its coefficients: T_i, Q T_i^-1 (used for T_i^-1, with L
-raised by one) and E_i each at most triple it.  An operation whose bound
-could reach 2^(W-1) first re-packs the element at a width derived from
-the bound; a word is packed once at the width that it and its trace need.
+magnitude decodes uniquely.  T_i, Q T_i^-1 and E_i each at most triple
+the L1 norm of all the coefficients, and the trace multiplies it by at
+most 3^((n-1)(n-2)/2) 2^(n-1), so the word is packed at the least W that
+keeps 3^(letters) times that factor below 2^(W-1); no digit outgrows it.
 
 The trace eliminates one strand at a time: a basis permutation either
 fixes the last point (closing a free circle, of value d = (1 + t^-1 q)/(1 - q^2))
@@ -108,57 +108,23 @@ def _right(terms: dict[Perm, int], i: int, width: int, kind: int) -> dict[Perm, 
 
 class HeckeElement:
     """Linear combination of permutation basis elements T_w, with
-    coefficients in Z[q^+-2] packed as the module docstring describes."""
+    coefficients in Z[q^+-2] packed as the module docstring describes;
+    made by wide_edge_expand."""
 
-    __slots__ = ("n", "terms", "shift", "width", "bound")
+    __slots__ = ("n", "terms", "shift", "width")
 
-    def __init__(self, n: int, coeffs: dict[Perm, LaurentPoly | RationalFn] | None = None):
-        if n < 1:
-            raise ValueError("need at least one strand")
-        digits = {}  # w -> {e: a} with the coefficient sum of a Q^e
-        for w, c in (coeffs or {}).items():
-            c = c.as_poly() if isinstance(c, RationalFn) else c
-            if c.vars != TQ or any(k[0] or k[1] % 2 for k in c.terms):
-                raise ValueError(f"Hecke coefficient {c} is not in Z[q^+-2]")
-            digits[w] = {k[1] // 2: a for k, a in c.terms.items()}
-        bound = sum(abs(a) for d in digits.values() for a in d.values())
-        L, W = max(0, max((-e for d in digits.values() for e in d), default=0)), _width(bound)
-        terms = {w: c for w, d in digits.items() if (c := sum(a << (W * (e + L)) for e, a in d.items()))}
-        self.n, self.terms, self.shift, self.width, self.bound = n, terms, L, W, bound
-
-    @classmethod
-    def _of(cls, n: int, terms: dict[Perm, int], shift: int, width: int, bound: int) -> "HeckeElement":
-        h = object.__new__(cls)
-        h.n, h.terms, h.shift, h.width, h.bound = n, terms, shift, width, bound
-        return h
+    def __init__(self, n: int, terms: dict[Perm, int], shift: int, width: int):
+        self.n, self.terms, self.shift, self.width = n, terms, shift, width
 
     @classmethod
     def identity(cls, n: int) -> "HeckeElement":
-        return cls(n, {tuple(range(1, n + 1)): LaurentPoly.one(TQ)})
+        return wide_edge_expand(n, ())
 
     @property
     def coeffs(self) -> dict[Perm, LaurentPoly]:
         L, W = self.shift, self.width
         return {w: LaurentPoly(TQ, {(0, 2 * (e - L)): a for e, a in _unpack(c, W).items()})
                 for w, c in self.terms.items()}
-
-    def _room(self, growth: int) -> "HeckeElement":
-        """This element, re-packed at twice the width that growth times its
-        bound needs if that product could reach 2^(W-1)."""
-        bound = self.bound * growth
-        if bound < 1 << (self.width - 1):
-            return self
-        width = 2 * _width(bound)
-        terms = {w: sum(a << (width * e) for e, a in _unpack(c, self.width).items()) for w, c in self.terms.items()}
-        return HeckeElement._of(self.n, terms, self.shift, width, self.bound)
-
-    def _times(self, i: int, kind: int) -> "HeckeElement":
-        """This element times T_i, Q T_i^-1 or E_i (kind _T, _QT_INV or _E) on the right."""
-        if not 1 <= i < self.n:
-            raise ValueError(f"generator index {i} out of range")
-        h = self._room(3)
-        terms = _right(h.terms, i, h.width, kind)
-        return HeckeElement._of(self.n, terms, h.shift + (kind == _QT_INV), h.width, 3 * h.bound)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HeckeElement) and self.n == other.n and self.coeffs == other.coeffs
@@ -171,7 +137,7 @@ class HeckeElement:
 
 
 def _trace_growth(n: int) -> int:
-    """Growth of the bound in an n-strand trace: 3 per generator, then 2^(n-1)."""
+    """Growth of the L1 norm in an n-strand trace: 3 per generator, then 2^(n-1)."""
     return 3 ** ((n - 1) * (n - 2) // 2) << (n - 1)
 
 
@@ -190,16 +156,20 @@ def wide_edge_expand(strands: int, tokens: Sequence) -> HeckeElement:
         raise ValueError("need at least one strand")
     # the identity, packed once at the width that the word and its trace need
     width = _width(3 ** len(tokens) * _trace_growth(strands))
-    h = HeckeElement._of(strands, {tuple(range(1, strands + 1)): 1}, 0, width, 1)
+    terms, shift = {tuple(range(1, strands + 1)): 1}, 0
     for tok in tokens:
         if isinstance(tok, str):
             t = tok.strip().upper()
             if not t.startswith("E"):
                 raise ValueError(f"bad token {tok!r}")
-            h = h._times(int(t[1:]), _E)
+            i, kind = int(t[1:]), _E
         else:
-            h = h._times(abs(tok), _T if tok > 0 else _QT_INV)
-    return h
+            i, kind = abs(tok), _T if tok > 0 else _QT_INV
+        if not 1 <= i < strands:
+            raise ValueError(f"generator index {i} out of range")
+        terms = _right(terms, i, width, kind)
+        shift += kind == _QT_INV
+    return HeckeElement(strands, terms, shift, width)
 
 
 @dataclass(frozen=True)
@@ -226,14 +196,9 @@ class HomflyValue:
 
 
 def markov_trace(h: HeckeElement) -> HomflyValue:
-    """Trace normalized so the one-strand unknot has value 1."""
-    return HomflyValue(_trace(h))
-
-
-def _trace(h: HeckeElement) -> RationalFn:
-    """Sum of P_k d^k over one reduced fraction, where P_k collects the
-    terms that closed k free circles on the way down from n strands."""
-    h = h._room(_trace_growth(h.n))
+    """Trace normalized so the one-strand unknot has value 1: the sum of
+    P_k d^k over one reduced fraction, where P_k collects the terms that
+    closed k free circles on the way down from n strands."""
     # (permutation, circles closed so far) -> packed coefficient
     level: dict[tuple[Perm, int], int] = {(w, 0): c for w, c in h.terms.items()}
     for p in range(h.n, 1, -1):
@@ -270,17 +235,11 @@ def _trace(h: HeckeElement) -> RationalFn:
     # Only 1 - q^2 as a whole can cancel: t -> -t, q -> -q fixes every term
     # t^-j q^(2e+j) of num and swaps 1 - q with 1 + q, so num holds both
     # factors equally often, and (1 - q)^top (1 + q)^top has no other factor.
-    return RationalFn._over_power(LaurentPoly(TQ, num), _ONE_MINUS_Q2, top)
+    return HomflyValue(RationalFn._over_power(LaurentPoly(TQ, num), _ONE_MINUS_Q2, top))
 
 
 def homfly_F(b: BraidWord) -> HomflyValue:
     return markov_trace(hecke_normal_form(b))
-
-
-def _omega(b: BraidWord) -> int:
-    n_plus = sum(1 for w in b.letters if w > 0)
-    n_minus = len(b.letters) - n_plus
-    return n_plus - n_minus - b.strands + 1
 
 
 def homfly_G(b: BraidWord) -> HomflyValue:
@@ -291,7 +250,7 @@ def homfly_G(b: BraidWord) -> HomflyValue:
 
 def _normalize_G(f: HomflyValue, b: BraidWord) -> HomflyValue:
     """G from the F value of the same braid."""
-    omega = _omega(b)
+    omega = 2 * sum(1 for w in b.letters if w > 0) - len(b.letters) - b.strands + 1
     parity = omega & 1
     half_pairs = (omega - parity) // 2
     # alpha^half_pairs = (-1)^half_pairs t^-half_pairs q^-half_pairs is a unit, so

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import linkhom
+from linkhom import cli
 from linkhom.cli import _build_parser, run
 
 
@@ -45,6 +46,16 @@ def test_kh_poincare_and_width():
     code, out, _ = invoke(["kh", "2: 1 1 1", "--width"])
     assert code == 0
     assert "width 2 (thin)" in out
+
+
+@pytest.mark.parametrize(
+    "braid, window", [("3: 1 2 1 2", "100..101"), ("2: 1 1 1", "7..7")], ids=["empty", "torsion-only"]
+)
+def test_kh_width_of_a_window_without_free_rank_exits_2(braid, window):
+    # the second window holds only the trefoil's torsion at (3, 7)
+    code, out, err = invoke(["kh", braid, "--jwindow", window, "--width"])
+    assert code == 2 and not out
+    assert err.startswith("usage error:") and window in err
 
 
 def test_kh_jwindow_csv():
@@ -160,11 +171,16 @@ def test_verify_theorem24_with_params():
     assert "OVERALL PASS" in out
 
 
-def test_parser_built_once():
+def test_parser_built_once(monkeypatch):
     _build_parser.cache_clear()
-    # exit 0, 1 (no homology in the window to take a width of), 2, 2, then 0 again
+
+    def defect(g, n):
+        raise ArithmeticError("specialization left a denominator")
+
+    # exit 0, 1 (a computation defect, put in by hand), 2, 2, then 0 again
+    monkeypatch.setattr(cli, "specialize_Gn", defect)
     jones = ["jones", "2: 1 1 1"]
-    argvs = [jones, ["kh", "2: 1 1 1", "--width", "--jwindow", "100..101"], ["kh", "2: 1 x"], ["bogus"], jones]
+    argvs = [jones, ["homfly", "2: 1 1 1", "--specialize", "2"], ["kh", "2: 1 x"], ["bogus"], jones]
     results = [invoke(argv) for argv in argvs]
     assert [code for code, _, _ in results] == [0, 1, 2, 2, 0]
     assert results[0][1] == results[-1][1] == "-q^9 + q^5 + q^3 + q\n"

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 import linkhom
-from linkhom.corpus import corpus_diagrams
+from linkhom.corpus import corpus_diagrams, random_words
 from linkhom import khovanov
 from linkhom.homcore import HomologyTable, euler_characteristic, graded_homology, poincare_polynomial
 from linkhom.khovanov import (
@@ -260,6 +260,47 @@ def test_thin_knots_carry_only_z2_torsion():
     factors = [f for t in thin for _, torsion in t.entries.values() for f in torsion]
     assert (len(knots), len(thin), len(factors)) == (15, 13, 14)
     assert set(factors) == {2}
+
+
+def z2_ranks(t):
+    """Ranks over Z/2 by universal coefficients: the free rank and the even
+    torsion factors at (i, j), plus the even torsion factors at (i + 1, j)."""
+    ranks = {}
+    for (i, j), (rank, torsion) in t.entries.items():
+        even = sum(f % 2 == 0 for f in torsion)
+        ranks[i, j] = ranks.get((i, j), 0) + rank + even
+        ranks[i - 1, j] = ranks.get((i - 1, j), 0) + even
+    return ranks
+
+
+def q_plus_q_inverse_divides(column):
+    """Whether sum_j column[j] q^j is (q + q^-1) times a polynomial with
+    nonnegative coefficients, read off from the lowest degree up."""
+    column = {j: c for j, c in column.items() if c}
+    while column:
+        j = min(column)
+        c = column.pop(j)  # the quotient's coefficient of q^(j+1)
+        if c < 0:
+            return False
+        column[j + 2] = column.get(j + 2, 0) - c
+        if not column[j + 2]:
+            del column[j + 2]
+    return True
+
+
+def test_z2_homology_is_a_multiple_of_q_plus_q_inverse():
+    # Shumakovitch, "Torsion of the Khovanov homology" (math/0405474):
+    # Kh(L; Z/2) is the reduced Z/2 homology tensored with q + q^-1
+    words = corpus_diagrams(max_crossings=12) + random_words(2006, 60, max_strands=4, max_crossings=9)
+    with_torsion = 0
+    for b in words:
+        t = khovanov_homology(braid_closure(b))
+        with_torsion += any(torsion for _, torsion in t.entries.values())
+        columns = {}
+        for (i, j), rank in z2_ranks(t).items():
+            columns.setdefault(i, {})[j] = rank
+        assert all(q_plus_q_inverse_divides(c) for c in columns.values()), b
+    assert (len(words), with_torsion) == (94, 35)
 
 
 def test_j_parity_matches_component_count():

@@ -196,16 +196,26 @@ def test_parent_interrupt_kills_and_reaps_the_worker(forks, monkeypatch):
 
 def test_worker_flushes_nothing_and_runs_no_exit_handler():
     # a buffered line and an exit handler of the caller appear once: the
-    # worker leaves without flushing or running them
+    # worker leaves without flushing or running them.  The child claims two
+    # CPUs, as the forks fixture does, and reports the workers it forked.
     code = (
-        "import atexit, sys\n"
+        "import atexit, os, sys\n"
         "from linkhom.khovanov import khovanov_homology, torus_diagram\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "pids, real = [], os.fork\n"
+        "def fork():\n"
+        "    pid = real()\n"
+        "    if pid:\n"
+        "        pids.append(pid)\n"
+        "    return pid\n"
+        "os.fork = fork\n"
         "atexit.register(lambda: print('exit handler'))\n"
         "sys.stdout.write('buffered\\n')\n"
         "khovanov_homology(torus_diagram(3, 5))\n"
+        "sys.stderr.write(f'forked {len(pids)}\\n')\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(linkhom.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)  # the line must sit in the buffer at the fork
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out == "buffered\nexit handler\n"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert (done.stdout, done.stderr) == ("buffered\nexit handler\n", "forked 1\n")
