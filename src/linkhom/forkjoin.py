@@ -5,7 +5,8 @@ its result back through a pipe with ``marshal``, runs ``here`` in this
 process meanwhile, and returns both results.  The worker shares this
 process's heap as it was at the fork, so ``there`` reads what was built
 before without a copy; what it changes dies with it, and only its result
-comes back.
+comes back.  While both run, each is pinned to a CPU of its own, and
+this process's affinity mask is put back when the join is over.
 """
 
 from __future__ import annotations
@@ -40,7 +41,16 @@ def fork_join(here: Callable[[], object], there: Callable[[], object]) -> tuple[
     this process, KeyboardInterrupt included, the worker is killed; it is
     reaped before this returns or raises.  When the fork itself fails,
     both calls run here, ``here`` first.
+
+    When the process's affinity mask holds two or more CPUs, the worker
+    pins itself to the second of them, in sorted order, as its first act,
+    and this process to the first; the mask read here is put back on every
+    way out of the join.  Pinning is best effort: where it is refused or
+    the platform has no ``os.sched_setaffinity``, the scheduler places
+    both processes.
     """
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    pin = len(cpus) > 1
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -51,6 +61,8 @@ def fork_join(here: Callable[[], object], there: Callable[[], object]) -> tuple[
     if pid == 0:  # the worker
         code = 1
         try:
+            if pin:
+                _pin({cpus[1]})
             os.close(r)
             # its heap is the parent's: a full collection would touch, and
             # so copy, every page of it
@@ -68,12 +80,16 @@ def fork_join(here: Callable[[], object], there: Callable[[], object]) -> tuple[
             os._exit(code)
     os.close(w)
     try:
+        if pin:
+            _pin({cpus[0]})
         with os.fdopen(r, "rb") as f:
             mine = here()
             data = f.read()
         status = os.waitpid(pid, 0)[1]
         pid = 0
     finally:
+        if pin:  # first, so that an interrupt while reaping cannot skip it
+            _pin(set(cpus))
         if pid:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -91,3 +107,11 @@ def fork_join(here: Callable[[], object], there: Callable[[], object]) -> tuple[
                 pass
         raise exc or RuntimeError(f"{name}: {message}") from RuntimeError(f"in the worker:\n{trace}")
     return mine, reply[1]
+
+
+def _pin(cpus: set[int]) -> None:
+    # run this process on ``cpus`` only, if the system lets it
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass

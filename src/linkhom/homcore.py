@@ -40,7 +40,9 @@ worker: once the positions, edges and edge tables are made, ``cube_homology``
 splits the strands into two sets of about equal generators, the worker
 runs the strand pass (the d^2 check, the cancellation and the Smith
 forms) on one set while this process runs it on the other, and the
-worker's results come back through a pipe into one table.  Small cubes,
+worker's results come back through a pipe into one table.  During the
+join this process runs on the first CPU of its affinity mask and the
+worker on the second, and the mask is put back after it.  Small cubes,
 processes with more than one thread and platforms without ``os.fork``
 run every strand here.  The table does not depend on the split.
 """
@@ -727,9 +729,11 @@ def cube_homology(
     generators.  When both hold at least ``_FORK_MIN`` generators, the
     platform has ``os.fork`` and the process runs one thread, one forked
     worker runs the strand pass on one set while this process runs it on
-    the other; the worker sends the strand pass's result (cancelled
-    units, Smith forms, bad blocks) back through a pipe (``marshal``),
-    and one table is assembled from both.  Otherwise the pass runs here on
+    the other, each pinned to a CPU of its own (the first two of this
+    process's affinity mask, which is put back after the join); the
+    worker sends the strand pass's result (cancelled units, Smith forms,
+    bad blocks) back through a pipe (``marshal``), and one table is
+    assembled from both.  Otherwise the pass runs here on
     every strand.  The table is the same either way.
     """
     dims, blocks = cube_blocks(spec, states, columns, window)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -39,11 +40,36 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+class Affinity:
+    """A stand-in for this process's affinity mask: ``fork_join`` reads it
+    and pins to it as to the real one, each pin is recorded, and the
+    runner's own mask never moves.  A forked worker gets a copy, so what it
+    pins stays in the worker, as with the real mask."""
+
+    def __init__(self, cpus):
+        self.mask = set(cpus)
+        self.calls = []
+
+    def get(self, pid):
+        return set(self.mask)
+
+    def set(self, pid, cpus):
+        self.calls.append(sorted(cpus))
+        self.mask = set(cpus)
+
+
 @pytest.fixture
-def forks(monkeypatch):
-    # the pids of the workers forked, as the parent sees them, on two CPUs
-    # whatever the runner has
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def affinity(monkeypatch):
+    # two CPUs, whatever the runner has
+    a = Affinity({0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", a.get, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", a.set, raising=False)
+    return a
+
+
+@pytest.fixture
+def forks(monkeypatch, affinity):
+    # the pids of the workers forked, as the parent sees them
     pids = []
     real = os.fork
 
@@ -159,7 +185,7 @@ def test_worker_exception_reaches_the_caller(error, raised, forks, monkeypatch):
     assert_no_child()
 
 
-def test_worker_that_dies_without_a_reply():
+def test_worker_that_dies_without_a_reply(affinity):
     assert fork_join(lambda: 1, lambda: {(0, 1): ((2, 6), 2)}) == (1, {(0, 1): ((2, 6), 2)})
     with pytest.raises(RuntimeError, match="exited with code 3 and no reply"):
         fork_join(lambda: 1, lambda: os._exit(3))
@@ -197,11 +223,13 @@ def test_parent_interrupt_kills_and_reaps_the_worker(forks, monkeypatch):
 def test_worker_flushes_nothing_and_runs_no_exit_handler():
     # a buffered line and an exit handler of the caller appear once: the
     # worker leaves without flushing or running them.  The child claims two
-    # CPUs, as the forks fixture does, and reports the workers it forked.
+    # CPUs and pins nothing, as the forks fixture does, and reports the
+    # workers it forked.
     code = (
         "import atexit, os, sys\n"
         "from linkhom.khovanov import khovanov_homology, torus_diagram\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "os.sched_setaffinity = lambda pid, cpus: None\n"
         "pids, real = [], os.fork\n"
         "def fork():\n"
         "    pid = real()\n"
@@ -219,3 +247,92 @@ def test_worker_flushes_nothing_and_runs_no_exit_handler():
     env.pop("PYTHONUNBUFFERED", None)  # the line must sit in the buffer at the fork
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert (done.stdout, done.stderr) == ("buffered\nexit handler\n", "forked 1\n")
+
+
+def test_pins_come_from_the_mask(affinity):
+    # the worker pins itself to the second CPU of the sorted mask, this
+    # process to the first, and the mask read is put back after the join
+    affinity.mask = {5, 3}
+    assert fork_join(lambda: list(affinity.calls), lambda: list(affinity.calls)) == ([[3]], [[5]])
+    assert affinity.calls == [[3], [3, 5]]
+    assert affinity.mask == {3, 5}
+    assert_no_child()
+
+
+def _real_mask():
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs a real affinity mask of at least 2 CPUs")
+    return os.sched_getaffinity(0)
+
+
+@pytest.fixture(params=["recorded", "real"])
+def mask(request):
+    # the mask fork_join reads: {3, 5} through the recorder, or the
+    # runner's own, which the join moves and must put back
+    if request.param == "recorded":
+        request.getfixturevalue("affinity").mask = {3, 5}
+    else:
+        _real_mask()
+
+
+def _worker_error():
+    raise ZeroDivisionError("in the worker")
+
+
+def _parent_interrupt():
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize(
+    "here, there, raised",
+    [
+        (lambda: 1, lambda: 2, None),
+        (lambda: 1, _worker_error, ZeroDivisionError),
+        (_parent_interrupt, lambda: time.sleep(60), KeyboardInterrupt),
+        (lambda: 1, lambda: os._exit(3), RuntimeError),
+    ],
+    ids=["join", "worker-exception", "parent-interrupt", "worker-dies"],
+)
+def test_mask_put_back_on_every_way_out(here, there, raised, mask):
+    before = os.sched_getaffinity(0)
+    if raised is None:
+        assert fork_join(here, there) == (1, 2)
+    else:
+        with pytest.raises(raised):
+            fork_join(here, there)
+    assert os.sched_getaffinity(0) == before
+    assert_no_child()
+
+
+def _refused(pid, cpus):
+    raise OSError(22, "Invalid argument")
+
+
+@pytest.mark.parametrize("pinning", ["refused", "missing"])
+def test_worker_without_pinning(pinning, forks, monkeypatch):
+    # a refused pin, or a platform without the call, leaves placement to
+    # the scheduler and changes nothing else
+    d = torus_diagram(3, 5)
+    if pinning == "refused":
+        monkeypatch.setattr(os, "sched_setaffinity", _refused)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity")
+    forked = khovanov_homology(d)
+    assert len(forks) == 1
+    assert_no_child()
+    monkeypatch.setattr(homcore, "_FORK_MIN", float("inf"))
+    serial = khovanov_homology(d)
+    assert len(forks) == 1
+    assert forked.to_json() == serial.to_json() and forked.pretty() == serial.pretty()
+
+
+def test_join_runs_on_the_first_two_cpus_of_the_real_mask():
+    before = _real_mask()
+    first, second = sorted(before)[:2]
+
+    def mask():
+        return sorted(os.sched_getaffinity(0))
+
+    assert fork_join(mask, mask) == ([first], [second])
+    assert os.sched_getaffinity(0) == before
+    assert_no_child()
