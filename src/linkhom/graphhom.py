@@ -284,7 +284,7 @@ def _pn_cube(g: Multigraph, n: int, variant: str) -> tuple:
         raise InputError("need n >= 1")
     if variant not in ("zero", "xn"):
         raise InputError("variant must be 'zero' or 'xn'")
-    return _pn_spec(n, variant), _graph_states(g), None, None, f"pn-complex:n={n}:{variant}"
+    return _pn_spec(n, variant), _graph_states(g), None, f"pn-complex:n={n}:{variant}"
 
 
 @lru_cache(maxsize=8)
@@ -381,7 +381,7 @@ def _qn_cube(g: Multigraph, n: int, window: tuple[int, int]) -> tuple:
     lo, hi = window
     if lo > hi:
         raise InputError("empty degree window")
-    return _qn_spec(n), _graph_states(g), None, window, f"qn-complex:n={n}"
+    return _qn_spec(n), _graph_states(g), window, f"qn-complex:n={n}"
 
 
 @lru_cache(maxsize=8)

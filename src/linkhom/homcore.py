@@ -33,7 +33,10 @@ blocks in strand order, one at a time, and ``cube_homology`` hands them
 to ``strand_homology`` as they come, so no whole complex is built;
 ``cube_complex`` collects the same blocks into a ``GradedComplex`` for
 callers that read the complex itself, and ``graded_homology`` feeds a
-stored complex's blocks, copied, to the same consumer.
+stored complex's blocks, copied, to the same consumer.  The engine
+takes its degree window and cube columns in cube indices;
+``cube_homology`` takes its windows in the table's own indices, after
+the shift, and is the one place that moves them into cube indices.
 
 The strands are independent, so a large cube is shared with one forked
 worker: once the positions, edges and edge tables are made, ``cube_homology``
@@ -558,14 +561,15 @@ def cube_blocks(
     states: CubeStates,
     columns: tuple[int, int] | None = None,
     window: tuple[int, int] | None = None,
-) -> tuple[dict[tuple[int, int], int], Iterable[tuple[tuple[int, int], SparseIntMatrix]]]:
+) -> tuple[dict[tuple[int, int], int], Callable[..., Iterator[tuple[tuple[int, int], SparseIntMatrix]]]]:
     """The cube complex of ``spec`` over the vertices of ``states``, as the
-    ranks of its chain groups and a stream of its nonzero blocks.
+    ranks of its chain groups and ``blocks(js=None)``, which makes its
+    nonzero blocks one at a time: of every strand, or of the j in ``js``.
 
-    Cube degrees ``columns`` = (lo, hi) are kept (all by default), with
-    the edges from degree lo up to degree hi, and only the generators of
-    degree j in ``window`` when it is given.  Only the states of the kept
-    degrees are listed.
+    Both take cube indices: cube degrees ``columns`` = (lo, hi) are kept
+    (all by default), with the edges from degree lo up to degree hi, and
+    only the generators of degree j in ``window`` when it is given.  Only
+    the states of the kept degrees are listed.
 
     Generator order: block (i, j) lists the states of cube degree i by
     increasing mask, and each state's labelings of the one label sum that
@@ -657,24 +661,8 @@ def cube_blocks(
                 into += (table, -1 if (mask & (bit - 1)).bit_count() & 1 else 1, firsts[mask ^ bit])
             edges[mask] = tuple(into)
         below = here
-    return dims, _CubeStrands(dims, ints, holders, edges)
 
-
-class _CubeStrands:
-    """The blocks of ``cube_blocks``: iterating builds them one at a time
-    in strand order, and ``only(js)`` builds the strands of the j in
-    ``js`` alone, from the edge tables ``cube_blocks`` made."""
-
-    __slots__ = ("dims", "ints", "holders", "edges")
-
-    def __init__(self, dims, ints, holders, edges):
-        self.dims, self.ints, self.holders, self.edges = dims, ints, holders, edges
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, int], SparseIntMatrix]]:
-        return self.only(None)
-
-    def only(self, js: Iterable[int] | None) -> Iterator[tuple[tuple[int, int], SparseIntMatrix]]:
-        dims, ints, holders, edges = self.dims, self.ints, self.holders, self.edges
+    def blocks(js: Iterable[int] | None = None) -> Iterator[tuple[tuple[int, int], SparseIntMatrix]]:
         keep = None if js is None else set(js)
         keys = (k for k in dims if (k[0] + 1, k[1]) in dims and (keep is None or k[1] in keep))
         for i, j in sorted(keys, key=lambda k: (k[1], k[0])):
@@ -698,31 +686,40 @@ class _CubeStrands:
             if data:
                 yield (i, j), SparseIntMatrix._of_rows(dims[(i + 1, j)], dims[(i, j)], data)
 
+    return dims, blocks
+
 
 def cube_complex(
     spec: CubeSpec,
     states: CubeStates,
-    columns: tuple[int, int] | None = None,
     window: tuple[int, int] | None = None,
     source: str = "",
 ) -> GradedComplex:
     """The whole cube complex of ``cube_blocks``, every block collected:
     for callers that read the complex itself, not only its homology."""
-    dims, blocks = cube_blocks(spec, states, columns, window)
-    return GradedComplex(dims, dict(blocks), source=source)
+    dims, blocks = cube_blocks(spec, states, None, window)
+    return GradedComplex(dims, dict(blocks()), source=source)
 
 
 def cube_homology(
     spec: CubeSpec,
     states: CubeStates,
-    columns: tuple[int, int] | None = None,
     window: tuple[int, int] | None = None,
     source: str = "",
     shift: tuple[int, int] = (0, 0),
+    irange: tuple[int, int] | None = None,
 ) -> HomologyTable:
-    """The homology of ``cube_complex`` on the same arguments, moved by
-    ``shift``: the blocks of ``cube_blocks`` go to the strand pass of
-    ``strand_homology`` as they are built, and no whole complex is.
+    """The homology of ``cube_complex`` moved by ``shift``, in the degrees
+    j of ``window`` and i of ``irange`` of the table (both after
+    ``shift``; all by default): the blocks of ``cube_blocks`` go to the
+    strand pass of ``strand_homology`` as they are built, and no whole
+    complex is.
+
+    This is the one place where a window is moved into cube indices: the
+    shift is taken off both, only the generators of the j-window are
+    built, and only the cube degrees one beyond the i-range on each side,
+    whose groups and edges give the homology in it.  The table is then
+    cut to ``irange``.
 
     Once ``cube_blocks`` has worked out the positions and edges, the
     j-strands are split longest-first into two sets of about equal
@@ -736,15 +733,19 @@ def cube_homology(
     assembled from both.  Otherwise the pass runs here on
     every strand.  The table is the same either way.
     """
-    dims, blocks = cube_blocks(spec, states, columns, window)
+    s, l = shift
+    columns = None if irange is None else (max(0, irange[0] - s - 1), irange[1] - s + 1)
+    dims, blocks = cube_blocks(spec, states, columns, None if window is None else (window[0] - l, window[1] - l))
     halves = _halves(dims)
     if halves is None:
-        return strand_homology(dims, blocks, shift, source)
-    mine, theirs = halves
-    (units, snf, bad), (w_units, w_snf, w_bad) = fork_join(
-        lambda: _strand_pass(blocks.only(mine)), lambda: _strand_pass(blocks.only(theirs))
-    )
-    return _table(dims, units | w_units, snf | w_snf, bad + w_bad, shift, source)
+        table = strand_homology(dims, blocks(), shift, source)
+    else:
+        mine, theirs = halves
+        (units, snf, bad), (w_units, w_snf, w_bad) = fork_join(
+            lambda: _strand_pass(blocks(mine)), lambda: _strand_pass(blocks(theirs))
+        )
+        table = _table(dims, units | w_units, snf | w_snf, bad + w_bad, shift, source)
+    return table if irange is None else table.restrict_i(*irange)
 
 
 _FORK_MIN = 3000  # generators on each side of the split before a worker is forked

@@ -13,7 +13,10 @@ touches) on the module's one spec, so every diagram shares the tables,
 and replayed with the alternating cube signs, so every square
 anticommutes.  The homology reads the engine's blocks one j-strand at a
 time (``homcore.cube_homology``); ``build_khovanov_complex`` collects
-them into a whole complex for the checks that read it.  The bracket is a
+them into a whole complex, in cube indices, for the checks that read it.
+The homology functions take their windows in the table's own indices
+(normalized ones for ``khovanov_homology``) and hand them on as they are:
+``cube_homology`` alone moves them into cube indices.  The bracket is a
 scan that keeps the matchings of the open arc ends (Bar-Natan,
 math/0606318), not a state sum over the 2^n resolutions.
 """
@@ -140,28 +143,15 @@ _KHOVANOV = CubeSpec(
 )
 
 
-def _columns(d: Diagram, irange: tuple[int, int] | None) -> tuple[int, int] | None:
-    # the cube degrees whose groups and edges give homology in irange
-    return None if irange is None else (max(0, irange[0] - 1), min(d.n_crossings, irange[1] + 1))
-
-
 def _source(d: Diagram) -> str:
     return f"khovanov:{d.provenance}:{d.n_crossings}cr"
 
 
-def build_khovanov_complex(
-    d: Diagram,
-    jwindow: tuple[int, int] | None = None,
-    irange: tuple[int, int] | None = None,
-    normalized: bool = False,
-) -> GradedComplex:
-    """Cube-of-resolutions complex with merge map m and split map Delta.
-
-    ``jwindow`` and ``irange`` are in the complex's own (unnormalized)
-    indices; when ``normalized`` the output shift (-n_minus, n_plus - 2
-    n_minus) is recorded for homology reporting.
-    """
-    cplx = cube_complex(_KHOVANOV, _states(d), _columns(d, irange), jwindow, _source(d))
+def build_khovanov_complex(d: Diagram, normalized: bool = False) -> GradedComplex:
+    """Cube-of-resolutions complex with merge map m and split map Delta,
+    in cube indices; when ``normalized`` the output shift (-n_minus,
+    n_plus - 2 n_minus) is recorded for homology reporting."""
+    cplx = cube_complex(_KHOVANOV, _states(d), source=_source(d))
     if normalized:
         cplx.shift = (-d.n_minus, d.n_plus - 2 * d.n_minus)
     return cplx
@@ -174,26 +164,16 @@ def khovanov_homology(
 ) -> HomologyTable:
     """Normalized integral Khovanov homology, torsion included.
 
-    ``jwindow`` and ``irange`` select normalized bidegrees.  Only the
-    generators in ``jwindow`` are built, so only ``irange`` is filtered.
+    ``jwindow`` and ``irange`` select bidegrees of this table, that is
+    normalized ones; ``cube_homology`` moves them into cube indices, and
+    builds only the generators and cube degrees they need.
     """
-    l_shift = d.n_plus - 2 * d.n_minus
-    jw = None if jwindow is None else (jwindow[0] - l_shift, jwindow[1] - l_shift)
-    ir = None if irange is None else (irange[0] + d.n_minus, irange[1] + d.n_minus)
-    table = cube_homology(_KHOVANOV, _states(d), _columns(d, ir), jw, _source(d), (-d.n_minus, l_shift))
-    if irange is not None:
-        table = table.restrict_i(*irange)
-    return table
+    shift = (-d.n_minus, d.n_plus - 2 * d.n_minus)
+    return cube_homology(_KHOVANOV, _states(d), jwindow, _source(d), shift, irange)
 
 
-def unnormalized_homology(
-    d: Diagram,
-    irange: tuple[int, int] | None = None,
-) -> HomologyTable:
-    table = cube_homology(_KHOVANOV, _states(d), _columns(d, irange), None, _source(d))
-    if irange is not None:
-        table = table.restrict_i(*irange)
-    return table
+def unnormalized_homology(d: Diagram, irange: tuple[int, int] | None = None) -> HomologyTable:
+    return cube_homology(_KHOVANOV, _states(d), None, _source(d), irange=irange)
 
 
 @dataclass(frozen=True)

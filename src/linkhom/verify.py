@@ -1,10 +1,9 @@
 """Named verification suites for the command-line front end.
 
 Each suite runs a batch of exact checks and returns a structured report.
-The acceptance tests call ten of the twelve suites.  They re-implement
-``khovanov-basic`` (acceptance 03 and 09) and ``theorem8`` (acceptance
-10-12, whose per-degree check draws other graphs), so only the ``verify``
-command runs those two as written here.
+The acceptance tests call all twelve suites as written here; only the
+``slow`` parts of ``theorem20`` and ``theorem23`` are left to the
+``verify`` command.
 """
 
 from __future__ import annotations

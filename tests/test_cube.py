@@ -11,8 +11,8 @@ import pytest
 
 from linkhom.corpus import corpus_diagrams
 from linkhom.graphhom import Multigraph, _graph_states, build_Pn_complex, build_Qn_complex
-from linkhom.homcore import GradedComplex, SparseIntMatrix
-from linkhom.khovanov import _states, build_khovanov_complex
+from linkhom.homcore import GradedComplex, SparseIntMatrix, cube_blocks
+from linkhom.khovanov import _KHOVANOV, _source, _states, build_khovanov_complex
 from linkhom.linkdiag import braid_closure
 
 PRISM = Multigraph(6, ((1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (1, 4), (2, 5), (3, 6)))
@@ -62,14 +62,14 @@ def ref_complex(states, n, gens, targets, source, columns=None):
     return cplx
 
 
-def ref_khovanov(d, jwindow=None, irange=None, normalized=False):
+def ref_khovanov(d, window=None, columns=None, normalized=False):
     st = _states(d)
     n = d.n_crossings
 
     def gens(i, k):
         for lab in product((0, 1), repeat=k):  # 1 = X
             j = i + k - 2 * sum(lab)
-            if jwindow is None or jwindow[0] <= j <= jwindow[1]:
+            if window is None or window[0] <= j <= window[1]:
                 yield j, lab
 
     def targets(mask, e, lab):
@@ -93,7 +93,6 @@ def ref_khovanov(d, jwindow=None, irange=None, normalized=False):
             res.append(tuple(out))
         return res
 
-    columns = None if irange is None else (max(0, irange[0] - 1), min(n, irange[1] + 1))
     cplx = ref_complex(st, n, gens, targets, f"khovanov:{d.provenance}:{n}cr", columns)
     if normalized:
         cplx.shift = (-d.n_minus, d.n_plus - 2 * d.n_minus)
@@ -154,14 +153,20 @@ def assert_same_blocks(got, want):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{}, {"normalized": True}, {"irange": (1, 3)}, {"jwindow": (0, 4)}],
+    [{}, {"normalized": True}, {"columns": (0, 4)}, {"window": (0, 4)}],
     ids=["full", "normalized", "irange", "jwindow"],
 )
 def test_khovanov_blocks_match_reference(kwargs):
+    # the windowed cases take the engine's own cube-index columns and
+    # window: build_khovanov_complex builds whole complexes only
     nonzero = 0
     for b in corpus_diagrams(max_crossings=8):
         d = braid_closure(b)
-        got = build_khovanov_complex(d, **kwargs)
+        if "columns" in kwargs or "window" in kwargs:
+            dims, blocks = cube_blocks(_KHOVANOV, _states(d), kwargs.get("columns"), kwargs.get("window"))
+            got = GradedComplex(dims, dict(blocks()), source=_source(d))
+        else:
+            got = build_khovanov_complex(d, **kwargs)
         assert_same_blocks(got, ref_khovanov(d, **kwargs))
         nonzero += bool(got.diff)
     assert nonzero

@@ -31,6 +31,8 @@ from linkhom.homcore import (
     strand_homology,
 )
 from linkhom.khovanov import (
+    _KHOVANOV,
+    _source,
     _states,
     build_khovanov_complex,
     khovanov_homology,
@@ -471,14 +473,16 @@ def test_homology_matches_per_block_oracle_on_cube_complexes():
         d = braid_closure(b)
         cases.append((build_khovanov_complex(d), unnormalized_homology(d), None))
         cases.append((build_khovanov_complex(d, normalized=True), khovanov_homology(d), None))
+    # windowed complexes straight from the engine, whose columns and
+    # window are cube indices; the homology functions take the table's
     d = braid_closure(corpus_diagrams(max_crossings=8)[-1])
-    cases.append((build_khovanov_complex(d, irange=(1, 3)), unnormalized_homology(d, irange=(1, 3)), (1, 3)))
-    l_shift = d.n_plus - 2 * d.n_minus  # khovanov_homology's jwindow is normalized
-    cases.append((
-        build_khovanov_complex(d, jwindow=(-1, 3), normalized=True),
-        khovanov_homology(d, jwindow=(l_shift - 1, l_shift + 3)),
-        None,
-    ))
+    shift = (-d.n_minus, d.n_plus - 2 * d.n_minus)
+    for columns, window, moved, streamed, irange in (
+        ((0, 4), None, (0, 0), unnormalized_homology(d, irange=(1, 3)), (1, 3)),
+        (None, (-1, 3), shift, khovanov_homology(d, jwindow=(shift[1] - 1, shift[1] + 3)), None),
+    ):
+        dims, blocks = cube_blocks(_KHOVANOV, _states(d), columns, window)
+        cases.append((GradedComplex(dims, dict(blocks()), moved, _source(d)), streamed, irange))
     for g in (PRISM, THETA):
         for n in (1, 2):
             for variant in ("zero", "xn"):
@@ -512,8 +516,9 @@ def test_d_squared_violations_streamed_from_a_broken_cube():
         if (i + 1, j) in c.diff and not homcore._composite_is_zero((i, j), blk, c.diff[i + 1, j])
     )
     assert len({j for _, j in bad}) > 1
+    dims, blocks = cube_blocks(broken, _states(d))
     with pytest.raises(ValueError, match=re.escape(f"at blocks {bad} of")):
-        strand_homology(*cube_blocks(broken, _states(d)))
+        strand_homology(dims, blocks())
 
 
 def cancelled_rows(cplx):
@@ -633,14 +638,14 @@ def test_streaming_frees_blocks(monkeypatch):
     def watched(*args):
         dims, blocks = engine(*args)
 
-        def stream():
-            for key, blk in blocks:
+        def stream(js=None):
+            for key, blk in blocks(js):
                 seen.append((key, weakref.ref(blk)))
                 alive = [k for k, ref in seen if ref() is not None]
                 assert alive == [k for k, _ in seen[-2:]] or alive == [key], alive
                 yield key, blk
 
-        return dims, stream()
+        return dims, stream
 
     monkeypatch.setattr(homcore, "cube_blocks", watched)
     assert khovanov_homology(d) == expected

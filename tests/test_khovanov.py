@@ -439,18 +439,48 @@ def test_torus_3_8_table_and_peak_memory():
     assert (int(own) + int(children)) * unit <= 400 * 2**20
 
 
+def windows(lo, hi):
+    # windows on the span lo..hi: cut inside it, touching one end or both,
+    # and wholly outside it
+    mid = (lo + hi) // 2
+    cases = [(lo + 1, hi - 1), (mid, mid), (mid, mid + 1), (lo, lo), (hi, hi), (lo - 2, lo + 1),
+             (hi - 1, hi + 2), (lo, hi), (lo - 3, lo - 1), (hi + 1, hi + 4)]
+    return [(a, b) for a, b in cases if a <= b]
+
+
 def test_irange_matches_full_computation():
-    d = torus_diagram(3, 3)
-    full = unnormalized_homology(d)
-    part = unnormalized_homology(d, irange=(0, 2))
-    assert part == full.restrict_i(0, 2)
+    # the i-shift -n_minus is nonzero on the corpus diagrams with negative
+    # crossings; irange is in the table's i, normalized or not
+    diagrams = [braid_closure(b) for b in corpus_diagrams(max_crossings=8)]
+    assert sum(1 for d in diagrams if d.n_minus and d.n_plus) >= 10
+    cut = 0
+    for d in diagrams:
+        for homology, s in ((khovanov_homology, -d.n_minus), (unnormalized_homology, 0)):
+            full = homology(d)
+            for irange in windows(s, s + d.n_crossings):
+                part = homology(d, irange=irange)
+                assert part == full.restrict_i(*irange), (d.provenance, homology.__name__, irange)
+                cut += not part.is_empty() and part != full
+    assert cut
 
 
 def test_jwindow_matches_full_computation():
-    d = closure("2: 1 1 1")
-    full = khovanov_homology(d)
-    part = khovanov_homology(d, jwindow=(5, 9))
-    assert part.entries == {k: v for k, v in full.entries.items() if 5 <= k[1] <= 9}
+    diagrams = [braid_closure(b) for b in corpus_diagrams(max_crossings=8)]
+    cut = 0
+    for d in diagrams:
+        full = khovanov_homology(d)
+        js = [j for _, j in full.entries]
+        for jwindow in windows(min(js), max(js)):
+            part = khovanov_homology(d, jwindow=jwindow)
+            assert part.entries == {k: v for k, v in full.entries.items() if jwindow[0] <= k[1] <= jwindow[1]}
+            cut += not part.is_empty() and part != full
+        # both windows at once, each cutting inside
+        i_mid, j_mid = -d.n_minus + d.n_crossings // 2, (min(js) + max(js)) // 2
+        both = khovanov_homology(d, jwindow=(j_mid - 2, j_mid + 2), irange=(i_mid - 1, i_mid + 1))
+        assert both.entries == {
+            (i, j): v for (i, j), v in full.entries.items() if abs(i - i_mid) <= 1 and abs(j - j_mid) <= 2
+        }, d.provenance
+    assert cut
 
 
 def test_stability_small():
