@@ -56,11 +56,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(spec: str) -> str:
-    """The text of the file named ``spec``, or else ``spec`` itself."""
-    if os.path.exists(spec):
-        with open(spec) as f:
+    """The text of the file named ``spec``, or else ``spec`` itself; a
+    file that cannot be read as UTF-8 text is an InputError."""
+    if not os.path.exists(spec):
+        return spec
+    try:
+        with open(spec, encoding="utf-8") as f:
             return f.read()
-    return spec
+    except OSError as e:
+        raise InputError(f"cannot read {spec!r}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"{spec!r} is not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
 def _load_diagram(spec: str) -> Diagram:

@@ -45,9 +45,12 @@ runs the strand pass (the d^2 check, the cancellation and the Smith
 forms) on one set while this process runs it on the other, and the
 worker's results come back through a pipe into one table.  During the
 join this process runs on the first CPU of its affinity mask and the
-worker on the second, and the mask is put back after it.  Small cubes,
-processes with more than one thread and platforms without ``os.fork``
-run every strand here.  The table does not depend on the split.
+worker on the second, and the mask is put back after it.  Small cubes
+run every strand here in one pass.  ``forkjoin.fork_join`` alone decides
+whether a worker runs: where none may (one CPU, more than one thread, no
+``os.fork``) or none sends its results back, the worker's strands run
+here in a second pass after this process's own.  The table does not
+depend on the split.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from itertools import combinations, islice
 from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .forkjoin import can_fork, fork_join
+from .forkjoin import fork_join
 from .polyalg import LaurentPoly
 
 __all__ = [
@@ -724,14 +727,15 @@ def cube_homology(
     Once ``cube_blocks`` has worked out the positions and edges, the
     j-strands are split longest-first into two sets of about equal
     generators.  When both hold at least ``_FORK_MIN`` generators, the
-    platform has ``os.fork`` and the process runs one thread, one forked
-    worker runs the strand pass on one set while this process runs it on
-    the other, each pinned to a CPU of its own (the first two of this
-    process's affinity mask, which is put back after the join); the
-    worker sends the strand pass's result (cancelled units, Smith forms,
-    bad blocks) back through a pipe (``marshal``), and one table is
-    assembled from both.  Otherwise the pass runs here on
-    every strand.  The table is the same either way.
+    strand pass runs on each set through ``forkjoin.fork_join``: where a
+    worker may be forked, it runs the pass on one set while this process
+    runs it on the other, each pinned to a CPU of its own (the first two
+    of this process's affinity mask, which is put back after the join),
+    and sends the pass's result (cancelled units, Smith forms, bad
+    blocks) back through a pipe (``marshal``); otherwise, or when the
+    worker sends nothing back, both passes run here, one after the
+    other.  One table is assembled from both.  Smaller cubes take one
+    pass here over every strand.  The table is the same either way.
     """
     s, l = shift
     columns = None if irange is None else (max(0, irange[0] - s - 1), irange[1] - s + 1)
@@ -753,8 +757,8 @@ _FORK_MIN = 3000  # generators on each side of the split before a worker is fork
 
 def _halves(dims: Mapping[tuple[int, int], int]) -> tuple[list[int], list[int]] | None:
     # the j of the strands in two sets, longest strand first onto the
-    # lighter set, or None when no worker is to be forked
-    if sum(dims.values()) < 2 * _FORK_MIN or not can_fork():
+    # lighter set, or None when either would hold under _FORK_MIN generators
+    if sum(dims.values()) < 2 * _FORK_MIN:
         return None
     per: dict[int, int] = {}
     for (_, j), n in dims.items():

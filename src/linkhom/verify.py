@@ -395,7 +395,8 @@ def apply_orientation(p: LaurentPoly, orientation: str) -> LaurentPoly:
 
 
 def appendix_a_cycle_identity(k: int) -> tuple[bool, str]:
-    """Q_(C_k,2) vs the bracket of the (2,k) closure under z^2 = q - 1.
+    """Q_(C_k,2) vs the bracket of the negative (2,k) closure, times the
+    unit q^k, under z^2 = q - 1.
 
     Returns (matched, description-of-the-unit-and-orientation).
     """
@@ -408,25 +409,15 @@ def appendix_a_cycle_identity(k: int) -> tuple[bool, str]:
     if isinstance(lhs, LaurentPoly):
         lhs = RationalFn.from_poly(lhs)
     qm1 = LaurentPoly.from_terms(Q, {1: 1, 0: -1})
-    for orient, letters in (("negative", (-1,) * k), ("positive", (1,) * k)):
-        br = kauffman_bracket(braid_closure(BraidWord(2, letters)))
-        rhs = RationalFn.zero(Q)
-        usable = True
-        for (m,), c in br.terms.items():
-            if (m - k) % 2:
-                usable = False
-                break
-            half = (m - k) // 2
-            term = RationalFn.from_poly(qm1 ** half) if half >= 0 else RationalFn(
-                LaurentPoly.one(Q), qm1 ** (-half)
-            )
-            rhs = rhs + term * RationalFn.from_poly(LaurentPoly.constant(Q, c))
-        if not usable:
-            continue
-        rhs = rhs * RationalFn.from_poly(LaurentPoly.monomial(Q, k))
-        if lhs == rhs:
-            return True, f"{orient} closure, unit q^{k} with z^2 = q - 1"
-    return False, "no orientation matched"
+    br = kauffman_bracket(braid_closure(BraidWord(2, (-1,) * k)))
+    even = all((m - k) % 2 == 0 for (m,) in br.terms)  # else z^2 = q - 1 cannot apply
+    rhs = RationalFn.zero(Q)
+    for (m,), c in br.terms.items():
+        half = (m - k) // 2
+        term = RationalFn.from_poly(qm1 ** half) if half >= 0 else RationalFn(LaurentPoly.one(Q), qm1 ** (-half))
+        rhs = rhs + term * RationalFn.from_poly(LaurentPoly.constant(Q, c))
+    rhs = rhs * RationalFn.from_poly(LaurentPoly.monomial(Q, k))
+    return even and lhs == rhs, f"negative closure, unit q^{k} with z^2 = q - 1"
 
 
 def suite_appendix_a() -> SuiteReport:

@@ -237,6 +237,18 @@ def test_malformed_pd_exits_2(tmp_path):
     assert code == 2 and err.startswith("input error:")
 
 
+@pytest.mark.parametrize("argv", [["kh", "PATH"], ["graph", "poly", "PATH", "--tutte"]], ids=["kh", "graph-poly"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_unreadable_input_file_exits_2(argv, kind, tmp_path):
+    path = tmp_path
+    if kind == "not-utf-8":
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("v 2\ne 1 2 # \u00e9\n".encode("latin-1"))
+    code, out, err = invoke([str(path) if a == "PATH" else a for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and repr(str(path)) in err
+
+
 def test_graph_edge_out_of_range_exits_2(tmp_path):
     gfile = tmp_path / "bad.g"
     gfile.write_text("v 3\ne 1 7\n")

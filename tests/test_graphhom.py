@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from linkhom import verify
 from linkhom.cli import run
 from linkhom.graphhom import (
     Multigraph,
@@ -27,6 +28,7 @@ from linkhom.graphhom import (
     tutte_recursive,
 )
 from linkhom.homcore import euler_characteristic, graded_homology
+from linkhom.linkdiag import BraidWord
 from linkhom.polyalg import LaurentPoly, RationalFn
 
 QV = ("q", "v")
@@ -384,3 +386,20 @@ def test_qn_of_the_graph_with_no_vertices_is_one(n):
     assert specialize_Qn(empty, n, window) == LaurentPoly.one(Q)
     assert euler_characteristic(Qn_homology(empty, n, window)) == LaurentPoly.one(Q)
     assert euler_characteristic(enhanced_homology(empty, window)) == LaurentPoly.one(Q)
+
+
+def test_cycle_identity_reads_only_the_negative_closure(monkeypatch):
+    # Q_(C_k,2) matches the bracket of the negative (2,k) closure; with that
+    # closure given a crossing too many, and the positive one drawn as the
+    # true negative closure, only the positive orientation would match, and
+    # the identity must fail
+    assert [verify.appendix_a_cycle_identity(k)[0] for k in range(2, 6)] == [True] * 4
+    real = verify.braid_closure
+
+    def broken(b):
+        if all(x > 0 for x in b.letters):
+            return real(BraidWord(b.strands, tuple(-x for x in b.letters)))
+        return real(BraidWord(b.strands, b.letters + (-1,)))
+
+    monkeypatch.setattr(verify, "braid_closure", broken)
+    assert [verify.appendix_a_cycle_identity(k)[0] for k in range(2, 6)] == [False] * 4

@@ -1,9 +1,11 @@
 """The forked strand worker of ``homcore.cube_homology``: the same tables
-as the serial path, its errors raised in the caller, and no process left
-behind."""
+as the serial path, whether or not the worker sends its results back, an
+error of the strands raised in the caller as its own class, and no
+process left behind."""
 
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -167,8 +169,17 @@ class StrandError(Exception):
     pass
 
 
-@pytest.mark.parametrize("error, raised", [(ZeroDivisionError, ZeroDivisionError), (StrandError, RuntimeError)])
-def test_worker_exception_reaches_the_caller(error, raised, forks, monkeypatch):
+def _serial(d, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(homcore, "_FORK_MIN", float("inf"))
+        return khovanov_homology(d)
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, StrandError])
+def test_worker_only_exception_gives_the_serial_table(error, forks, monkeypatch):
+    # the worker sends nothing back, and its strands run here
+    d = torus_diagram(3, 5)
+    expected = _serial(d, monkeypatch)
     parent = os.getpid()
     real = homcore._strand_pass
 
@@ -178,17 +189,59 @@ def test_worker_exception_reaches_the_caller(error, raised, forks, monkeypatch):
         return real(blocks)
 
     monkeypatch.setattr(homcore, "_strand_pass", failing)
-    with pytest.raises(raised, match="in the worker") as info:
+    assert khovanov_homology(d).to_json() == expected.to_json()
+    assert len(forks) == 1
+    assert_no_child()
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, StrandError])
+def test_exception_in_both_processes_keeps_its_class(error, forks, monkeypatch):
+    # the worker's strands fail in the worker and again here, where the
+    # error is raised with its own type and traceback
+    parent = os.getpid()
+    real = homcore._strand_pass
+    passes = []
+
+    def failing(blocks):
+        passes.append(os.getpid())
+        if os.getpid() != parent or len(passes) > 1:
+            raise error("in the worker's strands")
+        return real(blocks)
+
+    monkeypatch.setattr(homcore, "_strand_pass", failing)
+    with pytest.raises(error, match="in the worker's strands") as info:
         khovanov_homology(torus_diagram(3, 5))
-    assert "failing" in str(info.value.__cause__)  # the worker's traceback
+    assert type(info.value) is error and info.traceback[-1].name == "failing"
+    assert passes == [parent, parent]
+    assert len(forks) == 1
+    assert_no_child()
+
+
+def test_worker_killed_mid_pass_gives_the_serial_table(forks, monkeypatch):
+    d = torus_diagram(3, 5)
+    expected = _serial(d, monkeypatch)
+    parent = os.getpid()
+    real = homcore._strand_pass
+
+    def killed(blocks):
+        def stream():
+            for n, block in enumerate(blocks):
+                if n == 5 and os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                yield block
+
+        return real(stream())
+
+    monkeypatch.setattr(homcore, "_strand_pass", killed)
+    assert khovanov_homology(d).to_json() == expected.to_json()
     assert len(forks) == 1
     assert_no_child()
 
 
 def test_worker_that_dies_without_a_reply(affinity):
     assert fork_join(lambda: 1, lambda: {(0, 1): ((2, 6), 2)}) == (1, {(0, 1): ((2, 6), 2)})
-    with pytest.raises(RuntimeError, match="exited with code 3 and no reply"):
-        fork_join(lambda: 1, lambda: os._exit(3))
+    parent = os.getpid()
+    assert fork_join(lambda: 1, lambda: os._exit(3) if os.getpid() != parent else 2) == (1, 2)
     assert_no_child()
 
 
@@ -196,11 +249,7 @@ def test_failed_fork_runs_both_sides_here(forks, monkeypatch):
     d = torus_diagram(3, 5)
     expected = khovanov_homology(d)
     assert len(forks) == 1
-
-    def fork():
-        raise BlockingIOError("no process")
-
-    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "fork", _no_process)
     assert khovanov_homology(d).to_json() == expected.to_json()
 
 
@@ -275,8 +324,23 @@ def mask(request):
         _real_mask()
 
 
+_PARENT = os.getpid()  # the test process, which every fork_join below runs in
+
+
 def _worker_error():
-    raise ZeroDivisionError("in the worker")
+    if os.getpid() != _PARENT:
+        raise ZeroDivisionError("in the worker")
+    return 2
+
+
+def _error():
+    raise ZeroDivisionError("in both processes")
+
+
+def _worker_dies():
+    if os.getpid() != _PARENT:
+        os._exit(3)
+    return 2
 
 
 def _parent_interrupt():
@@ -284,23 +348,49 @@ def _parent_interrupt():
 
 
 @pytest.mark.parametrize(
-    "here, there, raised",
+    "here, there, outcome",
     [
-        (lambda: 1, lambda: 2, None),
-        (lambda: 1, _worker_error, ZeroDivisionError),
+        (lambda: 1, lambda: 2, (1, 2)),
+        (lambda: 1, _worker_error, (1, 2)),
+        (lambda: 1, _error, ZeroDivisionError),
         (_parent_interrupt, lambda: time.sleep(60), KeyboardInterrupt),
-        (lambda: 1, lambda: os._exit(3), RuntimeError),
+        (lambda: 1, _worker_dies, (1, 2)),
     ],
-    ids=["join", "worker-exception", "parent-interrupt", "worker-dies"],
+    ids=["join", "worker-exception", "exception-in-both", "parent-interrupt", "worker-dies"],
 )
-def test_mask_put_back_on_every_way_out(here, there, raised, mask):
+def test_mask_put_back_on_every_way_out(here, there, outcome, mask):
     before = os.sched_getaffinity(0)
-    if raised is None:
-        assert fork_join(here, there) == (1, 2)
+    start = time.monotonic()
+    if isinstance(outcome, tuple):
+        assert fork_join(here, there) == outcome
     else:
-        with pytest.raises(raised):
+        with pytest.raises(outcome):
             fork_join(here, there)
+    assert time.monotonic() - start < 30  # a sleeping worker is killed, not waited for
     assert os.sched_getaffinity(0) == before
+    assert_no_child()
+
+
+def _no_process():
+    raise BlockingIOError("no process")
+
+
+@pytest.mark.parametrize("way", ["one-cpu", "fork-refused", "worker-dies"])
+def test_fallback_runs_there_after_here(way, affinity, monkeypatch):
+    order = []
+    if way == "one-cpu":
+        affinity.mask = {0}
+    elif way == "fork-refused":
+        monkeypatch.setattr(os, "fork", _no_process)
+
+    def there():
+        if way == "worker-dies" and os.getpid() != _PARENT:
+            os._exit(3)
+        order.append("there")
+        return 2
+
+    assert fork_join(lambda: order.append("here") or 1, there) == (1, 2)
+    assert order == ["here", "there"]
     assert_no_child()
 
 
