@@ -11,7 +11,6 @@ from .homcore import (
     HomologyTable,
     SparseIntMatrix,
     euler_characteristic,
-    graded_homology,
     poincare_polynomial,
     smith_normal_form,
 )
@@ -29,8 +28,6 @@ from .graphhom import (
     Multigraph,
     Pn_homology,
     Qn_homology,
-    build_Pn_complex,
-    build_Qn_complex,
     dichromatic,
     dichromatic_DG,
     enhanced_homology,

@@ -17,15 +17,16 @@ subgraphs:
    per-degree polynomial complex for n = 2.
 
 All three are short specs for the shared cube engine
-(``homcore.cube_blocks``; the homologies stream it through
-``homcore.cube_homology``): components are the parts of a spanning
-subgraph, numbered by their least vertex, and a generator labels each
-component with an exponent.  Block (i, j) lists the subgraphs with i
-edges by increasing mask, each with its labelings of one exponent sum in
-lexicographic order; positions are worked out from offsets and ranks,
-and each edge shape (component counts, where each component lands, the
-component the edge touches) has its map tabulated once per theory and
-parameter, for every graph.
+(``homcore.cube_blocks``), and ``Pn_homology`` and ``Qn_homology`` hand
+them to ``homcore.cube_homology``, which streams the blocks into the
+strand pass, so no whole complex is built.  Components are the parts of
+a spanning subgraph, numbered by their least vertex, and a generator
+labels each component with an exponent.  Block (i, j) lists the
+subgraphs with i edges by increasing mask, each with its labelings of
+one exponent sum in lexicographic order; positions are worked out from
+offsets and ranks, and each edge shape (component counts, where each
+component lands, the component the edge touches) has its map tabulated
+once per theory and parameter, for every graph.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .homcore import CubeSpec, CubeStates, GradedComplex, HomologyTable, cube_complex, cube_homology
+from .homcore import CubeSpec, CubeStates, HomologyTable, cube_homology
 from .linkdiag import InputError
 from .polyalg import LaurentPoly, RationalFn
 
@@ -47,11 +48,9 @@ __all__ = [
     "tutte_recursive",
     "specialize_Pn",
     "specialize_Qn",
-    "build_Pn_complex",
     "Pn_homology",
     "polygon_reference",
     "enhanced_homology",
-    "build_Qn_complex",
     "Qn_homology",
     "dichromatic_DG",
     "cycle_graph",
@@ -268,25 +267,6 @@ def specialize_Qn(g: Multigraph, n: int, window: tuple[int, int]) -> LaurentPoly
 # ---------------------------------------------------------------------------
 
 
-def build_Pn_complex(g: Multigraph, n: int, variant: str = "zero") -> GradedComplex:
-    """Cube complex with one copy of Z[X]/(X^(n+1)) per component.
-
-    Merge edges multiply exponents (X^a (x) X^b -> X^(a+b), zero past n);
-    an edge landing inside a component applies the chosen variant: the
-    zero map, or 1 -> X^n with X^a -> 0 for a > 0.
-    """
-    return cube_complex(*_pn_cube(g, n, variant))
-
-
-def _pn_cube(g: Multigraph, n: int, variant: str) -> tuple:
-    # the arguments of cube_complex and cube_homology for the Pn complex, checked
-    if n < 1:
-        raise InputError("need n >= 1")
-    if variant not in ("zero", "xn"):
-        raise InputError("variant must be 'zero' or 'xn'")
-    return _pn_spec(n, variant), _graph_states(g), None, f"pn-complex:n={n}:{variant}"
-
-
 @lru_cache(maxsize=8)
 def _pn_spec(n: int, variant: str) -> CubeSpec:
     # one spec per (n, variant), so its edge tables serve every graph
@@ -299,7 +279,18 @@ def _pn_spec(n: int, variant: str) -> CubeSpec:
 
 
 def Pn_homology(g: Multigraph, n: int, variant: str = "zero") -> HomologyTable:
-    return cube_homology(*_pn_cube(g, n, variant))
+    """Homology of the cube complex with one copy of Z[X]/(X^(n+1)) per
+    component.
+
+    Merge edges multiply exponents (X^a (x) X^b -> X^(a+b), zero past n);
+    an edge landing inside a component applies the chosen variant: the
+    zero map, or 1 -> X^n with X^a -> 0 for a > 0.
+    """
+    if n < 1:
+        raise InputError("need n >= 1")
+    if variant not in ("zero", "xn"):
+        raise InputError("variant must be 'zero' or 'xn'")
+    return cube_homology(_pn_spec(n, variant), _graph_states(g), source=f"pn-complex:n={n}:{variant}")
 
 
 def polygon_reference(k: int, n: int) -> HomologyTable:
@@ -362,26 +353,7 @@ def enhanced_homology(g: Multigraph, window: tuple[int, int]) -> HomologyTable:
     on components, i = |s| and j = |s| + k(s) - |labels|.  Adding an edge
     merges labels additively, or increments the label of the component it
     lands in.  This is the per-degree polynomial complex for n = 2."""
-    return cube_homology(*_qn_cube(g, 2, window))
-
-
-def build_Qn_complex(g: Multigraph, n: int, window: tuple[int, int]) -> GradedComplex:
-    """Per-degree polynomial complex: one polynomial variable per
-    component (indexed by smallest vertex), merge maps substituting the
-    larger variable and multiplying by x^(2-n), internal edges multiplying
-    by x.  Exact inside the window since differentials preserve degree."""
-    return cube_complex(*_qn_cube(g, n, window))
-
-
-def _qn_cube(g: Multigraph, n: int, window: tuple[int, int]) -> tuple:
-    # the arguments of cube_complex and cube_homology for the per-degree
-    # polynomial complex, checked
-    if n > 2:
-        raise InputError("need n <= 2 so the merge exponent 2-n is nonnegative")
-    lo, hi = window
-    if lo > hi:
-        raise InputError("empty degree window")
-    return _qn_spec(n), _graph_states(g), window, f"qn-complex:n={n}"
+    return Qn_homology(g, 2, window)
 
 
 @lru_cache(maxsize=8)
@@ -396,7 +368,16 @@ def _qn_spec(n: int) -> CubeSpec:
 
 
 def Qn_homology(g: Multigraph, n: int, window: tuple[int, int]) -> HomologyTable:
-    return cube_homology(*_qn_cube(g, n, window))
+    """Homology of the per-degree polynomial complex: one polynomial
+    variable per component (indexed by smallest vertex), merge maps
+    substituting the larger variable and multiplying by x^(2-n), internal
+    edges multiplying by x.  Exact inside the window since differentials
+    preserve degree."""
+    if n > 2:
+        raise InputError("need n <= 2 so the merge exponent 2-n is nonnegative")
+    if window[0] > window[1]:
+        raise InputError("empty degree window")
+    return cube_homology(_qn_spec(n), _graph_states(g), window, f"qn-complex:n={n}")
 
 
 def dichromatic_DG(g: Multigraph) -> RationalFn:

@@ -30,11 +30,8 @@ components) at each vertex of the cube, and a ``CubeSpec`` gives the
 labels on parts, the grading and the merge, split and inside maps, and
 keeps the tables of those maps across calls.  The engine yields the
 blocks in strand order, one at a time, and ``cube_homology`` hands them
-to ``strand_homology`` as they come, so no whole complex is built;
-``cube_complex`` collects the same blocks into a ``GradedComplex`` for
-callers that read the complex itself, and ``graded_homology`` feeds a
-stored complex's blocks, copied, to the same consumer.  The engine
-takes its degree window and cube columns in cube indices;
+to ``strand_homology`` as they come, so no whole complex is built.  The
+engine takes its degree window and cube columns in cube indices;
 ``cube_homology`` takes its windows in the table's own indices, after
 the shift, and is the one place that moves them into cube indices.
 
@@ -70,12 +67,10 @@ __all__ = [
     "CubeStates",
     "CubeSpec",
     "cube_blocks",
-    "cube_complex",
     "cube_homology",
     "smith_normal_form",
     "GradedComplex",
     "HomologyTable",
-    "graded_homology",
     "strand_homology",
     "euler_characteristic",
     "poincare_polynomial",
@@ -400,21 +395,14 @@ class GradedComplex:
 
     ``dims[(i, j)]`` is the rank of the (i, j) chain group and
     ``diff[(i, j)]`` the block mapping it into (i+1, j).  The shift pair
-    (s, l) is applied to output indices when homology is computed.
+    (s, l) moves the output indices of its homology and Euler
+    characteristic.
     """
 
     dims: dict[tuple[int, int], int] = field(default_factory=dict)
     diff: dict[tuple[int, int], SparseIntMatrix] = field(default_factory=dict)
     shift: tuple[int, int] = (0, 0)
     source: str = ""
-
-    def strands(self) -> Iterator[tuple[tuple[int, int], SparseIntMatrix]]:
-        """A copy of each block, keyed by (i, j), in strand order (j, then
-        i): the form ``strand_homology`` takes over, the complex left as
-        it is."""
-        for key in sorted(self.diff, key=lambda k: (k[1], k[0])):
-            blk = self.diff[key]
-            yield key, SparseIntMatrix._of_rows(blk.rows, blk.cols, {r: row.copy() for r, row in blk.data.items()})
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -692,18 +680,6 @@ def cube_blocks(
     return dims, blocks
 
 
-def cube_complex(
-    spec: CubeSpec,
-    states: CubeStates,
-    window: tuple[int, int] | None = None,
-    source: str = "",
-) -> GradedComplex:
-    """The whole cube complex of ``cube_blocks``, every block collected:
-    for callers that read the complex itself, not only its homology."""
-    dims, blocks = cube_blocks(spec, states, None, window)
-    return GradedComplex(dims, dict(blocks()), source=source)
-
-
 def cube_homology(
     spec: CubeSpec,
     states: CubeStates,
@@ -712,11 +688,11 @@ def cube_homology(
     shift: tuple[int, int] = (0, 0),
     irange: tuple[int, int] | None = None,
 ) -> HomologyTable:
-    """The homology of ``cube_complex`` moved by ``shift``, in the degrees
-    j of ``window`` and i of ``irange`` of the table (both after
-    ``shift``; all by default): the blocks of ``cube_blocks`` go to the
-    strand pass of ``strand_homology`` as they are built, and no whole
-    complex is.
+    """The homology of the cube complex of ``spec`` over ``states``, moved
+    by ``shift``, in the degrees j of ``window`` and i of ``irange`` of the
+    table (both after ``shift``; all by default): the blocks of
+    ``cube_blocks`` go to the strand pass of ``strand_homology`` as they
+    are built, and no whole complex is.
 
     This is the one place where a window is moved into cube indices: the
     shift is taken off both, only the generators of the j-window are
@@ -829,8 +805,8 @@ def strand_homology(
     and the nonzero ``blocks`` in strand order (j, then i): free rank and
     torsion, exact over Z, at (i, j) moved by ``shift``.  ``cube_homology``
     feeds it a cube's blocks as they are built (or runs its strand pass
-    on half of them, with a worker on the other half), ``graded_homology``
-    a stored complex's.
+    on half of them, with a worker on the other half), and
+    ``khovanov.les_check`` the blocks of the whole complexes it has read.
 
     A ±1 entry from generator x of C_i to y of C_{i+1} is cancelled by
     Gaussian elimination: its block becomes the Schur complement of the
@@ -930,12 +906,6 @@ def _table(dims, units, snf, bad, shift, source) -> HomologyTable:
         if free or torsion:
             entries[(i + s, j + l)] = (free, torsion)
     return HomologyTable(entries)
-
-
-def graded_homology(c: GradedComplex) -> HomologyTable:
-    """Homology per (i, j) of a stored complex: ``strand_homology`` of a
-    copy of its blocks, so the complex itself is not changed."""
-    return strand_homology(c.dims, c.strands(), c.shift, c.source)
 
 
 def euler_characteristic(obj) -> LaurentPoly:

@@ -13,7 +13,9 @@ touches) on the module's one spec, so every diagram shares the tables,
 and replayed with the alternating cube signs, so every square
 anticommutes.  The homology reads the engine's blocks one j-strand at a
 time (``homcore.cube_homology``); ``build_khovanov_complex`` collects
-them into a whole complex, in cube indices, for the checks that read it.
+them into a whole complex, in cube indices, for ``les_check``, whose
+cone check reads the blocks, and for the Euler characteristic of the
+chain ranks.
 The homology functions take their windows in the table's own indices
 (normalized ones for ``khovanov_homology``) and hand them on as they are:
 ``cube_homology`` alone moves them into cube indices.  The bracket is a
@@ -32,10 +34,10 @@ from .homcore import (
     CubeStates,
     GradedComplex,
     HomologyTable,
-    cube_complex,
+    cube_blocks,
     cube_homology,
-    graded_homology,
     poincare_polynomial,
+    strand_homology,
 )
 from .linkdiag import BraidWord, Diagram, InputError, braid_closure, resolve_crossing
 from .polyalg import LaurentPoly
@@ -151,10 +153,9 @@ def build_khovanov_complex(d: Diagram, normalized: bool = False) -> GradedComple
     """Cube-of-resolutions complex with merge map m and split map Delta,
     in cube indices; when ``normalized`` the output shift (-n_minus,
     n_plus - 2 n_minus) is recorded for homology reporting."""
-    cplx = cube_complex(_KHOVANOV, _states(d), source=_source(d))
-    if normalized:
-        cplx.shift = (-d.n_minus, d.n_plus - 2 * d.n_minus)
-    return cplx
+    dims, blocks = cube_blocks(_KHOVANOV, _states(d))
+    shift = (-d.n_minus, d.n_plus - 2 * d.n_minus) if normalized else (0, 0)
+    return GradedComplex(dims, dict(blocks()), shift, _source(d))
 
 
 def khovanov_homology(
@@ -205,9 +206,11 @@ class LesReport:
 
 def les_check(d: Diagram, crossing: int) -> LesReport:
     """Single-crossing resolution checks: bracket additivity, the rank
-    bound from the long exact sequence, and the mapping-cone structure."""
-    if not 0 <= crossing < d.n_crossings:
-        raise ValueError(f"unknown crossing {crossing}")
+    bound from the long exact sequence, and the mapping-cone structure.
+
+    The cone check reads the blocks of the three complexes first; then
+    ``strand_homology`` takes each complex's blocks over (they are in
+    strand order, as ``cube_blocks`` made them), with its d^2 check."""
     d0 = resolve_crossing(d, crossing, 0)
     d1 = resolve_crossing(d, crossing, 1)
     violations: list[str] = []
@@ -217,15 +220,15 @@ def les_check(d: Diagram, crossing: int) -> LesReport:
     if not bracket_ok:
         violations.append("bracket additivity failed")
 
-    cx, c0, c1 = (build_khovanov_complex(x) for x in (d, d0, d1))
-    t, t0, t1 = (graded_homology(x) for x in (cx, c0, c1))
+    complexes = [build_khovanov_complex(x) for x in (d, d0, d1)]
+    cone_ok = _cone_structure_ok(d, complexes, crossing, violations)
+
+    t, t0, t1 = (strand_homology(c.dims, c.diff.items(), c.shift, c.source) for c in complexes)
     rank_ok = True
     for (i, j) in t.entries:
         if t.rank(i, j) > t0.rank(i, j) + t1.rank(i - 1, j - 1):
             rank_ok = False
             violations.append(f"rank bound violated at ({i},{j})")
-
-    cone_ok = _cone_structure_ok(d, (cx, c0, c1), crossing, violations)
     return LesReport(bracket_ok, rank_ok, cone_ok, violations)
 
 

@@ -14,7 +14,6 @@ separately as loops.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 __all__ = [
@@ -29,8 +28,6 @@ __all__ = [
     "mirror",
     "conjugate",
     "stabilize",
-    "diagram_to_json",
-    "diagram_from_json",
 ]
 
 
@@ -303,25 +300,3 @@ def mirror(d: Diagram) -> Diagram:
         else:
             out.append(Crossing(1, (b, c, cd, a)))
     return Diagram(tuple(out), d.loops, provenance=d.provenance)
-
-
-def diagram_to_json(d: Diagram) -> str:
-    return json.dumps(
-        {
-            "crossings": [{"sign": x.sign, "arcs": list(x.arcs)} for x in d.crossings],
-            "loops": list(d.loops),
-            "provenance": d.provenance,
-        },
-        separators=(",", ":"),
-        sort_keys=True,
-    )
-
-
-def diagram_from_json(text: str) -> Diagram:
-    """Read ``diagram_to_json``'s text back; anything else is an InputError."""
-    try:
-        data = json.loads(text)
-        crossings = tuple(Crossing(x["sign"], tuple(x["arcs"])) for x in data["crossings"])
-        return Diagram(crossings, tuple(data["loops"]), provenance=data["provenance"])
-    except (json.JSONDecodeError, LookupError, TypeError) as exc:
-        raise InputError(f"malformed diagram JSON: {exc!r}") from None

@@ -15,7 +15,7 @@ from . import corpus
 from .graphhom import (
     Multigraph,
     Pn_homology,
-    build_Qn_complex,
+    Qn_homology,
     cycle_graph,
     dichromatic,
     dichromatic_delete_contract,
@@ -263,7 +263,7 @@ def suite_theorem8() -> SuiteReport:
         g = Multigraph(n, tuple((rng.randint(1, n), rng.randint(1, n)) for _ in range(m)))
         window = (-4, g.n_edges + g.n_vertices)
         for nn in (2, 1):
-            if euler_characteristic(build_Qn_complex(g, nn, window)) != specialize_Qn(g, nn, window):
+            if euler_characteristic(Qn_homology(g, nn, window)) != specialize_Qn(g, nn, window):
                 bad_deg.append((f"qn n={nn}", idx))
     rep.add("per-degree Euler characteristics on 10 random graphs", not bad_deg, str(bad_deg[:3]))
     return rep

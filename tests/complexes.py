@@ -1,0 +1,35 @@
+"""Whole cube complexes and their homology, for the tests that read a
+complex itself: the package streams a cube's blocks into the strand pass
+and keeps no whole complex, except ``build_khovanov_complex``'s."""
+
+from linkhom.graphhom import _graph_states, _pn_spec, _qn_spec
+from linkhom.homcore import GradedComplex, SparseIntMatrix, cube_blocks, strand_homology
+
+
+def cube_complex(spec, states, window=None, source=""):
+    """Every block of ``cube_blocks``, collected, in cube indices."""
+    dims, blocks = cube_blocks(spec, states, None, window)
+    return GradedComplex(dims, dict(blocks()), source=source)
+
+
+def pn_complex(g, n, variant="zero"):
+    # the complex of graphhom.Pn_homology
+    return cube_complex(_pn_spec(n, variant), _graph_states(g), source=f"pn-complex:n={n}:{variant}")
+
+
+def qn_complex(g, n, window):
+    # the complex of graphhom.Qn_homology
+    return cube_complex(_qn_spec(n), _graph_states(g), window, f"qn-complex:n={n}")
+
+
+def strands(c):
+    """A copy of each block of ``c``, keyed by (i, j), in strand order (j,
+    then i): the form ``strand_homology`` takes over, ``c`` left as it is."""
+    for key in sorted(c.diff, key=lambda k: (k[1], k[0])):
+        blk = c.diff[key]
+        yield key, SparseIntMatrix(blk.rows, blk.cols, blk.entries)
+
+
+def homology(c):
+    """The homology of a stored complex, which is not changed."""
+    return strand_homology(c.dims, strands(c), c.shift, c.source)

@@ -10,10 +10,12 @@ from itertools import product
 import pytest
 
 from linkhom.corpus import corpus_diagrams
-from linkhom.graphhom import Multigraph, _graph_states, build_Pn_complex, build_Qn_complex
+from linkhom.graphhom import Multigraph, _graph_states
 from linkhom.homcore import GradedComplex, SparseIntMatrix, cube_blocks
 from linkhom.khovanov import _KHOVANOV, _source, _states, build_khovanov_complex
 from linkhom.linkdiag import braid_closure
+
+from complexes import pn_complex, qn_complex
 
 PRISM = Multigraph(6, ((1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (1, 4), (2, 5), (3, 6)))
 THETA = Multigraph(6, ((1, 3), (3, 2), (1, 4), (4, 2), (1, 5), (5, 6), (6, 2)))
@@ -176,8 +178,8 @@ def test_graph_blocks_match_reference():
     for g in (PRISM, THETA, K4, C4_DOUBLE):
         for n in (1, 2):
             for variant in ("zero", "xn"):
-                assert_same_blocks(build_Pn_complex(g, n, variant), ref_pn(g, n, variant))
-        assert_same_blocks(build_Qn_complex(g, 1, (0, 2)), ref_qn(g, 1, (0, 2), "qn-complex:n=1"))
-        assert_same_blocks(build_Qn_complex(g, 2, (2, 4)), ref_qn(g, 2, (2, 4), "qn-complex:n=2"))
+                assert_same_blocks(pn_complex(g, n, variant), ref_pn(g, n, variant))
+        assert_same_blocks(qn_complex(g, 1, (0, 2)), ref_qn(g, 1, (0, 2), "qn-complex:n=1"))
+        assert_same_blocks(qn_complex(g, 2, (2, 4)), ref_qn(g, 2, (2, 4), "qn-complex:n=2"))
         for window in ((3, 4), (5, 6)):
-            assert_same_blocks(build_Qn_complex(g, 2, window), ref_qn(g, 2, window, "qn-complex:n=2"))
+            assert_same_blocks(qn_complex(g, 2, window), ref_qn(g, 2, window, "qn-complex:n=2"))

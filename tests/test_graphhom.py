@@ -13,8 +13,6 @@ from linkhom.graphhom import (
     Pn_homology,
     Qn_homology,
     _graph_states,
-    build_Pn_complex,
-    build_Qn_complex,
     cycle_graph,
     dichromatic,
     dichromatic_DG,
@@ -27,9 +25,11 @@ from linkhom.graphhom import (
     tutte,
     tutte_recursive,
 )
-from linkhom.homcore import euler_characteristic, graded_homology
-from linkhom.linkdiag import BraidWord
+from linkhom.homcore import euler_characteristic
+from linkhom.linkdiag import BraidWord, InputError
 from linkhom.polyalg import LaurentPoly, RationalFn
+
+from complexes import homology, pn_complex, qn_complex
 
 QV = ("q", "v")
 XY = ("x", "y")
@@ -129,7 +129,7 @@ def test_specialize_qn_series():
 
 def test_pn_complex_edgeless():
     for n in (1, 2):
-        c = build_Pn_complex(Multigraph(1, ()), n)
+        c = pn_complex(Multigraph(1, ()), n)
         assert sum(c.dims.values()) == n + 1
         assert all(i == 0 for (i, _) in c.dims)
         braces = LaurentPoly.from_terms(Q, {i: 1 for i in range(n + 1)})
@@ -141,10 +141,10 @@ def test_pn_complex_euler_matches_specialization():
     for _ in range(15):
         g = random_graph(rng, max_vertices=4, max_edges=5)
         for variant in ("zero", "xn"):
-            c = build_Pn_complex(g, 1, variant)
-            graded_homology(c)  # raises where d^2 != 0
+            c = pn_complex(g, 1, variant)
+            homology(c)  # raises where d^2 != 0
             assert euler_characteristic(c) == specialize_Pn(g, 1)
-        c2 = build_Pn_complex(g, 2)
+        c2 = pn_complex(g, 2)
         assert euler_characteristic(c2) == specialize_Pn(g, 2)
 
 
@@ -194,19 +194,19 @@ def test_pn_homology_invariant_under_relabeling():
 
 def test_enhanced_single_vertex():
     for j in (1, 0, -1, -3):
-        c = build_Qn_complex(Multigraph(1, ()), 2, (j, j))
+        c = qn_complex(Multigraph(1, ()), 2, (j, j))
         assert c.dims == {(0, j): 1}
         assert not c.diff
-        t = graded_homology(c)
+        t = homology(c)
         assert t.entries == {(0, j): (1, ())}
     # j > 1 is empty: labels must be nonnegative
-    assert build_Qn_complex(Multigraph(1, ()), 2, (2, 2)).dims == {}
+    assert qn_complex(Multigraph(1, ()), 2, (2, 2)).dims == {}
 
 
 def test_enhanced_single_edge_j2():
-    c = build_Qn_complex(Multigraph(2, ((1, 2),)), 2, (2, 2))
+    c = qn_complex(Multigraph(2, ((1, 2),)), 2, (2, 2))
     assert c.dims == {(0, 2): 1, (1, 2): 1}
-    assert not graded_homology(c).entries
+    assert not homology(c).entries
 
 
 def test_enhanced_euler_matches_jg_series():
@@ -214,7 +214,7 @@ def test_enhanced_euler_matches_jg_series():
     for _ in range(10):
         g = random_graph(rng, max_vertices=4, max_edges=5)
         window = (-4, g.n_edges + g.n_vertices)
-        table_chi = euler_characteristic(build_Qn_complex(g, 2, window))
+        table_chi = euler_characteristic(qn_complex(g, 2, window))
         assert table_chi == specialize_Qn(g, 2, window)
 
 
@@ -240,8 +240,8 @@ def test_qn_euler_matches_series():
         g = random_graph(rng, max_vertices=4, max_edges=5)
         window = (-3, g.n_edges + g.n_vertices)
         for n in (2, 1):
-            c = build_Qn_complex(g, n, window)
-            graded_homology(c)  # raises where d^2 != 0
+            c = qn_complex(g, n, window)
+            homology(c)  # raises where d^2 != 0
             assert euler_characteristic(c) == specialize_Qn(g, n, window)
 
 
@@ -257,11 +257,18 @@ def test_qn_homology_invariance_single_edge():
     assert Qn_homology(flipped, 2, (-3, 2)) == base
 
 
+def test_pn_parameter_validation():
+    with pytest.raises(InputError, match="need n >= 1"):
+        Pn_homology(TRIANGLE, 0)
+    with pytest.raises(InputError, match="variant must be"):
+        Pn_homology(TRIANGLE, 1, "one")
+
+
 def test_qn_window_validation():
     with pytest.raises(ValueError):
-        build_Qn_complex(TRIANGLE, 2, (3, 1))
+        Qn_homology(TRIANGLE, 2, (3, 1))
     with pytest.raises(ValueError):
-        build_Qn_complex(TRIANGLE, 3, (0, 1))
+        Qn_homology(TRIANGLE, 3, (0, 1))
 
 
 def test_dichromatic_dg_edgeless():

@@ -13,8 +13,6 @@ from linkhom.graphhom import (
     Multigraph,
     Pn_homology,
     Qn_homology,
-    build_Pn_complex,
-    build_Qn_complex,
     enhanced_homology,
 )
 from linkhom.homcore import (
@@ -23,9 +21,7 @@ from linkhom.homcore import (
     HomologyTable,
     SparseIntMatrix,
     cube_blocks,
-    cube_complex,
     euler_characteristic,
-    graded_homology,
     poincare_polynomial,
     smith_normal_form,
     strand_homology,
@@ -41,6 +37,8 @@ from linkhom.khovanov import (
 )
 from linkhom.linkdiag import braid_closure, parse_braid
 from linkhom.polyalg import LaurentPoly
+
+from complexes import cube_complex, homology, pn_complex, qn_complex, strands
 
 
 def mat(rows, cols, data):
@@ -218,7 +216,7 @@ def test_snf_torsion_matches_mod_p_ranks():
     # universal coefficients: rank over GF(p) counts the factors p does not divide
     complexes = [build_khovanov_complex(braid_closure(b)) for b in corpus_diagrams(max_crossings=7)]
     complexes += [
-        build_Pn_complex(g, n, variant)
+        pn_complex(g, n, variant)
         for g in (PRISM, THETA)
         for n in (1, 2)
         for variant in ("zero", "xn")
@@ -245,13 +243,13 @@ def two_term_complex(entry):
 
 
 def test_zero_differential_homology():
-    t = graded_homology(two_term_complex(0))
+    t = homology(two_term_complex(0))
     assert t.group(0, 0) == (1, ())
     assert t.group(1, 0) == (1, ())
 
 
 def test_multiplication_by_two():
-    t = graded_homology(two_term_complex(2))
+    t = homology(two_term_complex(2))
     assert t.rank(0, 0) == 0
     assert t.group(1, 0) == (0, (2,))
 
@@ -259,7 +257,7 @@ def test_multiplication_by_two():
 def test_euler_characteristic_chain_vs_homology():
     c = two_term_complex(2)
     chain = euler_characteristic(c)
-    hom = euler_characteristic(graded_homology(c))
+    hom = euler_characteristic(homology(c))
     assert chain == hom == LaurentPoly.zero(("q",))
 
 
@@ -271,7 +269,7 @@ def test_single_generator_euler():
 def test_shift_applied_to_outputs():
     c = two_term_complex(0)
     c.shift = (-1, 3)
-    t = graded_homology(c)
+    t = homology(c)
     assert t.group(-1, 3) == (1, ())
     assert t.group(0, 3) == (1, ())
     assert euler_characteristic(c) == LaurentPoly.zero(("q",))
@@ -285,7 +283,7 @@ def test_d_squared_violation_reported():
     c.diff[(0, 0)] = mat(1, 1, {(0, 0): 1})
     c.diff[(1, 0)] = mat(1, 1, {(0, 0): 1})
     with pytest.raises(ValueError, match=r"\(0, 0\)"):
-        graded_homology(c)
+        homology(c)
 
 
 def test_d_squared_violations_in_two_strands():
@@ -302,7 +300,7 @@ def test_d_squared_violations_in_two_strands():
     c.diff[(0, 4)] = mat(2, 2, {(0, 0): 1, (1, 1): 1})
     c.diff[(1, 4)] = mat(2, 2, {(0, 1): 5})
     with pytest.raises(ValueError, match=r"\[\(0, 4\), \(1, 1\)\]"):
-        graded_homology(c)
+        homology(c)
 
 
 def test_homology_invariant_under_basis_permutation():
@@ -318,7 +316,7 @@ def test_homology_invariant_under_basis_permutation():
         cplx.dims[(1, 0)] = dims[1]
         cplx.dims[(2, 0)] = dims[2]
         cplx.diff[(0, 0)] = a
-        base = graded_homology(cplx)
+        base = homology(cplx)
         rp = list(range(dims[1]))
         cp = list(range(dims[0]))
         rng.shuffle(rp)
@@ -326,7 +324,7 @@ def test_homology_invariant_under_basis_permutation():
         cplx2 = GradedComplex()
         cplx2.dims = dict(cplx.dims)
         cplx2.diff[(0, 0)] = permuted(a, rp, cp)
-        assert graded_homology(cplx2) == base
+        assert homology(cplx2) == base
 
 
 def test_poincare_polynomial():
@@ -411,7 +409,7 @@ def per_block_homology(c):
 
 
 def assert_unit_free_residue(cplx, expected):
-    # every block graded_homology hands to the Smith form has had its ±1
+    # every block the strand pass hands to the Smith form has had its ±1
     # entries cancelled, keeps its own shape, has lost the rows that the
     # block after it cancelled, and gives the same homology
     shapes = {(blk.rows, blk.cols) for blk in cplx.diff.values()}
@@ -461,7 +459,7 @@ def assert_unit_free_residue(cplx, expected):
         mp.setattr(work, "__init__", making)
         mp.setattr(work, "sweep", sweeping)
         mp.setattr(work, "cancel_unit", cancelling)
-        assert graded_homology(cplx).entries == expected
+        assert homology(cplx).entries == expected
     assert len(handed) <= len(cplx.diff)
 
 
@@ -486,13 +484,13 @@ def test_homology_matches_per_block_oracle_on_cube_complexes():
     for g in (PRISM, THETA):
         for n in (1, 2):
             for variant in ("zero", "xn"):
-                cases.append((build_Pn_complex(g, n, variant), Pn_homology(g, n, variant), None))
-        cases.append((build_Qn_complex(g, 1, (0, 1)), Qn_homology(g, 1, (0, 1)), None))
-        cases.append((build_Qn_complex(g, 2, (2, 3)), enhanced_homology(g, (2, 3)), None))
+                cases.append((pn_complex(g, n, variant), Pn_homology(g, n, variant), None))
+        cases.append((qn_complex(g, 1, (0, 1)), Qn_homology(g, 1, (0, 1)), None))
+        cases.append((qn_complex(g, 2, (2, 3)), enhanced_homology(g, (2, 3)), None))
     torsion = 0
     for cplx, streamed, irange in cases:
         expected = per_block_homology(cplx)
-        assert graded_homology(cplx).entries == expected, cplx.source
+        assert homology(cplx).entries == expected, cplx.source
         kept = {k: v for k, v in expected.items() if irange is None or irange[0] <= k[0] <= irange[1]}
         assert streamed.entries == kept, cplx.source
         assert_unit_free_residue(cplx, expected)
@@ -541,7 +539,7 @@ def cancelled_rows(cplx):
             forms[id(st)][1].add(r)
 
     def tagged():
-        for key, blk in cplx.strands():
+        for key, blk in strands(cplx):
             copies[id(blk.data)] = (key, blk)
             yield key, blk
 
@@ -572,7 +570,7 @@ def test_d_squared_check_on_reduced_blocks_names_the_raw_violations():
     words = ("3: 1 2 1 2 1 2 1 2", "4: 1 2 3 1 2 3", "3: 1 -2 1 -2")
     assert set(words) <= set(DIAGRAMS)
     complexes = [build_khovanov_complex(braid_closure(parse_braid(w)), normalized=True) for w in words]
-    complexes.append(build_Pn_complex(THETA, 2, "zero"))
+    complexes.append(pn_complex(THETA, 2, "zero"))
     rng = random.Random(5)
     cases = 0
     for cplx in complexes:
@@ -594,7 +592,7 @@ def test_d_squared_check_on_reduced_blocks_names_the_raw_violations():
                 )
                 if bad:
                     with pytest.raises(ValueError, match=re.escape(f"at blocks {bad} of")):
-                        graded_homology(cplx)
+                        homology(cplx)
                     cases += 1
                 put(blk, r, c, old)
                 if bad:
@@ -631,7 +629,7 @@ def test_streaming_frees_blocks(monkeypatch):
     # to keep it on the serial path
     monkeypatch.setattr(homcore, "_FORK_MIN", float("inf"))
     d = torus_diagram(3, 5)
-    expected = graded_homology(build_khovanov_complex(d, normalized=True))
+    expected = homology(build_khovanov_complex(d, normalized=True))
     seen = []
     engine = homcore.cube_blocks
 
@@ -655,17 +653,6 @@ def test_streaming_frees_blocks(monkeypatch):
 
 def snapshot(cplx):
     return dict(cplx.dims), {key: (blk.rows, blk.cols, blk.entries) for key, blk in cplx.diff.items()}
-
-
-def test_graded_homology_leaves_its_input_alone():
-    complexes = [build_khovanov_complex(torus_diagram(2, 5), normalized=True)]
-    complexes.append(build_Pn_complex(THETA, 2, "zero"))
-    for cplx in complexes:
-        before = snapshot(cplx)
-        table = graded_homology(cplx)
-        assert snapshot(cplx) == before, cplx.source
-        assert graded_homology(cplx) == table
-    assert any(t for _, t in table.entries.values())  # the second one carries torsion
 
 
 def change_basis(rng, diff, dims, key):
@@ -754,6 +741,6 @@ def test_homology_known_answer_random_complexes():
             data = {(r, c): v for r, row in enumerate(blk) for c, v in enumerate(row) if v}
             cplx.diff[key] = mat(len(blk), len(blk[0]), data)
         want = {k: (f, invariant_factors(t)) for k, (f, t) in expected.items() if f or t}
-        assert graded_homology(cplx).entries == want
+        assert homology(cplx).entries == want
         assert per_block_homology(cplx) == want
         assert_unit_free_residue(cplx, want)

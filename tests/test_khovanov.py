@@ -13,7 +13,7 @@ import pytest
 import linkhom
 from linkhom.corpus import corpus_diagrams, random_words
 from linkhom import khovanov
-from linkhom.homcore import HomologyTable, euler_characteristic, graded_homology, poincare_polynomial
+from linkhom.homcore import CubeSpec, HomologyTable, euler_characteristic, poincare_polynomial
 from linkhom.khovanov import (
     _cone_structure_ok,
     _differences_below,
@@ -43,6 +43,8 @@ from linkhom.linkdiag import (
     stabilize,
 )
 from linkhom.polyalg import LaurentPoly
+
+from complexes import homology
 
 Q = ("q",)
 TREFOIL_PD = "X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3"  # the left-handed trefoil
@@ -165,7 +167,7 @@ def test_single_crossing_complex_shape():
     d = closure("2: 1")
     c = build_khovanov_complex(d)
     assert c.dims == {(0, 2): 1, (0, 0): 2, (0, -2): 1, (1, 2): 1, (1, 0): 1}
-    graded_homology(c)  # raises where d^2 != 0
+    homology(c)  # raises where d^2 != 0
 
 
 def test_unknot_calibration_both_signs():
@@ -195,7 +197,7 @@ def test_euler_characteristic_equals_jones():
         d = braid_closure(random_word(rng, max_len=7))
         c = build_khovanov_complex(d, normalized=True)
         assert euler_characteristic(c) == jones_unnormalized(d)
-        graded_homology(c)  # raises where d^2 != 0
+        homology(c)  # raises where d^2 != 0
 
 
 def test_unnormalized_euler_characteristic_equals_bracket():
@@ -209,7 +211,7 @@ def test_unnormalized_euler_characteristic_equals_bracket():
 def test_chain_and_homology_euler_agree():
     for text in ("2: 1 1 1", "3: 1 -2 1 -2", "3: 1 2 1 2"):
         c = build_khovanov_complex(closure(text), normalized=True)
-        assert euler_characteristic(c) == euler_characteristic(graded_homology(c))
+        assert euler_characteristic(c) == euler_characteristic(homology(c))
 
 
 def test_every_link_table_spans_at_least_two_diagonals():
@@ -324,8 +326,26 @@ def test_les_smallest_case():
 
 
 def test_les_trefoil_last_crossing():
-    rep = les_check(closure("2: 1 1 1"), 2)
+    d = closure("2: 1 1 1")
+    rep = les_check(d, 2)
     assert rep.ok, rep.violations
+    for crossing in (d.n_crossings, -1):
+        with pytest.raises(ValueError, match=f"unknown crossing {crossing}"):
+            les_check(d, crossing)
+
+
+def test_les_check_runs_the_d_squared_check(monkeypatch):
+    # Delta(1) = 1X alone keeps the degree but breaks d^2 = 0: the strand
+    # pass that takes the three complexes' blocks over must still see it
+    broken = CubeSpec(
+        top=1,
+        grading=(1, 1, 2),
+        merge=lambda x, y: (x + y,) if x + y <= 1 else (),
+        split=lambda x: ((1, 1),) if x else ((0, 1),),
+    )
+    monkeypatch.setattr(khovanov, "_KHOVANOV", broken)
+    with pytest.raises(ValueError, match=r"d\^2 != 0 at blocks \[.+\] of khovanov:"):
+        les_check(torus_diagram(3, 4), 0)
 
 
 def test_les_random_pairs():
@@ -373,7 +393,8 @@ def test_cone_check_catches_one_flipped_cone_map_entry(text, nu):
 
 
 def test_les_check_after_homology_of_its_complexes():
-    # les_check runs graded_homology on cx, c0 and c1 before the cone check
+    # les_check's cone check reads cx, c0 and c1 before the strand pass
+    # takes their blocks over
     for b in corpus_diagrams(max_crossings=6):
         d = braid_closure(b)
         for crossing in range(d.n_crossings):

@@ -16,9 +16,11 @@ import pytest
 import linkhom
 from linkhom import homcore
 from linkhom.forkjoin import fork_join
-from linkhom.homcore import CubeSpec, cube_blocks, cube_complex, cube_homology
+from linkhom.homcore import CubeSpec, cube_blocks, cube_homology
 from linkhom.khovanov import _KHOVANOV, _states, khovanov_homology, torus_diagram
 from linkhom.linkdiag import braid_closure, parse_braid
+
+from complexes import cube_complex
 
 # the Khovanov inputs of the benchmark whose split holds at least
 # _FORK_MIN generators on each side
