@@ -35,7 +35,7 @@ from .khovanov import (
     width_report,
 )
 from .linkdiag import Diagram, InputError, braid_closure, parse_braid, parse_pd
-from .verify import SLOW_SUITES, SUITES, run_suite
+from .verify import SUITES, run_suite
 
 
 class UsageError(Exception):
@@ -122,7 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_kh = sub.add_parser("kh", help="Khovanov homology of a link diagram")
     p_kh.add_argument("input")
     shown = p_kh.add_mutually_exclusive_group()
-    shown.add_argument("--table", action="store_true", help="print the homology table (default)")
     shown.add_argument("--poincare", action="store_true", help="print the two-variable Poincare polynomial")
     shown.add_argument("--width", action="store_true", help="print the diagonal/width report")
     p_kh.add_argument("--jwindow", default=None, help="restrict to q-degrees a..b; a negative a is written --jwindow=-5..5")
@@ -164,7 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_vf = sub.add_parser("verify", help="run a named verification suite")
     p_vf.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}, all")
-    p_vf.add_argument("--slow", action="store_true", help="include the slow tier")
     p_vf.add_argument("--p", type=int, default=None)
     p_vf.add_argument("--q", type=int, default=None)
     p_vf.set_defaults(run=_cmd_verify)
@@ -281,9 +279,7 @@ def _cmd_verify(args, out) -> int:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}, all")
     if (args.p, args.q) != (None, None) and args.suite != "theorem24":
         raise UsageError("--p and --q go only with suite theorem24")
-    if args.slow and args.suite not in (*SLOW_SUITES, "all"):
-        raise UsageError(f"suite {args.suite!r} has no slow tier; --slow goes with {', '.join(SLOW_SUITES)} and all")
-    reports = run_suite(args.suite, slow=args.slow, p=args.p, q=args.q)
+    reports = run_suite(args.suite, p=args.p, q=args.q)
     code = 0
     for rep in reports:
         for line in rep.lines():

@@ -830,6 +830,8 @@ def strand_homology(
     Cancelling is sound only on a chain complex: after a block whose
     composite with the next is not 0, nothing more is cancelled or
     dropped, the checks go on, and a ValueError names every such block.
+    The check reads only blocks that come back to back, so a block out of
+    strand order is a ValueError too.
     """
     return _table(dims, *_strand_pass(blocks), shift, source)
 
@@ -869,6 +871,8 @@ def _strand_pass(blocks: Iterable[tuple[tuple[int, int], SparseIntMatrix]]):
 
     held = None  # the last block, checked once the next one comes
     for key, blk in blocks:
+        if held is not None and key[::-1] <= held[0][::-1]:
+            raise ValueError(f"block {key} comes after block {held[0]}, out of strand order (j, then i)")
         follows = held is not None and held[0] == (key[0] - 1, key[1])
         if follows and not _composite_is_zero(held[0], held[1], blk):
             bad.append(held[0])

@@ -1,9 +1,8 @@
 """Named verification suites for the command-line front end.
 
 Each suite runs a batch of exact checks and returns a structured report.
-The acceptance tests call all twelve suites as written here; only the
-``slow`` parts of ``theorem20`` and ``theorem23`` are left to the
-``verify`` command.
+The acceptance tests call all twelve suites as written here, and each
+torus check builds only the homological degrees it reads.
 """
 
 from __future__ import annotations
@@ -160,19 +159,18 @@ def suite_theorem24(p: int = 3, q: int = 4) -> SuiteReport:
     rep = SuiteReport("theorem24")
     if not (3 <= p <= q) or (p == 3 and q == 3):
         raise InputError("need 3 <= p <= q, not both 3")
-    t = khovanov_homology(torus_diagram(p, q))
-    low = {k: v for k, v in t.entries.items() if k[0] <= 4}
-    rep.add(f"low-degree table of T({p},{q})", low == theorem24_table(p, q))
+    t = khovanov_homology(torus_diagram(p, q), irange=(0, 4))
+    rep.add(f"low-degree table of T({p},{q})", t.entries == theorem24_table(p, q))
     return rep
 
 
-def suite_theorem20(slow: bool = False) -> SuiteReport:
+def suite_theorem20() -> SuiteReport:
     rep = SuiteReport("theorem20")
-    t33 = khovanov_homology(torus_diagram(3, 3))
+    t33 = khovanov_homology(torus_diagram(3, 3), irange=(4, 4))
     rep.add("rank in bidegree (4,9) for T(3,3) equals 1", t33.rank(4, 9) == 1)
     t34 = khovanov_homology(torus_diagram(3, 4))
     rep.add("rank in bidegree (4,11) for T(3,4) equals 1", t34.rank(4, 11) == 1)
-    t35 = khovanov_homology(torus_diagram(3, 5))
+    t35 = khovanov_homology(torus_diagram(3, 5), irange=(4, 4))
     rep.add("rank in bidegree (4,13) for T(3,5) positive", t35.rank(4, 13) > 0)
     rep.add("width of T(3,4) at least 3", width_report(t34).width >= 3)
     for q in (3, 5, 7):
@@ -181,9 +179,8 @@ def suite_theorem20(slow: bool = False) -> SuiteReport:
     # reported, not asserted: the probe behind the large-width conjecture
     probe = unnormalized_homology(torus_diagram(3, 4), irange=(4, 4)).rank(4, 3)
     rep.add("probe rank H^(4,3) of the (3,4) diagram (reported)", True, f"rank={probe}")
-    if slow:
-        t44 = khovanov_homology(torus_diagram(4, 4), jwindow=(14, 14), irange=(4, 4))
-        rep.add("rank in bidegree (4,14) for T(4,4) positive (slow)", t44.rank(4, 14) > 0)
+    t44 = khovanov_homology(torus_diagram(4, 4), jwindow=(14, 14), irange=(4, 4))
+    rep.add("rank in bidegree (4,14) for T(4,4) positive", t44.rank(4, 14) > 0)
     return rep
 
 
@@ -198,7 +195,7 @@ def suite_theorem18() -> SuiteReport:
     return rep
 
 
-def suite_theorem23(slow: bool = False) -> SuiteReport:
+def suite_theorem23() -> SuiteReport:
     rep = SuiteReport("theorem23")
     out = stability_check(3, [4, 5, 6], i_max=4)
     for (q, bound, ok) in out.drop_one_twist:
@@ -209,9 +206,8 @@ def suite_theorem23(slow: bool = False) -> SuiteReport:
     rep.add(f"strand reduction: (3,3) vs (2,3) shifted, below i={bound}", ok)
     if not out.ok:
         rep.add("mismatches", False, "; ".join(out.mismatches[:4]))
-    if slow:
-        out4 = stability_check(4, [5], i_max=5)
-        rep.add("slow tier: (4,5) vs (4,4) and (4,4) vs (3,4)", out4.ok, "; ".join(out4.mismatches[:4]))
+    out4 = stability_check(4, [5], i_max=5)
+    rep.add("(4,5) vs (4,4) and (4,4) vs (3,4)", out4.ok, "; ".join(out4.mismatches[:4]))
     return rep
 
 
@@ -453,12 +449,11 @@ SUITES = {
     "appendixB": suite_appendix_b,
     "stability": suite_stability,
 }
-SLOW_SUITES = ("theorem20", "theorem23")  # the suites with a slow tier
 
 
-def run_suite(name: str, slow: bool = False, p: int | None = None, q: int | None = None) -> list[SuiteReport]:
-    """The reports of suite ``name``, or of every suite for "all": ``slow``
-    goes to the suites that have a slow tier, and p and q, where given, to theorem24."""
+def run_suite(name: str, p: int | None = None, q: int | None = None) -> list[SuiteReport]:
+    """The reports of suite ``name``, or of every suite for "all": p and q,
+    where given, go to theorem24."""
     pq = {k: v for k, v in (("p", p), ("q", q)) if v is not None}
-    return [SUITES[key](slow) if key in SLOW_SUITES else SUITES[key](**pq) if key == "theorem24" else SUITES[key]()
+    return [SUITES[key](**pq) if key == "theorem24" else SUITES[key]()
             for key in (SUITES if name == "all" else [name])]

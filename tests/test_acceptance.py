@@ -79,6 +79,13 @@ def test_acceptance_04_theorem24_low_degrees():
     report(4, t0, 10, "exact low-degree table of T(3,4), torsion included")
 
 
+def test_acceptance_04_theorem24_beyond_3_4():
+    t0 = time.time()
+    for p, q in ((3, 5), (3, 7), (4, 5), (4, 6)):
+        assert_ok(suite_theorem24(p, q))
+    report(4, t0, 3, "exact low-degree tables of T(3,5), T(3,7), T(4,5) and T(4,6)")
+
+
 def test_acceptance_05_theorem20_and_widths():
     t0 = time.time()
     assert_ok(suite_theorem20())

@@ -32,7 +32,7 @@ def test_jones_command():
 
 
 def test_kh_table_json():
-    code, out, _ = invoke(["kh", "2: 1 1 1", "--table", "--format", "json"])
+    code, out, _ = invoke(["kh", "2: 1 1 1", "--format", "json"])
     assert code == 0
     rows = json.loads(out)
     assert {"i": 3, "j": 7, "rank": 0, "torsion": [2]} in rows
@@ -370,4 +370,4 @@ def test_cli_sweep_matches_pinned_digest():
         digest.update(f"{argv}\n{code}\n{out}{err}".encode())
         count += 1
     assert count == 385
-    assert digest.hexdigest() == "f65a1c70de813edf281d7d1e6ccd6015cf2d64e1aad50cf5ea18d8a8ee690ea4"
+    assert digest.hexdigest() == "f3c5c5d3450292e33366845b176cdc467e64b73e7f2a2bb795f60168252afd2a"

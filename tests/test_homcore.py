@@ -498,25 +498,41 @@ def test_homology_matches_per_block_oracle_on_cube_complexes():
     assert torsion
 
 
+# Delta(1) = 1X alone keeps the degree but breaks d^2 = 0
+BROKEN_DELTA = CubeSpec(
+    top=1,
+    grading=(1, 1, 2),
+    merge=lambda x, y: (x + y,) if x + y <= 1 else (),
+    split=lambda x: ((1, 1),) if x else ((0, 1),),
+)
+
+
 def test_d_squared_violations_streamed_from_a_broken_cube():
-    # Delta(1) = 1X alone keeps the degree but breaks d^2 = 0: the streamed
-    # check must name every block whose composite with the next is not 0
-    broken = CubeSpec(
-        top=1,
-        grading=(1, 1, 2),
-        merge=lambda x, y: (x + y,) if x + y <= 1 else (),
-        split=lambda x: ((1, 1),) if x else ((0, 1),),
-    )
+    # the streamed check must name every block whose composite with the
+    # next is not 0
     d = torus_diagram(3, 4)
-    c = cube_complex(broken, _states(d))
+    c = cube_complex(BROKEN_DELTA, _states(d))
     bad = sorted(
         (i, j) for (i, j), blk in c.diff.items()
         if (i + 1, j) in c.diff and not homcore._composite_is_zero((i, j), blk, c.diff[i + 1, j])
     )
     assert len({j for _, j in bad}) > 1
-    dims, blocks = cube_blocks(broken, _states(d))
+    dims, blocks = cube_blocks(BROKEN_DELTA, _states(d))
     with pytest.raises(ValueError, match=re.escape(f"at blocks {bad} of")):
         strand_homology(dims, blocks())
+
+
+def test_blocks_out_of_strand_order_refused():
+    # the d^2 check reads only blocks that come back to back, so the broken
+    # complex in (i, j) order must be refused, not given a table without it
+    c = cube_complex(BROKEN_DELTA, _states(torus_diagram(3, 4)))
+    keys = sorted(c.diff)
+    prev, key = next((a, b) for a, b in zip(keys, keys[1:]) if b[::-1] < a[::-1])
+    msg = f"block {key} comes after block {prev}, out of strand order (j, then i)"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        strand_homology(c.dims, ((k, c.diff[k]) for k in keys))
+    with pytest.raises(ValueError, match=re.escape(f"block {keys[0]} comes after block {keys[0]},")):
+        strand_homology(c.dims, ((k, c.diff[k]) for k in keys[:1] * 2))
 
 
 def cancelled_rows(cplx):
