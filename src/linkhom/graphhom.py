@@ -381,20 +381,28 @@ def Qn_homology(g: Multigraph, n: int, window: tuple[int, int]) -> HomologyTable
 
 
 def dichromatic_DG(g: Multigraph) -> RationalFn:
-    """(1 + t^-1 q)^m P(q, (1 + t^-1 q)/(1 - q)), exactly: one numerator
-    over (1 - q)^top, top the most components of a state, that cancels
-    1 - q while it divides; no polynomial gcd runs."""
+    """(1 + t^-1 q)^m P(q, (1 + t^-1 q)/(1 - q)), exactly: with s_k(q) the
+    signed count of states with k components by edges kept, and top the
+    most components, this is sum_j (t^-1 q)^j N_j over (1 - q)^top, where
+    N_j = sum_k C(m + k, j) s_k (1 - q)^(top - k) is formed from integer
+    binomials; 1 - q is cancelled by running sums (no polynomial gcd runs)."""
     m = g.n_edges
-    one_plus = LaurentPoly.from_terms(TQ, {(0, 0): 1, (-1, 1): 1})
-    one_minus_q = LaurentPoly.from_terms(TQ, {(0, 0): 1, (0, 1): -1})
     # components k -> {edges kept i: signed count (-1)^i of such states}
     by_k: dict[int, dict[int, int]] = {}
     for (i, k), c in dichromatic(g).terms.items():
         by_k.setdefault(k, {})[i] = c
     top = max(by_k)
-    num = LaurentPoly.zero(TQ)
+    parts: dict[tuple[int, int], list[int]] = {}
     for k, counts in by_k.items():
-        signed = LaurentPoly.from_terms(TQ, {(0, i): c for i, c in counts.items()})
-        num = num + signed * one_plus ** (m + k) * one_minus_q ** (top - k)
-    # 1 - q is irreducible, so it is the only factor num can share with the denominator
-    return RationalFn._over_power(num, one_minus_q, top)
+        d = top - k
+        row = [0] * (max(counts) + d + 1)  # s_k (1 - q)^d
+        for i, c in counts.items():
+            for r in range(d + 1):
+                row[i + r] += (-1) ** r * comb(d, r) * c
+        for j in range(m + k + 1):
+            b, part = comb(m + k, j), parts.setdefault((-j, j), [])
+            part.extend([0] * (len(row) - len(part)))
+            for e, x in enumerate(row):
+                part[e] += b * x
+    # 1 - q is irreducible, so it is the only factor the numerator can share with the denominator
+    return RationalFn._over_power(TQ, parts, (0, 1), top)

@@ -20,8 +20,10 @@ The trace eliminates one strand at a time: a basis permutation either
 fixes the last point (closing a free circle, of value d = (1 + t^-1 q)/(1 - q^2))
 or factors uniquely through the top transposition.  Terms are kept apart
 by the number k of circles closed, so the trace is sum_k P_k d^k with
-P_k in Z[Q^+-1], formed as one numerator over (1 - q^2)^K that cancels
-1 - q^2 while it divides; no polynomial gcd runs.
+P_k in Z[Q^+-1], formed as one numerator over (1 - q^2)^K: one
+coefficient list in Q for each power of t^-1 q, from which 1 - q^2 is
+cancelled by running sums while every list sums to 0; no polynomial gcd
+or division runs.
 
 Wide edges E_i (trivalent resolutions between strands i and i+1) expand
 as T_i + q^2, which lets braid words over sigma/E letters be evaluated
@@ -76,13 +78,13 @@ def _width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
-def _unpack(c: int, width: int) -> dict[int, int]:
-    """The nonzero balanced base-2^width digits of c, by exponent."""
-    half, mask, digits, e = 1 << (width - 1), (1 << width) - 1, {}, 0
+def _unpack(c: int, width: int) -> list[int]:
+    """The balanced base-2^width digits of c, lowest first."""
+    half, mask, digits = 1 << (width - 1), (1 << width) - 1, []
     while c:
-        digits[e] = ((c + half) & mask) - half
-        c, e = (c + half) >> width, e + 1
-    return {e: d for e, d in digits.items() if d}
+        digits.append(((c + half) & mask) - half)
+        c = (c + half) >> width
+    return digits
 
 
 def _right(terms: dict[Perm, int], i: int, width: int, kind: int) -> dict[Perm, int]:
@@ -123,7 +125,7 @@ class HeckeElement:
     @property
     def coeffs(self) -> dict[Perm, LaurentPoly]:
         L, W = self.shift, self.width
-        return {w: LaurentPoly(TQ, {(0, 2 * (e - L)): a for e, a in _unpack(c, W).items()})
+        return {w: LaurentPoly(TQ, {(0, 2 * (e - L)): a for e, a in enumerate(_unpack(c, W))})
                 for w, c in self.terms.items()}
 
     def __eq__(self, other) -> bool:
@@ -231,11 +233,11 @@ def markov_trace(h: HeckeElement) -> HomflyValue:
         for j in range(k + 1):
             sums[j] = sums.get(j, 0) + comb(k, j) * c
         den -= den << h.width
-    num = {(-j, 2 * (e - h.shift) + j): a for j, c in sums.items() for e, a in _unpack(c, h.width).items()}
+    parts = {(-j, j - 2 * h.shift): _unpack(c, h.width) for j, c in sums.items()}
     # Only 1 - q^2 as a whole can cancel: t -> -t, q -> -q fixes every term
-    # t^-j q^(2e+j) of num and swaps 1 - q with 1 + q, so num holds both
-    # factors equally often, and (1 - q)^top (1 + q)^top has no other factor.
-    return HomflyValue(RationalFn._over_power(LaurentPoly(TQ, num), _ONE_MINUS_Q2, top))
+    # t^-j q^(2e+j) of the numerator and swaps 1 - q with 1 + q, so it holds
+    # both factors equally often, and (1 - q)^top (1 + q)^top has no other factor.
+    return HomflyValue(RationalFn._over_power(TQ, parts, (0, 2), top))
 
 
 def homfly_F(b: BraidWord) -> HomflyValue:
@@ -266,9 +268,8 @@ def specialize_Gn(g: HomflyValue, n: int) -> LaurentPoly:
     if n < 1:
         raise InputError("need n >= 1")
     tval = LaurentPoly.monomial(("q",), 1 - 2 * n, -1)
-    a, b = g.value.num._substitute_parts("t", tval)
-    c, d = g.value.den._substitute_parts("t", tval)
-    num, den = a * d, b * c
+    # t is a unit monomial, so each part comes back over 1
+    num, den = (p._substitute_parts("t", tval)[0] for p in (g.value.num, g.value.den))
     try:
         out = num.divide_exact(den)
     except ValueError:

@@ -11,22 +11,26 @@ formed: each constructor call reduces its fraction to the canonical form
 once, and the ring operations on ``RationalFn`` build one new fraction
 each.  Callers that add up many fractions therefore sum numerators over
 a common denominator as ``LaurentPoly`` and form a single ``RationalFn``
-at the end, as ``substitute`` does (over den^E * num^N).
+at the end, as ``substitute`` does (over den^E * num^N); a unit monomial
+value (one term, coefficient +-1) only moves exponents, over 1.
 
 The gcd is one primitive polynomial remainder sequence for every arity:
 it sees a polynomial as {exponent: coefficient} in its first variable,
 each coefficient an int or a polynomial of the same form in the next
 variable; the one exact division works on the same form.  Where the
-denominator is a known power base^n and nothing but base itself can
-cancel, ``RationalFn._over_power`` divides base out of the numerator
-instead and runs no gcd: the HOMFLYPT trace (base 1 - q^2) and the
-graph series D_G (base 1 - q) are formed that way.
+denominator is a known power (1 - Q)^n, Q a monomial, and nothing but
+1 - Q can cancel, ``RationalFn._over_power`` takes the numerator as
+coefficient lists in Q, one per part, and runs neither gcd nor division:
+1 - Q divides a part iff its coefficients sum to 0, and the quotient's
+coefficients are their running sums.  The HOMFLYPT trace (Q = q^2) and
+the graph series D_G (Q = q) are formed that way.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from math import gcd
+from itertools import accumulate
+from math import comb, gcd
 from operator import add, index, sub
 from typing import Mapping
 
@@ -231,7 +235,8 @@ class LaurentPoly:
 
         With value = num/den, a term c*m*x^e becomes c*m*num^(N+e)*den^(E-e)
         over the common denominator den^E * num^N, where E and N are the
-        largest positive and negative exponents of ``which`` (or 0).
+        largest positive and negative exponents of ``which`` (or 0).  A unit
+        monomial value u x^m instead takes c*m*x^e to c*u^e*m*x^(e m), over 1.
         """
         if which not in self.vars:
             raise ValueError(f"unknown variable {which!r}")
@@ -246,6 +251,18 @@ class LaurentPoly:
             num, den = value.num, value.den
         else:
             num, den = value, LaurentPoly.one(vvars)
+        if den.is_one() and num.is_monomial():
+            (m, u), = num.terms.items()
+            if u in (1, -1):
+                acc: dict[tuple[int, ...], int] = {}
+                for k, c in self.terms.items():
+                    e = k[pos]
+                    mono = [e * x for x in m]
+                    for src, dst in rest_pos:
+                        mono[dst] += k[src]
+                    key = tuple(mono)
+                    acc[key] = acc.get(key, 0) + (-c if u < 0 and e & 1 else c)
+                return LaurentPoly(vvars, acc), den
         # exponent of ``which`` -> the rest of each term, in value.vars
         by_exp: dict[int, dict[tuple[int, ...], int]] = {}
         for k, c in self.terms.items():
@@ -471,21 +488,23 @@ class RationalFn:
         return out
 
     @classmethod
-    def _over_power(cls, num: LaurentPoly, base: LaurentPoly, n: int) -> "RationalFn":
-        """num / base^n in canonical form, by dividing base out of num while
-        it divides (no gcd).  The caller shows that base has minimal
-        exponents zero and integer content 1, and that num shares no factor
-        with base other than powers of base itself."""
-        while n:
-            try:
-                num = num.divide_exact(base)
-            except ValueError:
-                break
+    def _over_power(cls, variables: tuple[str, ...], parts: Mapping[tuple[int, ...], list[int]],
+                    step: tuple[int, ...], n: int) -> "RationalFn":
+        """The sum of x^m (c[0] + c[1] Q + c[2] Q^2 + ...) over each m: c in
+        parts, over (1 - Q)^n with Q = x^step, in canonical form (no gcd).
+        The caller shows that the monomials m differ in a variable that Q
+        does not hold, and that the numerator shares no factor with 1 - Q
+        other than its powers.  So 1 - Q divides the numerator iff it
+        divides every part, which holds iff the part's coefficients sum to
+        0, and then the quotient's coefficients are their running sums."""
+        while n and not any(map(sum, parts.values())):
+            parts = {m: list(accumulate(c))[:-1] for m, c in parts.items()}
             n -= 1
-        den = base ** n
-        if den.lex_leading()[1] < 0:
-            num, den = -num, -den
-        return cls._of(num, den)
+        den = LaurentPoly(variables, {tuple(i * b for b in step): (-1) ** i * comb(n, i) for i in range(n + 1)})
+        sign = -1 if den.lex_leading()[1] < 0 else 1
+        steps = [tuple(e * b for b in step) for e in range(max(map(len, parts.values()), default=0))]
+        num = {tuple(map(add, m, s)): sign * c for m, cs in parts.items() for s, c in zip(steps, cs) if c}
+        return cls._of(LaurentPoly(variables, num), den.scale(sign))
 
     @classmethod
     def zero(cls, variables: tuple[str, ...]) -> "RationalFn":

@@ -288,6 +288,8 @@ def test_out_of_range_parameters_exit_2(tmp_path, argv):
     [
         pytest.param(["kh", "3: 1 2 1 2", "--poincare", "--width"], id="kh-poincare-width"),
         pytest.param(["kh", "3: 1 2 1 2", "--table", "--poincare"], id="kh-table-poincare"),
+        pytest.param(["kh", "2: 1 1 1", "--poincare", "--format", "csv"], id="kh-poincare-format"),
+        pytest.param(["kh", "2: 1 1 1", "--width", "--format", "json"], id="kh-width-format"),
         pytest.param(["graph", "kh", "GRAPH", "--theory", "enhanced", "--n", "5", "--jwindow", "0..2"], id="enhanced-n"),
         pytest.param(["graph", "kh", "GRAPH", "--theory", "enhanced", "--variant", "xn", "--jwindow", "0..2"],
                      id="enhanced-variant"),

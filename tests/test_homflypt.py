@@ -425,8 +425,9 @@ def test_packed_digits_decode_up_to_the_edge_of_the_width():
         assert _width(top) == width
         for digits in ({0: top}, {0: -top}, {0: top, 1: -top, 3: top}, {1: -top, 2: 1, 4: -1, 5: top}):
             packed = sum(d << (width * e) for e, d in digits.items())
-            assert _unpack(packed, width) == digits
-            assert _unpack(-packed, width) == {e: -d for e, d in digits.items()}
+            want = [digits.get(e, 0) for e in range(max(digits) + 1)]
+            assert _unpack(packed, width) == want
+            assert _unpack(-packed, width) == [-d for d in want]
 
 
 def test_each_word_is_packed_once_at_the_width_it_and_its_trace_need():
@@ -502,16 +503,42 @@ def test_homfly_outputs_match_pinned_digest():
 
 
 def test_trace_fraction_equals_the_general_reduction():
-    # the trace divides 1 - q^2 out of its numerator instead of running a gcd;
-    # the general reduction of the same value over an extra (1 - q^2)^2 agrees
-    b2 = tq({(0, 0): 1, (0, 2): -1}) ** 2
-    cancelled = 0
-    for b in corpus_diagrams():
+    # the trace cancels 1 - q^2 by running sums instead of running a gcd; the
+    # general reduction of the same value over an extra (1 - q^2)^2 agrees,
+    # on the corpus and on the 5-9 strand pinned braids, whose denominators
+    # keep up to four powers of 1 - q^2
+    one_minus_q2 = tq({(0, 0): 1, (0, 2): -1})
+    b2 = one_minus_q2 ** 2
+    cancelled, kept = 0, set()
+    for b in list(corpus_diagrams()) + [parse_braid(text) for text in PINNED_BRAIDS]:
         v = markov_trace(hecke_normal_form(b)).value
         ref = RationalFn(v.num * b2, v.den * b2)
         assert (v.num, v.den) == (ref.num, ref.den)
         cancelled += v.den.is_one() and b.strands > 1
-    assert cancelled > 0
+        kept.add(next(n for n in range(b.strands) if v.den in (one_minus_q2 ** n, -one_minus_q2 ** n)))
+    assert cancelled > 0 and max(kept) == 4
+
+
+def test_homfly_and_dg_run_no_generic_division_or_powers(monkeypatch):
+    # G and D_G cancel 1 - Q by running sums, and t = -q^(1-2n) or -q a^-2 is
+    # a unit monomial, which moves exponents: no exact division, no powers
+    braids = ["5: -4 2 4 3 4 -1 3 3 -1 1 4 -2 -3 -1 2", "3: 1 -2 1 -2", "2: 1 1", "4: 1 1 1 2 3"]
+    graphs = [Multigraph(4, ((1, 2), (2, 3), (3, 4), (4, 1), (1, 1))), Multigraph(3, ((1, 2), (1, 2), (2, 3)))]
+    want_g, want_dg = [G(text) for text in braids], [dichromatic_DG(g) for g in graphs]
+    want_n = [(specialize_Gn(g, 2), specialize_Gn(g, 3), homfly_skein_form(g)) for g in want_g]
+
+    def raises(*args):
+        raise AssertionError("generic polynomial work ran")
+
+    monkeypatch.setattr(linkhom.polyalg, "_powers", raises)
+    with pytest.raises(AssertionError, match="generic polynomial work"):
+        tq({(1, 0): 1}).substitute("t", tq({(0, 0): 1, (0, 1): 1}))
+    assert [(specialize_Gn(g, 2), specialize_Gn(g, 3), homfly_skein_form(g)) for g in want_g] == want_n
+    monkeypatch.setattr(linkhom.polyalg, "_div", raises)
+    with pytest.raises(AssertionError, match="generic polynomial work"):
+        tq({(0, 0): 1, (0, 2): -1}).divide_exact(tq({(0, 0): 1, (0, 1): 1}))
+    assert [G(text) for text in braids] == want_g
+    assert [dichromatic_DG(g) for g in graphs] == want_dg
 
 
 def test_homfly_and_dg_run_no_polynomial_gcd(monkeypatch):
