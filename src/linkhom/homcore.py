@@ -60,7 +60,7 @@ from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .forkjoin import fork_join
-from .polyalg import LaurentPoly
+from .polyalg import LaurentPoly, _integer
 
 __all__ = [
     "SparseIntMatrix",
@@ -92,8 +92,9 @@ class SparseIntMatrix:
         for (r, c), v in (entries or {}).items():
             if not 0 <= r < rows or not 0 <= c < cols:
                 raise ValueError(f"index ({r},{c}) out of range for {rows}x{cols}")
+            v = _integer(v)
             if v:
-                self.data.setdefault(r, {})[c] = int(v)
+                self.data.setdefault(r, {})[c] = v
 
     @classmethod
     def _of_rows(cls, rows: int, cols: int, data: dict[int, dict[int, int]]) -> "SparseIntMatrix":

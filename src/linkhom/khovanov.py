@@ -206,7 +206,9 @@ class LesReport:
 
 def les_check(d: Diagram, crossing: int) -> LesReport:
     """Single-crossing resolution checks: bracket additivity, the rank
-    bound from the long exact sequence, and the mapping-cone structure.
+    bound from the long exact sequence, and that the complex of d is the
+    cone of a chain map from the complex of its 0-resolution at the
+    crossing to that of its 1-resolution, compared block by block.
 
     The cone check reads the blocks of the three complexes first; then
     ``strand_homology`` takes each complex's blocks over (they are in
@@ -233,56 +235,51 @@ def les_check(d: Diagram, crossing: int) -> LesReport:
 
 
 def _cone_structure_ok(d: Diagram, complexes, nu: int, violations: list[str]) -> bool:
-    """The complex cx of d against the complexes c0, c1 of its two
-    resolutions at crossing nu: entries between states with bit nu = 0
-    must be c0's, those between states with bit nu = 1 must be c1's times
-    the sign fix (-1)^(bits above nu) of each end, none may run from bit
-    nu = 1 to bit nu = 0, and those from bit nu = 0 to bit nu = 1 (the
-    cone map) must be the merge or split of crossing nu times the cube
-    sign (-1)^(bits below nu), worked out generator by generator.
+    """Whether the complex cx of d is, block by block, the cone of the
+    chain map from the complex c0 of its 0-resolution at crossing nu to
+    the complex c1 of its 1-resolution.
 
-    Generators are matched by position alone.  Block (i, j) lists the
-    states of degree i by increasing mask, each with its comb(k, t)
-    labelings in lexicographic order, and a resolution keeps the order of
-    the other crossings and of each state's circles.  Dropping bit nu
-    keeps the order of the masks, so the generators of cx's block (i, j)
-    with bit nu = 0 are, in order, c0's block (i, j), and those with bit
-    nu = 1 are c1's block (i - 1, j - 1).
+    The check lays out d's generators itself, in block order: by degree,
+    then by increasing mask, then each state's labelings by label sum,
+    lexicographic within one.  Dropping bit nu keeps the order of the
+    masks and of each state's circles, so the generators with bit nu = 0
+    of cx's block (i, j) are, in order, c0's block (i, j), and those with
+    bit nu = 1 are c1's block (i - 1, j - 1).  The expected cx takes c0's
+    entries as they are, c1's times the sign fix (-1)^(bits above nu) of
+    both ends, and from bit nu = 0 to 1 the merge or split of crossing nu
+    on each labeling times the cube sign (-1)^(bits below nu).  Each block
+    that differs from its expectation adds one line to ``violations``.
     """
     cx, c0, c1 = complexes
     states = list(map(_states(d).state, range(1 << d.n_crossings)))
     bit_nu = 1 << nu
-    # per block of cx, per position: (face bit, index in that face's block, sign fix)
-    where: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    filled: dict[tuple[int, int, int], int] = {}
-    start: dict[tuple[int, int], int] = {}  # (mask, t) -> position of its first generator
+    labelings: dict[int, list[list[tuple[int, ...]]]] = {}  # k -> the labelings of each label sum
+    count: dict[tuple[int, int], int] = {}  # (i, j) -> generators placed so far
+    at: dict[int, dict[tuple[int, ...], int]] = {}  # mask -> labeling -> position in its block
+    faces: dict[tuple[int, int, int], list[tuple[int, int]]] = {}  # (bit nu, i, j) -> (position, sign fix)
     for mask in sorted(range(1 << d.n_crossings), key=int.bit_count):
-        i = mask.bit_count()
-        k = states[mask][0]
+        i, k = mask.bit_count(), states[mask][0]
+        if k not in labelings:  # product is lexicographic
+            labelings[k] = [[lab for lab in product((0, 1), repeat=k) if sum(lab) == t] for t in range(k + 1)]
         bit = (mask >> nu) & 1
-        sign = -1 if (mask >> (nu + 1)).bit_count() & 1 else 1
-        for t in range(k + 1):
+        sign = -1 if bit and (mask >> (nu + 1)).bit_count() & 1 else 1
+        here = at[mask] = {}
+        for t, labs in enumerate(labelings[k]):
             key = (i, i + k - 2 * t)
-            block = where.setdefault(key, [])
-            start[(mask, t)] = len(block)
-            begin = filled.get((bit, *key), 0)
-            stop = filled[(bit, *key)] = begin + comb(k, t)
-            block.extend((bit, p, sign) for p in range(begin, stop))
+            p = count.get(key, 0)
+            count[key] = p + len(labs)
+            here.update(zip(labs, range(p, p + len(labs))))
+            faces.setdefault((bit, *key), []).extend((q, sign) for q in range(p, p + len(labs)))
 
-    ranks: dict[int, dict[tuple[int, ...], int]] = {}
-
-    def ranked(k: int) -> dict[tuple[int, ...], int]:
-        # the labelings of k circles, each with its rank in its label sum
-        if k not in ranks:
-            out = ranks[k] = {}
-            count: dict[int, int] = {}
-            for lab in product((0, 1), repeat=k):  # lexicographic
-                out[lab] = count.get(sum(lab), 0)
-                count[sum(lab)] = out[lab] + 1
-        return ranks[k]
-
-    # the cone map per block of cx, in row storage
-    cone: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
+    # the expected blocks of cx, in row storage: the two faces, then the cone map
+    expect: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
+    for bit, c in enumerate((c0, c1)):
+        for (i, j), blk in c.diff.items():
+            rows, cols = faces[(bit, i + bit + 1, j + bit)], faces[(bit, i + bit, j + bit)]
+            out = expect.setdefault((i + bit, j + bit), {})
+            for r, row in blk.data.items():
+                p, s = rows[r]
+                out[p] = {cols[col][0]: s * cols[col][1] * v for col, v in row.items()}
     for mask in range(1 << d.n_crossings):
         if mask & bit_nu:
             continue
@@ -294,56 +291,26 @@ def _cone_structure_ok(d: Diagram, complexes, nu: int, violations: list[str]) ->
         merged = [s for s in range(k) if image.count(image[s]) == 2]
         src = [part[m] for m in tmins]
         split = [u for u in range(tk) if src.count(src[u]) == 2]
-        for lab, rank in ranked(k).items():
-            t = sum(lab)
+        for lab, col in at[mask].items():
             if merged:  # the two circles with one image merge
                 s1, s2 = merged
                 news = [((image[s1], x),) for x in _KHOVANOV.merge(lab[s1], lab[s2])]
             else:  # one circle splits into the target circles u1 < u2
                 u1, u2 = split
                 news = [((u1, x), (u2, y)) for x, y in _KHOVANOV.split(lab[src[u1]])]
-            col = start[(mask, t)] + rank
+            out = expect.setdefault((i, i + k - 2 * sum(lab)), {})
             for new in news:
                 target = [0] * tk
                 for s, x in enumerate(lab):
                     target[image[s]] = x
                 for slot, x in new:
                     target[slot] = x
-                target = tuple(target)
-                row = start[(tmask, sum(target))] + ranked(tk)[target]
-                cone.setdefault((i, i + k - 2 * t), {}).setdefault(row, {})[col] = sign
+                out.setdefault(at[tmask][tuple(target)], {})[col] = sign
 
-    ok = True
-    for (i, j), blk in cx.diff.items():
-        rows, cols = where.get((i + 1, j), ()), where.get((i, j), ())
-        faces: tuple[dict, dict] = ({}, {})
-        up: dict[int, dict[int, int]] = {}
-        for r, row in blk.data.items():
-            tbit, rr, tsign = rows[r]
-            for c, v in row.items():
-                sbit, cc, ssign = cols[c]
-                if sbit == tbit:
-                    faces[sbit].setdefault(rr, {})[cc] = v * tsign * ssign if sbit else v
-                elif sbit:
-                    ok = False
-                    violations.append(f"upward cone entry at ({i},{j})")
-                else:
-                    up.setdefault(r, {})[c] = v
-        ref0 = c0.diff.get((i, j))
-        ref1 = c1.diff.get((i - 1, j - 1))
-        if faces[0] != (ref0.data if ref0 else {}):
-            ok = False
-            violations.append(f"0-face differs from resolved complex at ({i},{j})")
-        if faces[1] != (ref1.data if ref1 else {}):
-            ok = False
-            violations.append(f"1-face differs from shifted complex at ({i},{j})")
-        if up != cone.pop((i, j), {}):
-            ok = False
-            violations.append(f"cone map differs at ({i},{j})")
-    for i, j in sorted(cone):
-        ok = False
-        violations.append(f"cone map differs at ({i},{j})")
-    return ok
+    bad = [key for key in sorted(cx.diff.keys() | expect.keys())
+           if (cx.diff[key].data if key in cx.diff else {}) != expect.get(key, {})]
+    violations += [f"block ({i}, {j}) is not the cone at crossing {nu}" for i, j in bad]
+    return not bad
 
 
 def torus_diagram(p: int, q: int) -> Diagram:
@@ -391,6 +358,8 @@ def stability_check(p: int, q_range, i_max: int | None = None) -> StabilityRepor
     qs = sorted(q_range)
     if p < 2 or not qs or p >= qs[0]:
         raise ValueError("need 2 <= p < min(q_range)")
+    if len(set(qs)) < len(qs):
+        raise InputError(f"repeated twist value in {qs}")
     cap = float("inf") if i_max is None else i_max + 1
     # each comparison: (first diagram, second, i bound, j shift, tag)
     twists = [((p, q), (p, q - 1), min(p + q - 3, cap), 0, f"(p,q)=({p},{q}) vs ({p},{q-1})") for q in qs]
@@ -416,18 +385,16 @@ def stability_check(p: int, q_range, i_max: int | None = None) -> StabilityRepor
 
 
 def stable_poincare(m: int, n_values) -> tuple[list[tuple[int, LaurentPoly]], list[tuple[int, int, int, bool]]]:
-    """Normalized Poincare polynomials q^(-(m-1)n) P(T_(m,n)) plus the
-    stable-agreement report for consecutive n: the groups, torsion
-    included, at t-powers below m+n-3, after the same shift."""
+    """Poincare polynomials of the unnormalized tables of T_(m,n), which
+    for these positive braids are the normalized ones times q^(-(m-1)n),
+    plus the stable-agreement report for consecutive n: the groups,
+    torsion included, at t-powers below m+n-3."""
     if m < 2:
         raise InputError("need m >= 2")
     ns = sorted(n_values)
     if len(set(ns)) < len(ns):
         raise InputError(f"repeated twist value in {ns}")
-    tables = [khovanov_homology(torus_diagram(m, n)) for n in ns]
-    polys = [(n, poincare_polynomial(t).shift((0, -(m - 1) * n))) for n, t in zip(ns, tables)]
-    agreements = []
-    for (n1, t1), (n2, t2) in pairwise(zip(ns, tables)):
-        bound = m + n1 - 3
-        agreements.append((n1, n2, bound, not _differences_below(t1, t2, bound, (m - 1) * (n2 - n1))))
-    return polys, agreements
+    tables = [unnormalized_homology(torus_diagram(m, n)) for n in ns]
+    agreements = [(n1, n2, m + n1 - 3, not _differences_below(t1, t2, m + n1 - 3))
+                  for (n1, t1), (n2, t2) in pairwise(zip(ns, tables))]
+    return [(n, poincare_polynomial(t)) for n, t in zip(ns, tables)], agreements

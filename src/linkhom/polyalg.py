@@ -41,6 +41,15 @@ __all__ = [
 ]
 
 
+def _integer(value) -> int:
+    """An exact value as an int: ints and bools pass, floats, fractions
+    and strings raise rather than being rounded or parsed."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{value!r} is not an integer") from None
+
+
 def _key(arity: int, exps) -> tuple[int, ...]:
     if arity == 1 and not isinstance(exps, tuple):
         exps = (exps,)
@@ -83,7 +92,7 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, variables: tuple[str, ...], c: int) -> "LaurentPoly":
-        return cls(variables, {(0,) * len(variables): int(c)})
+        return cls(variables, {(0,) * len(variables): _integer(c)})
 
     @classmethod
     def one(cls, variables: tuple[str, ...]) -> "LaurentPoly":
@@ -91,7 +100,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, variables: tuple[str, ...], exps, coeff: int = 1) -> "LaurentPoly":
-        return cls(variables, {_key(len(variables), exps): int(coeff)})
+        return cls(variables, {_key(len(variables), exps): _integer(coeff)})
 
     @classmethod
     def from_terms(cls, variables: tuple[str, ...], mapping: Mapping) -> "LaurentPoly":
@@ -99,7 +108,7 @@ class LaurentPoly:
         arity = len(variables)
         for exps, c in mapping.items():
             k = _key(arity, exps)
-            acc[k] = acc.get(k, 0) + int(c)
+            acc[k] = acc.get(k, 0) + _integer(c)
         return cls(variables, acc)
 
     # ---------- basic queries ----------

@@ -371,23 +371,21 @@ def suite_appendix_b() -> SuiteReport:
 
 
 def fixed_jones_orientation() -> str:
-    """Determine, once, whether G_2 matches normalized Jones directly or
-    after q -> q^-1; pinned on the positive trefoil."""
+    """The Jones orientation of G_2, pinned on the positive trefoil:
+    "identity", as G_2 equals normalized Jones there; raises otherwise,
+    so no change of variable can hide a change of convention."""
     b = parse_braid("2: 1 1 1")
-    g2 = specialize_Gn(homfly_G(b), 2)
-    j = jones_normalized(braid_closure(b))
-    if g2 == j:
-        return "identity"
-    if g2 == j.substitute("q", LaurentPoly.monomial(Q, -1)):
-        return "inverse"
-    raise AssertionError("G_2 of the trefoil matches neither Jones orientation")
+    if specialize_Gn(homfly_G(b), 2) != jones_normalized(braid_closure(b)):
+        raise AssertionError("G_2 of the trefoil is not its normalized Jones polynomial")
+    return "identity"
 
 
 def apply_orientation(p: LaurentPoly, orientation: str) -> LaurentPoly:
-    if orientation == "identity":
-        return p
-    out = p.substitute("q", LaurentPoly.monomial(Q, -1))
-    return out
+    """``p`` under ``orientation``: "identity", the one value
+    ``fixed_jones_orientation`` returns, keeps p; any other raises."""
+    if orientation != "identity":
+        raise ValueError(f"unknown Jones orientation {orientation!r}")
+    return p
 
 
 def appendix_a_cycle_identity(k: int) -> tuple[bool, str]:

@@ -1,5 +1,6 @@
 """Smith normal form and block homology checks, with brute-force oracles."""
 
+from fractions import Fraction
 import itertools
 import random
 import re
@@ -115,6 +116,23 @@ def test_snf_2x2_example():
 
 def test_zero_matrix_snf():
     assert smith_normal_form(SparseIntMatrix(2, 3)) == ((), 0)
+
+
+@pytest.mark.parametrize("value", [2.5, 0.5, Fraction(1, 2), "3"], ids=["2.5", "0.5", "half", "str"])
+def test_exact_values_take_integers_only(value):
+    # int() would round 2.5 to 2, store 0.5 as an explicit 0 and parse "3"
+    msg = re.escape(f"{value!r} is not an integer")
+    with pytest.raises(ValueError, match=msg):
+        SparseIntMatrix(2, 2, {(0, 0): value, (1, 1): 3})
+    with pytest.raises(ValueError, match=msg):
+        LaurentPoly.from_terms(("q",), {0: value, 1: 2})
+    with pytest.raises(ValueError, match=msg):
+        LaurentPoly.constant(("q",), value)
+    with pytest.raises(ValueError, match=msg):
+        LaurentPoly.monomial(("q",), 1, value)
+    m = SparseIntMatrix(2, 2, {(0, 0): True, (0, 1): False, (1, 1): 3})
+    assert m.data == {0: {0: 1}, 1: {1: 3}} and smith_normal_form(m) == ((1, 3), 2)
+    assert LaurentPoly.monomial(("q",), 1, True) == LaurentPoly.from_terms(("q",), {1: 1, 0: False})
 
 
 def test_snf_against_minor_oracle_random():

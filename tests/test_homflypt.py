@@ -6,6 +6,7 @@ import random
 import pytest
 
 import linkhom.polyalg
+from linkhom import verify
 from linkhom.cli import run
 from linkhom.corpus import corpus_diagrams
 from linkhom.graphhom import Multigraph, dichromatic_DG
@@ -188,10 +189,19 @@ def test_specialize_unknot():
         assert specialize_Gn(G("2: 1"), n) == LaurentPoly.one(("q",))
 
 
-def test_specialize_G2_trefoil_is_jones():
+def test_specialize_G2_trefoil_is_jones(monkeypatch):
     g2 = specialize_Gn(G("2: 1 1 1"), 2)
     jones = jones_normalized(braid_closure(parse_braid("2: 1 1 1")))
     assert g2 == jones
+    assert verify.fixed_jones_orientation() == "identity"
+    assert verify.apply_orientation(jones, "identity") is jones
+    with pytest.raises(ValueError, match="unknown Jones orientation 'inverse'"):
+        verify.apply_orientation(jones, "inverse")
+    # Jones under q -> q^-1: a change of convention is refused, not undone
+    mirrored = jones.substitute("q", LaurentPoly.monomial(("q",), -1))
+    monkeypatch.setattr(verify, "jones_normalized", lambda d: mirrored)
+    with pytest.raises(AssertionError, match="G_2 of the trefoil is not its normalized Jones polynomial"):
+        verify.fixed_jones_orientation()
 
 
 def test_sl_n_skein_on_samples():

@@ -13,7 +13,7 @@ import pytest
 import linkhom
 from linkhom.corpus import corpus_diagrams, random_words
 from linkhom import khovanov
-from linkhom.homcore import CubeSpec, HomologyTable, euler_characteristic, poincare_polynomial
+from linkhom.homcore import CubeSpec, HomologyTable, SparseIntMatrix, euler_characteristic, poincare_polynomial
 from linkhom.khovanov import (
     _cone_structure_ok,
     _differences_below,
@@ -34,6 +34,7 @@ from linkhom.khovanov import (
 from linkhom.linkdiag import (
     BraidWord,
     Diagram,
+    InputError,
     braid_closure,
     conjugate,
     mirror,
@@ -386,10 +387,90 @@ def test_cone_check_catches_one_flipped_cone_map_entry(text, nu):
                 row[c] = -row[c]
                 violations = []
                 assert not _cone_structure_ok(d, complexes, nu, violations), (i, j, r, c)
-                assert violations == [f"cone map differs at ({i},{j})"]
+                assert violations == [f"block ({i}, {j}) is not the cone at crossing {nu}"]
                 row[c] = -row[c]
                 flipped += 1
     assert flipped
+
+
+def mutants(c, rng):
+    """Flip, double and drop one random entry of complex c, then add one
+    where it has none; c is changed in place for each yield and restored
+    after it."""
+    found = sorted((key, rc) for key, blk in c.diff.items() for rc in blk.entries)
+    changes = []
+    if found:
+        key, rc = rng.choice(found)
+        v = c.diff[key].entries[rc]
+        changes += [(key, rc, -v), (key, rc, 2 * v), (key, rc, 0)]
+    keys = sorted(k for k in c.dims if (k[0] + 1, k[1]) in c.dims)
+    if keys:
+        key = rng.choice(keys)
+        taken = c.diff[key].entries if key in c.diff else {}
+        empty = [(r, col) for r in range(c.dims[(key[0] + 1, key[1])]) for col in range(c.dims[key])
+                 if (r, col) not in taken]
+        if empty:
+            changes.append((key, rng.choice(empty), 1))
+    for key, rc, v in changes:
+        old = c.diff.get(key)
+        entries = old.entries if old else {}
+        entries[rc] = v
+        c.diff[key] = SparseIntMatrix(c.dims[(key[0] + 1, key[1])], c.dims[key], entries)
+        yield key, rc, v
+        if old:
+            c.diff[key] = old
+        else:
+            del c.diff[key]
+
+
+def test_cone_check_catches_every_one_entry_change():
+    # one entry of cx, c0 or c1 flipped, doubled, dropped or added, at
+    # every crossing of the corpus diagrams up to 6 crossings
+    rng = random.Random(29)
+    caught = 0
+    for b in corpus_diagrams(max_crossings=6):
+        d = braid_closure(b)
+        for nu in range(d.n_crossings):
+            complexes = [build_khovanov_complex(x) for x in (d, resolve_crossing(d, nu, 0), resolve_crossing(d, nu, 1))]
+            assert _cone_structure_ok(d, complexes, nu, [])
+            for which, c in enumerate(complexes):
+                for change in mutants(c, rng):
+                    assert not _cone_structure_ok(d, complexes, nu, []), (b.text(), nu, which, change)
+                    caught += 1
+    assert caught > 1000
+
+
+# Under the labels fault below, the engine's edge tables raise KeyError on
+# the edges into states of two circles; these diagrams have such states
+# only at degree 0, so their complexes build
+LABELS_FAULT_CASES = ("2: 1", "4: 1", "4: 2", "4: -3", "4: -3 3", "4: 3 -3", "4: -3 -3", "4: 2 -2 -2")
+
+
+def test_cone_check_catches_a_dropped_labeling(monkeypatch):
+    # the check enumerates labelings itself, so a labeling the engine
+    # drops (1X of two circles) shows in every complex built from it
+    labels = CubeSpec.labels
+
+    def dropped(self, k, t):
+        out = labels(self, k, t)
+        return [lab for lab in out if lab != (1, 0)] if (k, t) == (2, 1) else out
+
+    khovanov._KHOVANOV._labelings.clear()
+    khovanov._KHOVANOV._edges.clear()
+    monkeypatch.setattr(CubeSpec, "labels", dropped)
+    try:
+        pairs = 0
+        for text in LABELS_FAULT_CASES:
+            d = closure(text)
+            for nu in range(d.n_crossings):
+                complexes = [build_khovanov_complex(x) for x in (d, resolve_crossing(d, nu, 0), resolve_crossing(d, nu, 1))]
+                assert not _cone_structure_ok(d, complexes, nu, []), (text, nu)
+                pairs += 1
+        assert pairs == 13
+    finally:
+        monkeypatch.undo()
+        khovanov._KHOVANOV._labelings.clear()
+        khovanov._KHOVANOV._edges.clear()
 
 
 def test_les_check_after_homology_of_its_complexes():
@@ -507,6 +588,8 @@ def test_jwindow_matches_full_computation():
 def test_stability_small():
     rep = stability_check(2, [3, 4])
     assert rep.ok, rep.mismatches
+    with pytest.raises(InputError, match=r"repeated twist value in \[3, 3\]"):
+        stability_check(2, [3, 3])
 
 
 def test_stability_check_computes_each_diagram_once(monkeypatch):
@@ -538,5 +621,7 @@ def test_differences_below_sees_torsion():
 def test_stable_poincare_m2():
     polys, agreements = stable_poincare(2, [3, 4, 5])
     assert all(ok for (_, _, _, ok) in agreements)
+    # the unnormalized table is the normalized one shifted by -(m-1)n in j
+    assert polys == [(n, poincare_polynomial(khovanov_homology(torus_diagram(2, n))).shift((0, -n))) for n in (3, 4, 5)]
     with pytest.raises(ValueError):
         stable_poincare(1, [2, 3])
