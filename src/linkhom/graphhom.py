@@ -68,9 +68,13 @@ class Multigraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if type(self.n_vertices) is not int:
+            raise InputError(f"vertex count must be an int, not {self.n_vertices!r}")
         if self.n_vertices < 0:
             raise InputError("negative vertex count")
         for u, v in self.edges:
+            if type(u) is not int or type(v) is not int:
+                raise InputError(f"edge ends must be ints, not ({u!r},{v!r})")
             if not (1 <= u <= self.n_vertices and 1 <= v <= self.n_vertices):
                 raise InputError(f"edge ({u},{v}) out of range")
 
@@ -290,7 +294,7 @@ def Pn_homology(g: Multigraph, n: int, variant: str = "zero") -> HomologyTable:
         raise InputError("need n >= 1")
     if variant not in ("zero", "xn"):
         raise InputError("variant must be 'zero' or 'xn'")
-    return cube_homology(_pn_spec(n, variant), _graph_states(g), source=f"pn-complex:n={n}:{variant}")
+    return cube_homology(_pn_spec(n, variant), _graph_states(g))
 
 
 def polygon_reference(k: int, n: int) -> HomologyTable:
@@ -377,7 +381,7 @@ def Qn_homology(g: Multigraph, n: int, window: tuple[int, int]) -> HomologyTable
         raise InputError("need n <= 2 so the merge exponent 2-n is nonnegative")
     if window[0] > window[1]:
         raise InputError("empty degree window")
-    return cube_homology(_qn_spec(n), _graph_states(g), window, f"qn-complex:n={n}")
+    return cube_homology(_qn_spec(n), _graph_states(g), window)
 
 
 def dichromatic_DG(g: Multigraph) -> RationalFn:

@@ -397,13 +397,12 @@ class GradedComplex:
     ``dims[(i, j)]`` is the rank of the (i, j) chain group and
     ``diff[(i, j)]`` the block mapping it into (i+1, j).  The shift pair
     (s, l) moves the output indices of its homology and Euler
-    characteristic.
+    characteristic; these three fields are the whole complex.
     """
 
     dims: dict[tuple[int, int], int] = field(default_factory=dict)
     diff: dict[tuple[int, int], SparseIntMatrix] = field(default_factory=dict)
     shift: tuple[int, int] = (0, 0)
-    source: str = ""
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -685,7 +684,6 @@ def cube_homology(
     spec: CubeSpec,
     states: CubeStates,
     window: tuple[int, int] | None = None,
-    source: str = "",
     shift: tuple[int, int] = (0, 0),
     irange: tuple[int, int] | None = None,
 ) -> HomologyTable:
@@ -712,20 +710,21 @@ def cube_homology(
     blocks) back through a pipe (``marshal``); otherwise, or when the
     worker sends nothing back, both passes run here, one after the
     other.  One table is assembled from both.  Smaller cubes take one
-    pass here over every strand.  The table is the same either way.
+    pass here over every strand.  The table is the same either way, and a
+    cube that fails d^2 = 0 raises the ValueError of ``strand_homology``.
     """
     s, l = shift
     columns = None if irange is None else (max(0, irange[0] - s - 1), irange[1] - s + 1)
     dims, blocks = cube_blocks(spec, states, columns, None if window is None else (window[0] - l, window[1] - l))
     halves = _halves(dims)
     if halves is None:
-        table = strand_homology(dims, blocks(), shift, source)
+        table = strand_homology(dims, blocks(), shift)
     else:
         mine, theirs = halves
         (units, snf, bad), (w_units, w_snf, w_bad) = fork_join(
             lambda: _strand_pass(blocks(mine)), lambda: _strand_pass(blocks(theirs))
         )
-        table = _table(dims, units | w_units, snf | w_snf, bad + w_bad, shift, source)
+        table = _table(dims, units | w_units, snf | w_snf, bad + w_bad, shift)
     return table if irange is None else table.restrict_i(*irange)
 
 
@@ -800,7 +799,6 @@ def strand_homology(
     dims: Mapping[tuple[int, int], int],
     blocks: Iterable[tuple[tuple[int, int], SparseIntMatrix]],
     shift: tuple[int, int] = (0, 0),
-    source: str = "",
 ) -> HomologyTable:
     """Homology per (i, j) of the complex with chain group ranks ``dims``
     and the nonzero ``blocks`` in strand order (j, then i): free rank and
@@ -830,11 +828,12 @@ def strand_homology(
     the working forms of the two blocks before them are alive at once.
     Cancelling is sound only on a chain complex: after a block whose
     composite with the next is not 0, nothing more is cancelled or
-    dropped, the checks go on, and a ValueError names every such block.
+    dropped, the checks go on, and the ValueError ``d^2 != 0 at blocks
+    [...]`` names every such block.
     The check reads only blocks that come back to back, so a block out of
     strand order is a ValueError too.
     """
-    return _table(dims, *_strand_pass(blocks), shift, source)
+    return _table(dims, *_strand_pass(blocks), shift)
 
 
 def _strand_pass(blocks: Iterable[tuple[tuple[int, int], SparseIntMatrix]]):
@@ -893,10 +892,10 @@ def _strand_pass(blocks: Iterable[tuple[tuple[int, int], SparseIntMatrix]]):
     return units, snf, bad
 
 
-def _table(dims, units, snf, bad, shift, source) -> HomologyTable:
+def _table(dims, units, snf, bad, shift) -> HomologyTable:
     # the homology table from a strand pass's results over every strand
     if bad:
-        raise ValueError(f"d^2 != 0 at blocks {sorted(bad)} of {source or 'complex'}")
+        raise ValueError(f"d^2 != 0 at blocks {sorted(bad)}")
     s, l = shift
     entries: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for (i, j) in sorted(dims):

@@ -165,8 +165,10 @@ def wide_edge_expand(strands: int, tokens: Sequence) -> HeckeElement:
             if not t.startswith("E"):
                 raise ValueError(f"bad token {tok!r}")
             i, kind = int(t[1:]), _E
-        else:
+        elif type(tok) is int:
             i, kind = abs(tok), _T if tok > 0 else _QT_INV
+        else:
+            raise ValueError(f"bad token {tok!r}")
         if not 1 <= i < strands:
             raise ValueError(f"generator index {i} out of range")
         terms = _right(terms, i, width, kind)
@@ -289,8 +291,6 @@ def homfly_skein_form(g: HomflyValue) -> RationalFn:
     QA = ("q", "a")
     tval = LaurentPoly.monomial(QA, (1, -2), -1)
     out = g.value.substitute("t", tval)
-    if isinstance(out, LaurentPoly):
-        out = RationalFn.from_poly(out)
     if g.sqrt_alpha:
         out = out * RationalFn.from_poly(LaurentPoly.monomial(QA, (-1, 1)))
     return out

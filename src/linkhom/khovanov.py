@@ -145,17 +145,13 @@ _KHOVANOV = CubeSpec(
 )
 
 
-def _source(d: Diagram) -> str:
-    return f"khovanov:{d.provenance}:{d.n_crossings}cr"
-
-
 def build_khovanov_complex(d: Diagram, normalized: bool = False) -> GradedComplex:
     """Cube-of-resolutions complex with merge map m and split map Delta,
     in cube indices; when ``normalized`` the output shift (-n_minus,
     n_plus - 2 n_minus) is recorded for homology reporting."""
     dims, blocks = cube_blocks(_KHOVANOV, _states(d))
     shift = (-d.n_minus, d.n_plus - 2 * d.n_minus) if normalized else (0, 0)
-    return GradedComplex(dims, dict(blocks()), shift, _source(d))
+    return GradedComplex(dims, dict(blocks()), shift)
 
 
 def khovanov_homology(
@@ -170,11 +166,11 @@ def khovanov_homology(
     builds only the generators and cube degrees they need.
     """
     shift = (-d.n_minus, d.n_plus - 2 * d.n_minus)
-    return cube_homology(_KHOVANOV, _states(d), jwindow, _source(d), shift, irange)
+    return cube_homology(_KHOVANOV, _states(d), jwindow, shift, irange)
 
 
 def unnormalized_homology(d: Diagram, irange: tuple[int, int] | None = None) -> HomologyTable:
-    return cube_homology(_KHOVANOV, _states(d), None, _source(d), irange=irange)
+    return cube_homology(_KHOVANOV, _states(d), irange=irange)
 
 
 @dataclass(frozen=True)
@@ -225,7 +221,7 @@ def les_check(d: Diagram, crossing: int) -> LesReport:
     complexes = [build_khovanov_complex(x) for x in (d, d0, d1)]
     cone_ok = _cone_structure_ok(d, complexes, crossing, violations)
 
-    t, t0, t1 = (strand_homology(c.dims, c.diff.items(), c.shift, c.source) for c in complexes)
+    t, t0, t1 = (strand_homology(c.dims, c.diff.items(), c.shift) for c in complexes)
     rank_ok = True
     for (i, j) in t.entries:
         if t.rank(i, j) > t0.rank(i, j) + t1.rank(i - 1, j - 1):

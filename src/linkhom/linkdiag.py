@@ -42,9 +42,13 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.strands) is not int:
+            raise InputError(f"strand count must be an int, not {self.strands!r}")
         if self.strands < 1:
             raise InputError("a braid needs at least one strand")
         for w in self.letters:
+            if type(w) is not int:
+                raise InputError(f"braid letter must be an int, not {w!r}")
             if w == 0 or abs(w) >= self.strands:
                 raise InputError(f"letter {w} out of range for {self.strands} strands")
 
@@ -129,9 +133,11 @@ class Crossing:
 
 @dataclass(frozen=True)
 class Diagram:
+    """Crossings and crossing-free loops, and nothing else: equal diagrams
+    are the same diagram, whether read from a PD code or a braid."""
+
     crossings: tuple[Crossing, ...]
     loops: tuple[int, ...] = ()
-    provenance: str = "pd-code"
 
     def __post_init__(self):
         counts: dict[int, int] = {}
@@ -145,8 +151,6 @@ class Diagram:
             if type(lp) is not int or lp in counts:
                 raise InputError(f"loop label {lp!r} must be an int that labels nothing else")
             counts[lp] = 1
-        if type(self.provenance) is not str:
-            raise InputError(f"provenance must be a string, not {self.provenance!r}")
 
     @property
     def n_crossings(self) -> int:
@@ -193,7 +197,7 @@ def braid_closure(b: BraidWord) -> Diagram:
     label = {arc: n for n, arc in enumerate(arcs)}
     crossings = tuple(Crossing(sign, tuple(label[bottom.get(a, a)] for a in slots)) for _, sign, slots in raw)
     loops = tuple(range(len(arcs), len(arcs) + p - len(bottom)))
-    return Diagram(crossings, loops, provenance="braid-closure")
+    return Diagram(crossings, loops)
 
 
 def parse_pd(text: str) -> Diagram:
@@ -287,7 +291,7 @@ def resolve_crossing(d: Diagram, crossing: int, bit: int) -> Diagram:
         for i, x in enumerate(d.crossings)
         if i != crossing
     )
-    return Diagram(crossings, tuple(sorted(new_loops)), provenance=d.provenance)
+    return Diagram(crossings, tuple(sorted(new_loops)))
 
 
 def mirror(d: Diagram) -> Diagram:
@@ -299,4 +303,4 @@ def mirror(d: Diagram) -> Diagram:
             out.append(Crossing(-1, (cd, a, b, c)))
         else:
             out.append(Crossing(1, (b, c, cd, a)))
-    return Diagram(tuple(out), d.loops, provenance=d.provenance)
+    return Diagram(tuple(out), d.loops)

@@ -228,16 +228,13 @@ class LaurentPoly:
 
     # ---------- substitution ----------
 
-    def substitute(self, which: str, value):
+    def substitute(self, which: str, value) -> "RationalFn":
         """Replace a variable by a Laurent polynomial or rational function.
 
         The remaining variables of self must appear among the variables of
-        ``value``; the result is expressed in ``value.vars``.
+        ``value``; the result is a ``RationalFn`` in ``value.vars``.
         """
-        out = RationalFn(*self._substitute_parts(which, value))
-        if out.den.is_one():
-            return out.num
-        return out
+        return RationalFn(*self._substitute_parts(which, value))
 
     def _substitute_parts(self, which: str, value) -> tuple["LaurentPoly", "LaurentPoly"]:
         """Unreduced numerator and denominator of ``substitute``.
@@ -597,16 +594,13 @@ class RationalFn:
 
     # ---------- substitution ----------
 
-    def substitute(self, which: str, value):
-        # (a/b) / (c/d) as one fraction
+    def substitute(self, which: str, value) -> "RationalFn":
+        """(a/b) / (c/d) as one fraction: always a ``RationalFn``."""
         a, b = self.num._substitute_parts(which, value)
         c, d = self.den._substitute_parts(which, value)
         if c.is_zero():
             raise ZeroDivisionError("substitution produces division by zero")
-        out = RationalFn(a * d, b * c)
-        if out.den.is_one():
-            return out.num
-        return out
+        return RationalFn(a * d, b * c)
 
     # ---------- rendering ----------
 

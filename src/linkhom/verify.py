@@ -400,8 +400,6 @@ def appendix_a_cycle_identity(k: int) -> tuple[bool, str]:
         LaurentPoly.from_terms(Q, {1: 1, 0: -1}),
     )
     lhs = p.substitute("v", v_val)
-    if isinstance(lhs, LaurentPoly):
-        lhs = RationalFn.from_poly(lhs)
     qm1 = LaurentPoly.from_terms(Q, {1: 1, 0: -1})
     br = kauffman_bracket(braid_closure(BraidWord(2, (-1,) * k)))
     even = all((m - k) % 2 == 0 for (m,) in br.terms)  # else z^2 = q - 1 cannot apply

@@ -6,20 +6,20 @@ from linkhom.graphhom import _graph_states, _pn_spec, _qn_spec
 from linkhom.homcore import GradedComplex, SparseIntMatrix, cube_blocks, strand_homology
 
 
-def cube_complex(spec, states, window=None, source=""):
+def cube_complex(spec, states, window=None):
     """Every block of ``cube_blocks``, collected, in cube indices."""
     dims, blocks = cube_blocks(spec, states, None, window)
-    return GradedComplex(dims, dict(blocks()), source=source)
+    return GradedComplex(dims, dict(blocks()))
 
 
 def pn_complex(g, n, variant="zero"):
     # the complex of graphhom.Pn_homology
-    return cube_complex(_pn_spec(n, variant), _graph_states(g), source=f"pn-complex:n={n}:{variant}")
+    return cube_complex(_pn_spec(n, variant), _graph_states(g))
 
 
 def qn_complex(g, n, window):
     # the complex of graphhom.Qn_homology
-    return cube_complex(_qn_spec(n), _graph_states(g), window, f"qn-complex:n={n}")
+    return cube_complex(_qn_spec(n), _graph_states(g), window)
 
 
 def strands(c):
@@ -32,4 +32,4 @@ def strands(c):
 
 def homology(c):
     """The homology of a stored complex, which is not changed."""
-    return strand_homology(c.dims, strands(c), c.shift, c.source)
+    return strand_homology(c.dims, strands(c), c.shift)

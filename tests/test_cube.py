@@ -12,7 +12,7 @@ import pytest
 from linkhom.corpus import corpus_diagrams
 from linkhom.graphhom import Multigraph, _graph_states
 from linkhom.homcore import GradedComplex, SparseIntMatrix, cube_blocks
-from linkhom.khovanov import _KHOVANOV, _source, _states, build_khovanov_complex
+from linkhom.khovanov import _KHOVANOV, _states, build_khovanov_complex
 from linkhom.linkdiag import braid_closure
 
 from complexes import pn_complex, qn_complex
@@ -30,7 +30,7 @@ def compositions(total, parts):
     return [(x,) + rest for x in range(total + 1) for rest in compositions(total - x, parts - 1)]
 
 
-def ref_complex(states, n, gens, targets, source, columns=None):
+def ref_complex(states, n, gens, targets, columns=None):
     """Positions by dict, edges generator by generator, entries summed in a dict.
 
     ``gens(i, k)`` lists (j, labeling) of a state with k parts in cube
@@ -45,7 +45,7 @@ def ref_complex(states, n, gens, targets, source, columns=None):
             for j, lab in gens(i, states.state(mask)[0]):
                 block = pos.setdefault((i, j), {})
                 block[(mask, lab)] = len(block)
-    cplx = GradedComplex(dims={key: len(block) for key, block in pos.items()}, source=source)
+    cplx = GradedComplex(dims={key: len(block) for key, block in pos.items()})
     blocks = {}
     for (i, j), block in pos.items():
         rows = pos.get((i + 1, j), {})
@@ -95,7 +95,7 @@ def ref_khovanov(d, window=None, columns=None, normalized=False):
             res.append(tuple(out))
         return res
 
-    cplx = ref_complex(st, n, gens, targets, f"khovanov:{d.provenance}:{n}cr", columns)
+    cplx = ref_complex(st, n, gens, targets, columns)
     if normalized:
         cplx.shift = (-d.n_minus, d.n_plus - 2 * d.n_minus)
     return cplx
@@ -131,26 +131,26 @@ def ref_pn(g, n, variant):
         return [n] if variant == "xn" and a == 0 else []
 
     st, targets = graph_targets(g, lambda a, b: [a + b] if a + b <= n else [], inside)
-    return ref_complex(st, g.n_edges, gens, targets, f"pn-complex:n={n}:{variant}")
+    return ref_complex(st, g.n_edges, gens, targets)
 
 
-def ref_qn(g, n, window, source):
+def ref_qn(g, n, window):
     def gens(i, k):
         for j in range(window[0], window[1] + 1):
             for lab in compositions(k * (n - 1) + i - j, k) if k * (n - 1) + i - j >= 0 else ():
                 yield j, lab
 
     st, targets = graph_targets(g, lambda a, b: [a + b + 2 - n], lambda a: [a + 1])
-    return ref_complex(st, g.n_edges, gens, targets, source)
+    return ref_complex(st, g.n_edges, gens, targets)
 
 
-def assert_same_blocks(got, want):
-    assert (got.source, got.shift) == (want.source, want.shift)
-    assert got.dims == want.dims, got.source
-    assert set(got.diff) == set(want.diff), got.source
+def assert_same_blocks(got, want, label):
+    assert got.shift == want.shift, label
+    assert got.dims == want.dims, label
+    assert set(got.diff) == set(want.diff), label
     for key, blk in want.diff.items():
-        assert (got.diff[key].rows, got.diff[key].cols) == (blk.rows, blk.cols), (got.source, key)
-        assert got.diff[key].entries == blk.entries, (got.source, key)
+        assert (got.diff[key].rows, got.diff[key].cols) == (blk.rows, blk.cols), (label, key)
+        assert got.diff[key].entries == blk.entries, (label, key)
 
 
 @pytest.mark.parametrize(
@@ -166,10 +166,10 @@ def test_khovanov_blocks_match_reference(kwargs):
         d = braid_closure(b)
         if "columns" in kwargs or "window" in kwargs:
             dims, blocks = cube_blocks(_KHOVANOV, _states(d), kwargs.get("columns"), kwargs.get("window"))
-            got = GradedComplex(dims, dict(blocks()), source=_source(d))
+            got = GradedComplex(dims, dict(blocks()))
         else:
             got = build_khovanov_complex(d, **kwargs)
-        assert_same_blocks(got, ref_khovanov(d, **kwargs))
+        assert_same_blocks(got, ref_khovanov(d, **kwargs), b.text())
         nonzero += bool(got.diff)
     assert nonzero
 
@@ -178,8 +178,6 @@ def test_graph_blocks_match_reference():
     for g in (PRISM, THETA, K4, C4_DOUBLE):
         for n in (1, 2):
             for variant in ("zero", "xn"):
-                assert_same_blocks(pn_complex(g, n, variant), ref_pn(g, n, variant))
-        assert_same_blocks(qn_complex(g, 1, (0, 2)), ref_qn(g, 1, (0, 2), "qn-complex:n=1"))
-        assert_same_blocks(qn_complex(g, 2, (2, 4)), ref_qn(g, 2, (2, 4), "qn-complex:n=2"))
-        for window in ((3, 4), (5, 6)):
-            assert_same_blocks(qn_complex(g, 2, window), ref_qn(g, 2, window, "qn-complex:n=2"))
+                assert_same_blocks(pn_complex(g, n, variant), ref_pn(g, n, variant), (g, n, variant))
+        for n, window in ((1, (0, 2)), (2, (2, 4)), (2, (3, 4)), (2, (5, 6))):
+            assert_same_blocks(qn_complex(g, n, window), ref_qn(g, n, window), (g, n, window))

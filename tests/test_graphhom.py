@@ -231,7 +231,7 @@ def test_qn_complex_matches_enhanced_for_n2(monkeypatch):
     monkeypatch.setattr(graphhom, "cube_homology", lambda spec, states, *rest: calls.append((spec, states.joins, rest)))
     enhanced_homology(g, window)
     Qn_homology(g, 2, window)
-    assert calls[0] == calls[1] and calls[0][2][-1] == "qn-complex:n=2"
+    assert calls[0] == calls[1] and calls[0][2] == (window,)
 
 
 def test_qn_euler_matches_series():
@@ -262,6 +262,16 @@ def test_pn_parameter_validation():
         Pn_homology(TRIANGLE, 0)
     with pytest.raises(InputError, match="variant must be"):
         Pn_homology(TRIANGLE, 1, "one")
+
+
+@pytest.mark.parametrize(
+    "n_vertices, edges",
+    [(2.0, ((1, 2),)), (True, ((1, 1),)), (2, ((1.0, 2),)), (2, ((1, True),))],
+    ids=["float-count", "bool-count", "float-end", "bool-end"],
+)
+def test_multigraph_rejects_non_int_fields(n_vertices, edges):
+    with pytest.raises(InputError, match="must be"):
+        Pn_homology(Multigraph(n_vertices, edges), 1)
 
 
 def test_qn_window_validation():
@@ -297,8 +307,6 @@ def test_dichromatic_dg_round_trip():
         g = random_graph(rng, max_vertices=4, max_edges=4)
         dg = dichromatic_DG(g)
         subbed = dg.substitute("t", t_value)
-        if isinstance(subbed, LaurentPoly):
-            subbed = RationalFn.from_poly(subbed)
         expected = RationalFn.from_poly(dichromatic(g)) * vq ** g.n_edges
         assert subbed == expected
 

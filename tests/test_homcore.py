@@ -29,7 +29,6 @@ from linkhom.homcore import (
 )
 from linkhom.khovanov import (
     _KHOVANOV,
-    _source,
     _states,
     build_khovanov_complex,
     khovanov_homology,
@@ -232,21 +231,21 @@ THETA = Multigraph(6, ((1, 3), (3, 2), (1, 4), (4, 2), (1, 5), (5, 6), (6, 2)))
 
 def test_snf_torsion_matches_mod_p_ranks():
     # universal coefficients: rank over GF(p) counts the factors p does not divide
-    complexes = [build_khovanov_complex(braid_closure(b)) for b in corpus_diagrams(max_crossings=7)]
+    complexes = [(b.text(), build_khovanov_complex(braid_closure(b))) for b in corpus_diagrams(max_crossings=7)]
     complexes += [
-        pn_complex(g, n, variant)
+        ((g, n, variant), pn_complex(g, n, variant))
         for g in (PRISM, THETA)
         for n in (1, 2)
         for variant in ("zero", "xn")
     ]
     seen = {2: 0, 3: 0}
-    for cplx in complexes:
+    for label, cplx in complexes:
         for blk in cplx.diff.values():
             if not blk.nnz:
                 continue
             factors, _ = smith_normal_form(blk)
             for p in (2, 3):
-                assert rank_mod_p(blk, p) == sum(1 for f in factors if f % p), cplx.source
+                assert rank_mod_p(blk, p) == sum(1 for f in factors if f % p), label
                 seen[p] += sum(1 for f in factors if f % p == 0)
     assert seen[2] and seen[3]  # both primes meet torsion
 
@@ -482,35 +481,36 @@ def assert_unit_free_residue(cplx, expected):
 
 
 def test_homology_matches_per_block_oracle_on_cube_complexes():
-    # (the collected complex, the same homology streamed from the cube
-    # engine, the cube degrees i that the streamed table keeps)
+    # (a label, the collected complex, the same homology streamed from the
+    # cube engine, the cube degrees i that the streamed table keeps)
     cases = []
     for b in corpus_diagrams(max_crossings=8):
         d = braid_closure(b)
-        cases.append((build_khovanov_complex(d), unnormalized_homology(d), None))
-        cases.append((build_khovanov_complex(d, normalized=True), khovanov_homology(d), None))
+        cases.append((b.text(), build_khovanov_complex(d), unnormalized_homology(d), None))
+        cases.append((b.text(), build_khovanov_complex(d, normalized=True), khovanov_homology(d), None))
     # windowed complexes straight from the engine, whose columns and
     # window are cube indices; the homology functions take the table's
-    d = braid_closure(corpus_diagrams(max_crossings=8)[-1])
+    b = corpus_diagrams(max_crossings=8)[-1]
+    d = braid_closure(b)
     shift = (-d.n_minus, d.n_plus - 2 * d.n_minus)
     for columns, window, moved, streamed, irange in (
         ((0, 4), None, (0, 0), unnormalized_homology(d, irange=(1, 3)), (1, 3)),
         (None, (-1, 3), shift, khovanov_homology(d, jwindow=(shift[1] - 1, shift[1] + 3)), None),
     ):
         dims, blocks = cube_blocks(_KHOVANOV, _states(d), columns, window)
-        cases.append((GradedComplex(dims, dict(blocks()), moved, _source(d)), streamed, irange))
+        cases.append((b.text(), GradedComplex(dims, dict(blocks()), moved), streamed, irange))
     for g in (PRISM, THETA):
         for n in (1, 2):
             for variant in ("zero", "xn"):
-                cases.append((pn_complex(g, n, variant), Pn_homology(g, n, variant), None))
-        cases.append((qn_complex(g, 1, (0, 1)), Qn_homology(g, 1, (0, 1)), None))
-        cases.append((qn_complex(g, 2, (2, 3)), enhanced_homology(g, (2, 3)), None))
+                cases.append(((g, n, variant), pn_complex(g, n, variant), Pn_homology(g, n, variant), None))
+        cases.append(((g, 1), qn_complex(g, 1, (0, 1)), Qn_homology(g, 1, (0, 1)), None))
+        cases.append(((g, 2), qn_complex(g, 2, (2, 3)), enhanced_homology(g, (2, 3)), None))
     torsion = 0
-    for cplx, streamed, irange in cases:
+    for label, cplx, streamed, irange in cases:
         expected = per_block_homology(cplx)
-        assert homology(cplx).entries == expected, cplx.source
+        assert homology(cplx).entries == expected, label
         kept = {k: v for k, v in expected.items() if irange is None or irange[0] <= k[0] <= irange[1]}
-        assert streamed.entries == kept, cplx.source
+        assert streamed.entries == kept, label
         assert_unit_free_residue(cplx, expected)
         torsion += sum(len(t) for _, t in expected.values())
     assert torsion
@@ -536,7 +536,7 @@ def test_d_squared_violations_streamed_from_a_broken_cube():
     )
     assert len({j for _, j in bad}) > 1
     dims, blocks = cube_blocks(BROKEN_DELTA, _states(d))
-    with pytest.raises(ValueError, match=re.escape(f"at blocks {bad} of")):
+    with pytest.raises(ValueError, match=re.escape(f"d^2 != 0 at blocks {bad}") + "$"):
         strand_homology(dims, blocks())
 
 
@@ -603,11 +603,11 @@ def test_d_squared_check_on_reduced_blocks_names_the_raw_violations():
     # whose raw composite with the next is not 0
     words = ("3: 1 2 1 2 1 2 1 2", "4: 1 2 3 1 2 3", "3: 1 -2 1 -2")
     assert set(words) <= set(DIAGRAMS)
-    complexes = [build_khovanov_complex(braid_closure(parse_braid(w)), normalized=True) for w in words]
-    complexes.append(pn_complex(THETA, 2, "zero"))
+    complexes = [(w, build_khovanov_complex(braid_closure(parse_braid(w)), normalized=True)) for w in words]
+    complexes.append(((THETA, 2, "zero"), pn_complex(THETA, 2, "zero")))
     rng = random.Random(5)
     cases = 0
-    for cplx in complexes:
+    for label, cplx in complexes:
         before = snapshot(cplx)
         dropped = cancelled_rows(cplx)
         after = [(i, j) for (i, j) in cplx.diff if dropped.get((i - 1, j))]
@@ -625,14 +625,14 @@ def test_d_squared_check_on_reduced_blocks_names_the_raw_violations():
                     if (i + 1, j) in cplx.diff and not homcore._composite_is_zero((i, j), b, cplx.diff[i + 1, j])
                 )
                 if bad:
-                    with pytest.raises(ValueError, match=re.escape(f"at blocks {bad} of")):
+                    with pytest.raises(ValueError, match=re.escape(f"d^2 != 0 at blocks {bad}") + "$"):
                         homology(cplx)
                     cases += 1
                 put(blk, r, c, old)
                 if bad:
                     break
             else:
-                raise AssertionError(f"no entry of {cplx.source} breaks d^2 = 0 ({kind})")
+                raise AssertionError(f"no entry of {label} breaks d^2 = 0 ({kind})")
         assert snapshot(cplx) == before
     assert cases == 36
 

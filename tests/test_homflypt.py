@@ -152,10 +152,7 @@ def test_G_distinguishes_mirror_trefoils():
 
 def _invert_var(f: RationalFn, var: str) -> RationalFn:
     value = LaurentPoly.monomial(QA, (-1, 0) if var == "q" else (0, -1))
-    out = f.substitute(var, value)
-    if isinstance(out, LaurentPoly):
-        out = RationalFn.from_poly(out)
-    return out
+    return f.substitute(var, value)
 
 
 def test_trefoil_skein_form_is_standard_homflypt():
@@ -238,9 +235,18 @@ def test_wide_edge_trace_single():
     assert markov_trace(h).value == expected
     with pytest.raises(ValueError, match="at least one strand"):
         wide_edge_expand(0, [])
-    for word in ([2], [-2], ["E2"], [1, 0]):
-        with pytest.raises(ValueError, match="generator index"):
-            wide_edge_expand(2, word)
+
+
+@pytest.mark.parametrize(
+    "word, match",
+    [([2], "generator index"), ([-2], "generator index"), (["E2"], "generator index"), ([1, 0], "generator index"),
+     ([True], "bad token True"), ([1.0], "bad token 1.0"), ([None], "bad token None")],
+    ids=["2", "-2", "E2", "0", "bool", "float", "none"],
+)
+def test_wide_edge_expand_refuses_bad_tokens(word, match):
+    # a token is an int letter or an "Ei" string; True would read as sigma_1
+    with pytest.raises(ValueError, match=match):
+        wide_edge_expand(2, word)
 
 
 def test_wide_edge_square_absorbs():

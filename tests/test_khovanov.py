@@ -113,7 +113,7 @@ def test_bracket_recursive_agrees_with_state_sum():
         want = state_sum_bracket(d)
         assert want == kauffman_bracket_recursive(d), d
         assert kauffman_bracket(d) == want, d
-        assert kauffman_bracket(Diagram(tuple(shuffled), d.loops, d.provenance)) == want, d
+        assert kauffman_bracket(Diagram(tuple(shuffled), d.loops)) == want, d
 
 
 def torus_knot_jones(p, q):
@@ -345,7 +345,7 @@ def test_les_check_runs_the_d_squared_check(monkeypatch):
         split=lambda x: ((1, 1),) if x else ((0, 1),),
     )
     monkeypatch.setattr(khovanov, "_KHOVANOV", broken)
-    with pytest.raises(ValueError, match=r"d\^2 != 0 at blocks \[.+\] of khovanov:"):
+    with pytest.raises(ValueError, match=r"d\^2 != 0 at blocks \[.+\]$"):
         les_check(torus_diagram(3, 4), 0)
 
 
@@ -561,7 +561,7 @@ def test_irange_matches_full_computation():
             full = homology(d)
             for irange in windows(s, s + d.n_crossings):
                 part = homology(d, irange=irange)
-                assert part == full.restrict_i(*irange), (d.provenance, homology.__name__, irange)
+                assert part == full.restrict_i(*irange), (d, homology.__name__, irange)
                 cut += not part.is_empty() and part != full
     assert cut
 
@@ -581,7 +581,7 @@ def test_jwindow_matches_full_computation():
         both = khovanov_homology(d, jwindow=(j_mid - 2, j_mid + 2), irange=(i_mid - 1, i_mid + 1))
         assert both.entries == {
             (i, j): v for (i, j), v in full.entries.items() if abs(i - i_mid) <= 1 and abs(j - j_mid) <= 2
-        }, d.provenance
+        }, d
     assert cut
 
 

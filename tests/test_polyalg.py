@@ -262,14 +262,11 @@ def _termwise_substitute(p, which, value):
             if v != which:
                 mono[vvars.index(v)] = k[i]
         total = total + value ** k[pos] * RationalFn.from_poly(LaurentPoly(vvars, {tuple(mono): c}))
-    return total.num if total.den.is_one() else total
+    return total
 
 
 def _termwise_substitute_fn(f, which, value):
-    n = _termwise_substitute(f.num, which, value)
-    d = _termwise_substitute(f.den, which, value)
-    out = (n if isinstance(n, RationalFn) else RationalFn.from_poly(n)) / d
-    return out.num if out.den.is_one() else out
+    return _termwise_substitute(f.num, which, value) / _termwise_substitute(f.den, which, value)
 
 
 def test_substitute_matches_termwise_fold():
