@@ -124,8 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shown = p_kh.add_mutually_exclusive_group()
     shown.add_argument("--poincare", action="store_true", help="print the two-variable Poincare polynomial")
     shown.add_argument("--width", action="store_true", help="print the diagonal/width report")
+    shown.add_argument("--format", choices=("json", "csv", "pretty"), default=None, help="table format (default pretty)")
     p_kh.add_argument("--jwindow", default=None, help="restrict to q-degrees a..b; a negative a is written --jwindow=-5..5")
-    p_kh.add_argument("--format", choices=("json", "csv", "pretty"), default=None, help="table format (default pretty)")
     p_kh.set_defaults(run=_cmd_kh)
 
     p_hf = sub.add_parser("homfly", help="HOMFLYPT values of a braid closure")
@@ -178,8 +178,6 @@ def _cmd_jones(args, out) -> None:
 
 
 def _cmd_kh(args, out) -> None:
-    if args.format and (args.poincare or args.width):
-        raise UsageError("--format goes only with the table, not with --poincare or --width")
     d = _load_diagram(args.input)
     window = _parse_window(args.jwindow) if args.jwindow else None
     table = khovanov_homology(d, jwindow=window)

@@ -36,7 +36,7 @@ from functools import lru_cache
 from math import comb
 
 from .homcore import CubeSpec, CubeStates, HomologyTable, cube_homology
-from .linkdiag import InputError
+from .linkdiag import InputError, _int_token, _tuple_of
 from .polyalg import LaurentPoly, RationalFn
 
 __all__ = [
@@ -72,9 +72,8 @@ class Multigraph:
             raise InputError(f"vertex count must be an int, not {self.n_vertices!r}")
         if self.n_vertices < 0:
             raise InputError("negative vertex count")
-        for u, v in self.edges:
-            if type(u) is not int or type(v) is not int:
-                raise InputError(f"edge ends must be ints, not ({u!r},{v!r})")
+        for e in _tuple_of(self.edges, "graph edges", tuple):
+            u, v = _tuple_of(e, "graph edge", length=2)
             if not (1 <= u <= self.n_vertices and 1 <= v <= self.n_vertices):
                 raise InputError(f"edge ({u},{v}) out of range")
 
@@ -108,18 +107,11 @@ class Multigraph:
 
 def cycle_graph(k: int) -> Multigraph:
     if k < 1:
-        raise ValueError("cycle needs at least one vertex")
+        raise InputError("cycle needs at least one vertex")
     if k == 1:
         return Multigraph(1, ((1, 1),))
     edges = tuple((i, i % k + 1) for i in range(1, k + 1))
     return Multigraph(k, edges)
-
-
-def _parse_int(tok: str, ln: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise InputError(f"malformed number {tok!r} in line {ln!r}") from None
 
 
 def parse_graph(text: str) -> Multigraph:
@@ -136,13 +128,13 @@ def parse_graph(text: str) -> Multigraph:
                 raise InputError("duplicate vertex-count line")
             if len(toks) != 2:
                 raise InputError(f"malformed vertex line {ln!r}")
-            n = _parse_int(toks[1], ln)
+            n = _int_token(toks[1], f"line {ln!r}")
         elif toks[0] == "e":
             if n is None:
                 raise InputError("edge line before vertex count")
             if len(toks) != 3:
                 raise InputError(f"malformed edge line {ln!r}")
-            edges.append((_parse_int(toks[1], ln), _parse_int(toks[2], ln)))
+            edges.append(tuple(_int_token(t, f"line {ln!r}") for t in toks[1:]))
         else:
             raise InputError(f"unrecognized line {ln!r}")
     if n is None:
@@ -304,9 +296,9 @@ def polygon_reference(k: int, n: int) -> HomologyTable:
     per listed bidegree; serves as the oracle for Pn_homology on cycles.
     """
     if k < 3:
-        raise ValueError("need a polygon with k >= 3")
+        raise InputError("need a polygon with k >= 3")
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise InputError("need n >= 1")
     low = LaurentPoly.from_terms(TQ, {(0, i): 1 for i in range(n)})  # 1 + ... + q^(n-1)
     full = LaurentPoly.from_terms(TQ, {(0, i): 1 for i in range(n + 1)})  # 1 + ... + q^n
 

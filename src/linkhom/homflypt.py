@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .linkdiag import BraidWord, InputError
+from .linkdiag import BraidWord, InputError, _int_token
 from .polyalg import LaurentPoly, RationalFn
 
 __all__ = [
@@ -155,7 +155,7 @@ def wide_edge_expand(strands: int, tokens: Sequence) -> HeckeElement:
     wide edge between strands i and i+1.
     """
     if strands < 1:
-        raise ValueError("need at least one strand")
+        raise InputError("need at least one strand")
     # the identity, packed once at the width that the word and its trace need
     width = _width(3 ** len(tokens) * _trace_growth(strands))
     terms, shift = {tuple(range(1, strands + 1)): 1}, 0
@@ -163,14 +163,14 @@ def wide_edge_expand(strands: int, tokens: Sequence) -> HeckeElement:
         if isinstance(tok, str):
             t = tok.strip().upper()
             if not t.startswith("E"):
-                raise ValueError(f"bad token {tok!r}")
-            i, kind = int(t[1:]), _E
+                raise InputError(f"bad token {tok!r}")
+            i, kind = _int_token(t[1:], f"token {tok!r}"), _E
         elif type(tok) is int:
             i, kind = abs(tok), _T if tok > 0 else _QT_INV
         else:
-            raise ValueError(f"bad token {tok!r}")
+            raise InputError(f"bad token {tok!r}")
         if not 1 <= i < strands:
-            raise ValueError(f"generator index {i} out of range")
+            raise InputError(f"generator index {i} out of range")
         terms = _right(terms, i, width, kind)
         shift += kind == _QT_INV
     return HeckeElement(strands, terms, shift, width)
@@ -189,7 +189,7 @@ class HomflyValue:
 
     def __post_init__(self):
         if self.sqrt_alpha not in (0, 1):
-            raise ValueError("sqrt_alpha must be 0 or 1")
+            raise InputError("sqrt_alpha must be 0 or 1")
 
     def render(self) -> str:
         if self.sqrt_alpha:

@@ -353,7 +353,7 @@ def stability_check(p: int, q_range, i_max: int | None = None) -> StabilityRepor
     """
     qs = sorted(q_range)
     if p < 2 or not qs or p >= qs[0]:
-        raise ValueError("need 2 <= p < min(q_range)")
+        raise InputError("need 2 <= p < min(q_range)")
     if len(set(qs)) < len(qs):
         raise InputError(f"repeated twist value in {qs}")
     cap = float("inf") if i_max is None else i_max + 1

@@ -33,7 +33,28 @@ __all__ = [
 
 class InputError(ValueError):
     """Malformed input: braid text, a PD code or a graph that cannot be
-    read, or a parameter out of its range."""
+    read, a value type built from fields of the wrong type or shape, or
+    a parameter out of its range.  The CLI exits 2 on it.  ``polyalg``
+    and ``homcore``, the layer below, keep ``ValueError``."""
+
+
+def _tuple_of(value, what: str, item: type = int, length: int | None = None) -> tuple:
+    """``value`` if it is a tuple, of ``length`` entries when given, whose
+    entries are exactly of type ``item`` (so a bool is no int); else an
+    InputError naming ``what``."""
+    if type(value) is not tuple or any(type(x) is not item for x in value) or length not in (None, len(value)):
+        kind = "an int tuple" if item is int else f"a tuple of {item.__name__}s"
+        size = "" if length is None else f" of length {length}"
+        raise InputError(f"{what} must be {kind}{size}, not {value!r}")
+    return value
+
+
+def _int_token(token: str, where: str) -> int:
+    """``int(token)``, or an InputError naming the token and ``where`` it was read."""
+    try:
+        return int(token)
+    except ValueError:
+        raise InputError(f"malformed number {token!r} in {where}") from None
 
 
 @dataclass(frozen=True)
@@ -46,9 +67,7 @@ class BraidWord:
             raise InputError(f"strand count must be an int, not {self.strands!r}")
         if self.strands < 1:
             raise InputError("a braid needs at least one strand")
-        for w in self.letters:
-            if type(w) is not int:
-                raise InputError(f"braid letter must be an int, not {w!r}")
+        for w in _tuple_of(self.letters, "braid letters"):
             if w == 0 or abs(w) >= self.strands:
                 raise InputError(f"letter {w} out of range for {self.strands} strands")
 
@@ -86,30 +105,21 @@ def parse_braid(text: str) -> BraidWord:
     head, sep, tail = text.partition(":")
     if not sep:
         raise InputError(f"malformed braid text {text!r}: missing ':'")
-    try:
-        strands = int(head.strip())
-    except ValueError:
-        raise InputError(f"malformed strand count {head.strip()!r}") from None
-    letters = []
-    for tok in tail.split():
-        try:
-            letters.append(int(tok))
-        except ValueError:
-            raise InputError(f"malformed letter {tok!r}") from None
-    return BraidWord(strands, tuple(letters))
+    where = f"braid text {text!r}"
+    return BraidWord(_int_token(head.strip(), where), tuple(_int_token(tok, where) for tok in tail.split()))
 
 
 def conjugate(b: BraidWord, k: int) -> BraidWord:
     """Prepend k^-1 and append k."""
     if k == 0 or abs(k) >= b.strands:
-        raise ValueError(f"conjugating letter {k} out of range")
+        raise InputError(f"conjugating letter {k} out of range")
     return BraidWord(b.strands, (-k,) + b.letters + (k,))
 
 
 def stabilize(b: BraidWord, sign: int = 1) -> BraidWord:
     """Markov stabilization: one more strand, sigma_p^(+-1) appended."""
     if sign not in (1, -1):
-        raise ValueError("stabilization sign must be +1 or -1")
+        raise InputError("stabilization sign must be +1 or -1")
     return BraidWord(b.strands + 1, b.letters + (sign * b.strands,))
 
 
@@ -121,8 +131,7 @@ class Crossing:
     def __post_init__(self):
         if type(self.sign) is not int or self.sign not in (1, -1):
             raise InputError(f"crossing sign must be +1 or -1, not {self.sign!r}")
-        if type(self.arcs) is not tuple or len(self.arcs) != 4 or any(type(a) is not int for a in self.arcs):
-            raise InputError(f"crossing arcs must be a tuple of 4 ints, not {self.arcs!r}")
+        _tuple_of(self.arcs, "crossing arcs", length=4)
 
     def joins(self, bit: int) -> tuple[tuple[int, int], tuple[int, int]]:
         a, b, c, d = self.arcs
@@ -141,15 +150,15 @@ class Diagram:
 
     def __post_init__(self):
         counts: dict[int, int] = {}
-        for x in self.crossings:
+        for x in _tuple_of(self.crossings, "diagram crossings", Crossing):
             for arc in x.arcs:
                 counts[arc] = counts.get(arc, 0) + 1
         for arc, n in counts.items():
             if n != 2:
                 raise InputError(f"arc {arc} occupies {n} slots, expected 2")
-        for lp in self.loops:
-            if type(lp) is not int or lp in counts:
-                raise InputError(f"loop label {lp!r} must be an int that labels nothing else")
+        for lp in _tuple_of(self.loops, "diagram loops"):
+            if lp in counts:
+                raise InputError(f"loop label {lp} must label nothing else")
             counts[lp] = 1
 
     @property
@@ -222,10 +231,7 @@ def parse_pd(text: str) -> Diagram:
         toks = ln.replace(",", " ").split()
         if len(toks) != 5 or toks[0].upper() != "X":
             raise InputError(f"malformed PD line {ln!r}")
-        try:
-            quads.append(tuple(int(t) for t in toks[1:]))
-        except ValueError:
-            raise InputError(f"malformed PD line {ln!r}") from None
+        quads.append(tuple(_int_token(t, f"PD line {ln!r}") for t in toks[1:]))
     ends: dict[int, list[tuple[int, int]]] = {}  # arc -> its (crossing, slot)s
     for ci, q in enumerate(quads):
         for slot, arc in enumerate(q):
@@ -268,9 +274,9 @@ def parse_pd(text: str) -> Diagram:
 def resolve_crossing(d: Diagram, crossing: int, bit: int) -> Diagram:
     """Replace one crossing by its 0- or 1-smoothing; fresh diagram."""
     if not 0 <= crossing < d.n_crossings:
-        raise ValueError(f"unknown crossing {crossing}")
+        raise InputError(f"unknown crossing {crossing}")
     if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
+        raise InputError("bit must be 0 or 1")
     (a, b), (c, e) = d.crossings[crossing].joins(bit)
     # each group of joined arcs, with the number of joins inside it
     groups = [({a, b, c, e}, 2)] if {a, b} & {c, e} else [({a, b}, 1), ({c, e}, 1)]

@@ -266,8 +266,9 @@ def test_pn_parameter_validation():
 
 @pytest.mark.parametrize(
     "n_vertices, edges",
-    [(2.0, ((1, 2),)), (True, ((1, 1),)), (2, ((1.0, 2),)), (2, ((1, True),))],
-    ids=["float-count", "bool-count", "float-end", "bool-end"],
+    [(2.0, ((1, 2),)), (True, ((1, 1),)), (2, ((1.0, 2),)), (2, ((1, True),)), (2, [(1, 2)]), (2, ((1, 2, 3),)),
+     (2, ((1,),)), (2, (5,))],
+    ids=["float-count", "bool-count", "float-end", "bool-end", "list-edges", "three-ends", "one-end", "int-edge"],
 )
 def test_multigraph_rejects_non_int_fields(n_vertices, edges):
     with pytest.raises(InputError, match="must be"):

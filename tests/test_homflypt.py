@@ -24,7 +24,7 @@ from linkhom.homflypt import (
     wide_edge_expand,
 )
 from linkhom.khovanov import jones_normalized
-from linkhom.linkdiag import BraidWord, braid_closure, conjugate, parse_braid, stabilize
+from linkhom.linkdiag import BraidWord, InputError, braid_closure, conjugate, parse_braid, stabilize
 from linkhom.polyalg import LaurentPoly, RationalFn, quantum_integer
 
 TQ = ("t", "q")
@@ -240,12 +240,14 @@ def test_wide_edge_trace_single():
 @pytest.mark.parametrize(
     "word, match",
     [([2], "generator index"), ([-2], "generator index"), (["E2"], "generator index"), ([1, 0], "generator index"),
-     ([True], "bad token True"), ([1.0], "bad token 1.0"), ([None], "bad token None")],
-    ids=["2", "-2", "E2", "0", "bool", "float", "none"],
+     ([True], "bad token True"), ([1.0], "bad token 1.0"), ([None], "bad token None"),
+     (["E"], "malformed number '' in token 'E'"), (["E1.5"], "malformed number '1.5' in token 'E1.5'"),
+     (["Ex"], "malformed number 'X' in token 'Ex'")],
+    ids=["2", "-2", "E2", "0", "bool", "float", "none", "E", "E1.5", "Ex"],
 )
 def test_wide_edge_expand_refuses_bad_tokens(word, match):
     # a token is an int letter or an "Ei" string; True would read as sigma_1
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(InputError, match=match):
         wide_edge_expand(2, word)
 
 

@@ -22,7 +22,9 @@ from linkhom.linkdiag import (
     stabilize,
 )
 from linkhom.corpus import corpus_diagrams, random_words
-from linkhom.khovanov import _states, jones_unnormalized, khovanov_homology
+from linkhom.graphhom import Multigraph, cycle_graph, polygon_reference
+from linkhom.homflypt import HomflyValue, homfly_F, wide_edge_expand
+from linkhom.khovanov import _states, jones_unnormalized, khovanov_homology, stability_check
 
 TREFOIL_PD = """
 X 1 4 2 5
@@ -286,15 +288,67 @@ def test_crossing_rejects_malformed_fields(sign, arcs):
 
 
 @pytest.mark.parametrize(
+    "crossings, loops",
+    [([Crossing(1, (0, 1, 1, 0))], ()), ((Crossing(1, (0, 1, 1, 0)),), [5]), ((5,), ()), (((0, 1, 1, 0),), ())],
+    ids=["list-crossings", "list-loops", "int-crossing", "tuple-crossing"],
+)
+def test_diagram_rejects_malformed_fields(crossings, loops):
+    # a list field leaves the frozen diagram unhashable
+    with pytest.raises(InputError, match="diagram"):
+        Diagram(crossings, loops)
+
+
+@pytest.mark.parametrize(
     "strands, letters",
-    [(3.0, (1, 2)), (True, ()), (3, (1.0, 2)), (3, (True, 2)), (3, ("1", 2))],
-    ids=["float-strands", "bool-strands", "float-letter", "bool-letter", "str-letter"],
+    [(3.0, (1, 2)), (True, ()), (3, (1.0, 2)), (3, (True, 2)), (3, ("1", 2)), (3, [1, 2]), (3, 5)],
+    ids=["float-strands", "bool-strands", "float-letter", "bool-letter", "str-letter", "list-letters", "int-letters"],
 )
 def test_braid_word_rejects_non_int_fields(strands, letters):
     # a float or bool would pass the range checks, then fail deep inside
-    # braid_closure or print as "3: True 2"
+    # braid_closure or print as "3: True 2"; a list leaves it unhashable
     with pytest.raises(InputError, match="must be an int"):
         braid_closure(BraidWord(strands, letters))
+
+
+def test_value_types_hash_and_rebuild_equal():
+    # each built from its documented form; a value and its rebuilt twin are one set element
+    trefoil = homfly_F(parse_braid("2: 1 1 1"))
+    values = [
+        BraidWord(3, (1, -2, 1)),
+        Crossing(-1, (0, 1, 2, 3)),
+        Diagram((Crossing(1, (0, 1, 1, 0)),), (2,)),
+        Multigraph(3, ((1, 2), (2, 3), (3, 3))),
+        HomflyValue(trefoil.value, 1),
+    ]
+    for v in values:
+        twin = type(v)(*(getattr(v, f) for f in v.__dataclass_fields__))
+        assert hash(v) == hash(twin) and len({v, twin}) == 1, v
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: conjugate(parse_braid("2: 1"), 2),
+        lambda: stabilize(parse_braid("2: 1"), 0),
+        lambda: resolve_crossing(braid_closure(parse_braid("2: 1")), 1, 0),
+        lambda: resolve_crossing(braid_closure(parse_braid("2: 1")), 0, 2),
+        lambda: cycle_graph(0),
+        lambda: polygon_reference(2, 1),
+        lambda: polygon_reference(3, 0),
+        lambda: wide_edge_expand(0, []),
+        lambda: wide_edge_expand(2, [2]),
+        lambda: wide_edge_expand(2, [1.0]),
+        lambda: wide_edge_expand(2, ["F1"]),
+        lambda: HomflyValue(homfly_F(parse_braid("2: 1")).value, 2),
+        lambda: stability_check(1, [3]),
+    ],
+    ids=["conjugate", "stabilize", "resolve-crossing", "resolve-bit", "cycle-graph", "polygon-k", "polygon-n",
+         "wide-edge-strands", "wide-edge-index", "wide-edge-type", "wide-edge-str", "homfly-value", "stability-p"],
+)
+def test_parameter_refusals_are_input_errors(call):
+    # the CLI exits 2 on an InputError and 1 on any other ValueError
+    with pytest.raises(InputError):
+        call()
 
 
 def pd_text(crossings) -> str:
