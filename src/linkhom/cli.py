@@ -34,7 +34,7 @@ from .khovanov import (
     stable_poincare,
     width_report,
 )
-from .linkdiag import Diagram, InputError, braid_closure, parse_braid, parse_pd
+from .linkdiag import Diagram, InputError, _int_token, braid_closure, parse_braid, parse_pd
 from .verify import SUITES, run_suite
 
 
@@ -81,14 +81,20 @@ def _load_diagram(spec: str) -> Diagram:
     raise UsageError(f"cannot interpret {spec!r} as a braid or PD code")
 
 
+def _int_option(text: str) -> int:
+    """An option's integer value, read as every integer token is
+    (``linkdiag._int_token``); argparse reports a refusal as a usage error."""
+    try:
+        return _int_token(text, "the command line")
+    except InputError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _parse_window(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise UsageError(f"window must look like a..b, got {text!r}")
-    try:
-        a, b = int(lo), int(hi)
-    except ValueError:
-        raise UsageError(f"bad window bounds in {text!r}") from None
+    a, b = (_int_token(bound, f"window {text!r}") for bound in (lo, hi))
     if a > b:
         raise UsageError(f"empty window {text!r}")
     return a, b
@@ -131,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hf = sub.add_parser("homfly", help="HOMFLYPT values of a braid closure")
     p_hf.add_argument("braid")
     p_hf.add_argument("--var", choices=("qt", "at"), default="qt")
-    p_hf.add_argument("--specialize", type=int, default=None, metavar="N")
+    p_hf.add_argument("--specialize", type=_int_option, default=None, metavar="N")
     p_hf.add_argument("--format", choices=("json", "pretty"), default="pretty")
     p_hf.set_defaults(run=_cmd_homfly)
 
@@ -142,29 +148,29 @@ def _build_parser() -> argparse.ArgumentParser:
     which = p_gp.add_mutually_exclusive_group(required=True)
     which.add_argument("--dichromatic", action="store_true")
     which.add_argument("--tutte", action="store_true")
-    which.add_argument("--pn", type=int, default=None, metavar="N")
-    which.add_argument("--qn", type=int, default=None, metavar="N")
+    which.add_argument("--pn", type=_int_option, default=None, metavar="N")
+    which.add_argument("--qn", type=_int_option, default=None, metavar="N")
     which.add_argument("--dg", action="store_true")
     p_gp.add_argument("--jwindow", default=None, help="q-degrees a..b of --qn; a negative a is written --jwindow=-5..5")
     p_gp.set_defaults(run=_cmd_graph_poly)
     p_gk = gsub.add_parser("kh", help="graph homology tables")
     p_gk.add_argument("input")
     p_gk.add_argument("--theory", choices=("pn", "qn", "enhanced"), required=True)
-    p_gk.add_argument("--n", type=int, default=None, help="n of pn and qn (default 1)")
+    p_gk.add_argument("--n", type=_int_option, default=None, help="n of pn and qn (default 1)")
     p_gk.add_argument("--variant", choices=("zero", "xn"), default=None, help="variant of pn (default zero)")
     p_gk.add_argument("--jwindow", default=None, help="q-degrees a..b of qn and enhanced; a negative a is written --jwindow=-5..5")
     p_gk.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
     p_gk.set_defaults(run=_cmd_graph_kh)
 
     p_st = sub.add_parser("stable", help="stable normalized torus series")
-    p_st.add_argument("--m", type=int, required=True)
+    p_st.add_argument("--m", type=_int_option, required=True)
     p_st.add_argument("--n", required=True, help="twist values, e.g. 3..6 or 3,4,5")
     p_st.set_defaults(run=_cmd_stable)
 
     p_vf = sub.add_parser("verify", help="run a named verification suite")
     p_vf.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}, all")
-    p_vf.add_argument("--p", type=int, default=None)
-    p_vf.add_argument("--q", type=int, default=None)
+    p_vf.add_argument("--p", type=_int_option, default=None)
+    p_vf.add_argument("--q", type=_int_option, default=None)
     p_vf.set_defaults(run=_cmd_verify)
     return ap
 
@@ -252,10 +258,7 @@ def _parse_n_values(text: str) -> list[int]:
     if ".." in text:
         lo, hi = _parse_window(text)
         return list(range(lo, hi + 1))
-    try:
-        values = [int(t) for t in text.replace(",", " ").split()]
-    except ValueError:
-        raise UsageError(f"bad twist list {text!r}") from None
+    values = [_int_token(t, f"twist list {text!r}") for t in text.replace(",", " ").split()]
     if not values:
         raise UsageError("empty twist list")
     return values

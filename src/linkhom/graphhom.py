@@ -36,7 +36,8 @@ from functools import lru_cache
 from math import comb
 
 from .homcore import CubeSpec, CubeStates, HomologyTable, cube_homology
-from .linkdiag import InputError, _int_token, _tuple_of
+from .homflypt import _loop_sum
+from .linkdiag import InputError, _int_of, _int_token, _tuple_of
 from .polyalg import LaurentPoly, RationalFn
 
 __all__ = [
@@ -106,7 +107,7 @@ class Multigraph:
 
 
 def cycle_graph(k: int) -> Multigraph:
-    if k < 1:
+    if _int_of(k, "cycle length") < 1:
         raise InputError("cycle needs at least one vertex")
     if k == 1:
         return Multigraph(1, ((1, 1),))
@@ -223,7 +224,7 @@ def tutte_recursive(g: Multigraph) -> LaurentPoly:
 
 def specialize_Pn(g: Multigraph, n: int) -> LaurentPoly:
     """P(q^n, 1 + q + ... + q^n), exactly."""
-    if n < 1:
+    if _int_of(n, "n") < 1:
         raise InputError("need n >= 1")
     p = dichromatic(g)
     qn = LaurentPoly.monomial(Q, n)
@@ -240,7 +241,7 @@ def specialize_Qn(g: Multigraph, n: int, window: tuple[int, int]) -> LaurentPoly
     v expands as q^(n-1) (1 + q^-1 + q^-2 + ...); with finitely many
     states the coefficient of each power of q in the window is exact.
     """
-    if n > 2:
+    if _int_of(n, "n") > 2:
         raise InputError("need n <= 2")
     lo, hi = window
     if lo > hi:
@@ -282,7 +283,7 @@ def Pn_homology(g: Multigraph, n: int, variant: str = "zero") -> HomologyTable:
     an edge landing inside a component applies the chosen variant: the
     zero map, or 1 -> X^n with X^a -> 0 for a > 0.
     """
-    if n < 1:
+    if _int_of(n, "n") < 1:
         raise InputError("need n >= 1")
     if variant not in ("zero", "xn"):
         raise InputError("variant must be 'zero' or 'xn'")
@@ -295,9 +296,9 @@ def polygon_reference(k: int, n: int) -> HomologyTable:
     Transcribed free Poincare polynomial plus one Z_(n+1) torsion summand
     per listed bidegree; serves as the oracle for Pn_homology on cycles.
     """
-    if k < 3:
+    if _int_of(k, "k") < 3:
         raise InputError("need a polygon with k >= 3")
-    if n < 1:
+    if _int_of(n, "n") < 1:
         raise InputError("need n >= 1")
     low = LaurentPoly.from_terms(TQ, {(0, i): 1 for i in range(n)})  # 1 + ... + q^(n-1)
     full = LaurentPoly.from_terms(TQ, {(0, i): 1 for i in range(n + 1)})  # 1 + ... + q^n
@@ -369,7 +370,7 @@ def Qn_homology(g: Multigraph, n: int, window: tuple[int, int]) -> HomologyTable
     substituting the larger variable and multiplying by x^(2-n), internal
     edges multiplying by x.  Exact inside the window since differentials
     preserve degree."""
-    if n > 2:
+    if _int_of(n, "n") > 2:
         raise InputError("need n <= 2 so the merge exponent 2-n is nonnegative")
     if window[0] > window[1]:
         raise InputError("empty degree window")
@@ -378,27 +379,11 @@ def Qn_homology(g: Multigraph, n: int, window: tuple[int, int]) -> HomologyTable
 
 def dichromatic_DG(g: Multigraph) -> RationalFn:
     """(1 + t^-1 q)^m P(q, (1 + t^-1 q)/(1 - q)), exactly: with s_k(q) the
-    signed count of states with k components by edges kept, and top the
-    most components, this is sum_j (t^-1 q)^j N_j over (1 - q)^top, where
-    N_j = sum_k C(m + k, j) s_k (1 - q)^(top - k) is formed from integer
-    binomials; 1 - q is cancelled by running sums (no polynomial gcd runs)."""
-    m = g.n_edges
-    # components k -> {edges kept i: signed count (-1)^i of such states}
-    by_k: dict[int, dict[int, int]] = {}
-    for (i, k), c in dichromatic(g).terms.items():
-        by_k.setdefault(k, {})[i] = c
-    top = max(by_k)
-    parts: dict[tuple[int, int], list[int]] = {}
-    for k, counts in by_k.items():
-        d = top - k
-        row = [0] * (max(counts) + d + 1)  # s_k (1 - q)^d
-        for i, c in counts.items():
-            for r in range(d + 1):
-                row[i + r] += (-1) ** r * comb(d, r) * c
-        for j in range(m + k + 1):
-            b, part = comb(m + k, j), parts.setdefault((-j, j), [])
-            part.extend([0] * (len(row) - len(part)))
-            for e, x in enumerate(row):
-                part[e] += b * x
-    # 1 - q is irreducible, so it is the only factor the numerator can share with the denominator
-    return RationalFn._over_power(TQ, parts, (0, 1), top)
+    signed count of states with k components by edges kept, this is the
+    loop-value sum (``homflypt._loop_sum``) of the s_k with Q = q and m the
+    number of edges, formed with no polynomial gcd."""
+    terms = dichromatic(g).terms  # (edges kept i, components k) -> (-1)^i times the number of such states
+    circles = [[0] * (g.n_edges + 1) for _ in range(max(k for _, k in terms) + 1)]
+    for (i, k), c in terms.items():
+        circles[k][i] = c
+    return _loop_sum(circles, 1, m=g.n_edges)

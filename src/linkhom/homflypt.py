@@ -20,10 +20,10 @@ The trace eliminates one strand at a time: a basis permutation either
 fixes the last point (closing a free circle, of value d = (1 + t^-1 q)/(1 - q^2))
 or factors uniquely through the top transposition.  Terms are kept apart
 by the number k of circles closed, so the trace is sum_k P_k d^k with
-P_k in Z[Q^+-1], formed as one numerator over (1 - q^2)^K: one
-coefficient list in Q for each power of t^-1 q, from which 1 - q^2 is
-cancelled by running sums while every list sums to 0; no polynomial gcd
-or division runs.
+P_k in Z[Q^+-1].  ``_loop_sum`` forms such a sum of loop-value powers as
+one reduced fraction, cancelling 1 - Q by running sums with no
+polynomial gcd or division; it also forms d itself and the graph series
+D_G, where Q = q.
 
 Wide edges E_i (trivalent resolutions between strands i and i+1) expand
 as T_i + q^2, which lets braid words over sigma/E letters be evaluated
@@ -33,10 +33,11 @@ by the same trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 from typing import Sequence
 
-from .linkdiag import BraidWord, InputError, _int_token
+from .linkdiag import BraidWord, InputError, _int_of, _int_token
 from .polyalg import LaurentPoly, RationalFn
 
 __all__ = [
@@ -57,15 +58,12 @@ TQ = ("t", "q")
 Perm = tuple[int, ...]
 
 
-_ONE_MINUS_Q2 = LaurentPoly.from_terms(TQ, {(0, 0): 1, (0, 2): -1})
-_ONE_PLUS_TINV_Q = LaurentPoly.from_terms(TQ, {(0, 0): 1, (-1, 1): 1})
-
 _T, _QT_INV, _E = 0, 1, 2  # the kernel's right factors: T_i, Q T_i^-1 = T_i - 1 + Q, E_i = T_i + Q
 
 
 def loop_value() -> RationalFn:
     """Value of a disjoint free circle: (1 + t^-1 q) / (1 - q^2)."""
-    return RationalFn(_ONE_PLUS_TINV_Q, _ONE_MINUS_Q2)
+    return _loop_sum([[], [1]], 2)
 
 
 def alpha_value() -> RationalFn:
@@ -85,6 +83,42 @@ def _unpack(c: int, width: int) -> list[int]:
         digits.append(((c + half) & mask) - half)
         c = (c + half) >> width
     return digits
+
+
+def _loop_sum(circles: Sequence[Sequence[int]], step: int, m: int = 0, low: int = 0) -> RationalFn:
+    """sum_k P_k d^k (1 + t^-1 q)^m in (t, q), in canonical form, where
+    d = (1 + t^-1 q)/(1 - Q), Q = q^step, and P_k is q^low times the
+    polynomial in Q whose coefficients, lowest first, are circles[k].
+
+    Over (1 - Q)^top, top = len(circles) - 1, this is sum_j (t^-1 q)^j N_j
+    with N_j = sum_k C(m + k, j) P_k (1 - Q)^(top - k).  Each N_j is formed
+    as one int at Q = 2^W; its digits are at most 2^(m + top) times the L1
+    norm of all the P_k, which fixes W.  The parts (t^-1 q)^j N_j differ in
+    t, and 1 - Q does not hold t, so 1 - Q divides the numerator iff it
+    divides every N_j, that is iff the coefficients of each sum to 0, and
+    then the quotient's coefficients are their running sums.  Nothing else
+    cancels when step is 1, or 2 with low even, as every caller has it:
+    1 - q is irreducible; and t -> -t, q -> -q fixes every term
+    t^-j q^(j + low + 2e) and swaps 1 - q with 1 + q, so the numerator holds
+    both factors equally often, and (1 - q^2)^top has no other factor."""
+    top = len(circles) - 1
+    width = _width(sum(abs(c) for p in circles for c in p) << (m + top))
+    sums = [0] * (m + top + 1)
+    den = 1  # (1 - Q)^(top - k)
+    for k in range(top, -1, -1):
+        c = sum(x << (e * width) for e, x in enumerate(circles[k])) * den
+        for j in range(m + k + 1):
+            sums[j] += comb(m + k, j) * c
+        den -= den << width
+    parts = [_unpack(c, width) for c in sums]
+    n = top
+    while n and not any(map(sum, parts)):
+        parts = [list(accumulate(p))[:-1] for p in parts]
+        n -= 1
+    sign = -1 if n & 1 else 1  # the denominator's top term, (-Q)^n, made positive
+    num = {(-j, j + low + step * e): sign * c for j, p in enumerate(parts) for e, c in enumerate(p) if c}
+    den = {(0, step * i): sign * (-1) ** i * comb(n, i) for i in range(n + 1)}
+    return RationalFn._of(LaurentPoly(TQ, num), LaurentPoly(TQ, den))
 
 
 def _right(terms: dict[Perm, int], i: int, width: int, kind: int) -> dict[Perm, int]:
@@ -154,7 +188,7 @@ def wide_edge_expand(strands: int, tokens: Sequence) -> HeckeElement:
     Tokens are integers (+-i for braid letters) or strings "Ei" for the
     wide edge between strands i and i+1.
     """
-    if strands < 1:
+    if _int_of(strands, "strand count") < 1:
         raise InputError("need at least one strand")
     # the identity, packed once at the width that the word and its trace need
     width = _width(3 ** len(tokens) * _trace_growth(strands))
@@ -188,7 +222,9 @@ class HomflyValue:
     sqrt_alpha: int = 0
 
     def __post_init__(self):
-        if self.sqrt_alpha not in (0, 1):
+        if type(self.value) is not RationalFn:
+            raise InputError(f"a HOMFLYPT value must be a RationalFn, not {self.value!r}")
+        if _int_of(self.sqrt_alpha, "sqrt_alpha") not in (0, 1):
             raise InputError("sqrt_alpha must be 0 or 1")
 
     def render(self) -> str:
@@ -224,22 +260,9 @@ def markov_trace(h: HeckeElement) -> HomflyValue:
             for w, c in terms.items():
                 lower[(w, k)] = lower.get((w, k), 0) + c
         level = {key: c for key, c in lower.items() if c}
-    # with d = (1 + t^-1 q) / (1 - Q), sum_k P_k d^k is
-    # sum_j (t^-1 q)^j N_j / (1 - Q)^top with N_j = sum_k C(k, j) P_k (1 - Q)^(top - k)
     by_circles = {k: c for ((_,), k), c in level.items()}  # one term per k, on one strand
-    top = max(by_circles, default=0)
-    sums: dict[int, int] = {}
-    den = 1  # (1 - Q)^(top - k)
-    for k in range(top, -1, -1):
-        c = by_circles.get(k, 0) * den
-        for j in range(k + 1):
-            sums[j] = sums.get(j, 0) + comb(k, j) * c
-        den -= den << h.width
-    parts = {(-j, j - 2 * h.shift): _unpack(c, h.width) for j, c in sums.items()}
-    # Only 1 - q^2 as a whole can cancel: t -> -t, q -> -q fixes every term
-    # t^-j q^(2e+j) of the numerator and swaps 1 - q with 1 + q, so it holds
-    # both factors equally often, and (1 - q)^top (1 + q)^top has no other factor.
-    return HomflyValue(RationalFn._over_power(TQ, parts, (0, 2), top))
+    circles = [_unpack(by_circles.get(k, 0), h.width) for k in range(max(by_circles, default=0) + 1)]
+    return HomflyValue(_loop_sum(circles, 2, low=-2 * h.shift))
 
 
 def homfly_F(b: BraidWord) -> HomflyValue:
@@ -267,7 +290,7 @@ def _normalize_G(f: HomflyValue, b: BraidWord) -> HomflyValue:
 def specialize_Gn(g: HomflyValue, n: int) -> LaurentPoly:
     """Set t = -q^(1-2n); sqrt(alpha) becomes q^(n-1).  The result must be
     a Laurent polynomial; a surviving denominator is reported as a defect."""
-    if n < 1:
+    if _int_of(n, "n") < 1:
         raise InputError("need n >= 1")
     tval = LaurentPoly.monomial(("q",), 1 - 2 * n, -1)
     # t is a unit monomial, so each part comes back over 1

@@ -14,6 +14,7 @@ separately as loops.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 __all__ = [
@@ -34,7 +35,8 @@ __all__ = [
 class InputError(ValueError):
     """Malformed input: braid text, a PD code or a graph that cannot be
     read, a value type built from fields of the wrong type or shape, or
-    a parameter out of its range.  The CLI exits 2 on it.  ``polyalg``
+    a parameter of the wrong type or out of its range.  The CLI exits 2
+    on it.  ``polyalg``
     and ``homcore``, the layer below, keep ``ValueError``."""
 
 
@@ -49,12 +51,24 @@ def _tuple_of(value, what: str, item: type = int, length: int | None = None) -> 
     return value
 
 
+def _int_of(value, what: str) -> int:
+    """``value`` if it is exactly an int (so no bool, float or str); else an
+    InputError naming ``what``."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an int, not {value!r}")
+    return value
+
+
 def _int_token(token: str, where: str) -> int:
-    """``int(token)``, or an InputError naming the token and ``where`` it was read."""
-    try:
-        return int(token)
-    except ValueError:
-        raise InputError(f"malformed number {token!r} in {where}") from None
+    """The integer that ``token`` spells in ASCII decimal, [+-]?[0-9]+ (so
+    no '_', no other script's digits and no spaces), or an InputError
+    naming the token and ``where`` it was read."""
+    if re.fullmatch(r"[+-]?[0-9]+", token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise InputError(f"malformed number {token!r} in {where}")
 
 
 @dataclass(frozen=True)
@@ -63,9 +77,7 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        if type(self.strands) is not int:
-            raise InputError(f"strand count must be an int, not {self.strands!r}")
-        if self.strands < 1:
+        if _int_of(self.strands, "strand count") < 1:
             raise InputError("a braid needs at least one strand")
         for w in _tuple_of(self.letters, "braid letters"):
             if w == 0 or abs(w) >= self.strands:
@@ -118,7 +130,7 @@ def conjugate(b: BraidWord, k: int) -> BraidWord:
 
 def stabilize(b: BraidWord, sign: int = 1) -> BraidWord:
     """Markov stabilization: one more strand, sigma_p^(+-1) appended."""
-    if sign not in (1, -1):
+    if _int_of(sign, "stabilization sign") not in (1, -1):
         raise InputError("stabilization sign must be +1 or -1")
     return BraidWord(b.strands + 1, b.letters + (sign * b.strands,))
 
@@ -273,9 +285,9 @@ def parse_pd(text: str) -> Diagram:
 
 def resolve_crossing(d: Diagram, crossing: int, bit: int) -> Diagram:
     """Replace one crossing by its 0- or 1-smoothing; fresh diagram."""
-    if not 0 <= crossing < d.n_crossings:
+    if not 0 <= _int_of(crossing, "crossing index") < d.n_crossings:
         raise InputError(f"unknown crossing {crossing}")
-    if bit not in (0, 1):
+    if _int_of(bit, "smoothing bit") not in (0, 1):
         raise InputError("bit must be 0 or 1")
     (a, b), (c, e) = d.crossings[crossing].joins(bit)
     # each group of joined arcs, with the number of joins inside it

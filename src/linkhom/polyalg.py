@@ -17,20 +17,15 @@ value (one term, coefficient +-1) only moves exponents, over 1.
 The gcd is one primitive polynomial remainder sequence for every arity:
 it sees a polynomial as {exponent: coefficient} in its first variable,
 each coefficient an int or a polynomial of the same form in the next
-variable; the one exact division works on the same form.  Where the
-denominator is a known power (1 - Q)^n, Q a monomial, and nothing but
-1 - Q can cancel, ``RationalFn._over_power`` takes the numerator as
-coefficient lists in Q, one per part, and runs neither gcd nor division:
-1 - Q divides a part iff its coefficients sum to 0, and the quotient's
-coefficients are their running sums.  The HOMFLYPT trace (Q = q^2) and
-the graph series D_G (Q = q) are formed that way.
+variable; the one exact division works on the same form.
+``RationalFn._of`` takes a fraction already in canonical form as it is,
+with no gcd; ``homflypt`` forms its loop-value sums that way.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate
-from math import comb, gcd
+from math import gcd
 from operator import add, index, sub
 from typing import Mapping
 
@@ -492,25 +487,6 @@ class RationalFn:
         object.__setattr__(out, "num", num)
         object.__setattr__(out, "den", den)
         return out
-
-    @classmethod
-    def _over_power(cls, variables: tuple[str, ...], parts: Mapping[tuple[int, ...], list[int]],
-                    step: tuple[int, ...], n: int) -> "RationalFn":
-        """The sum of x^m (c[0] + c[1] Q + c[2] Q^2 + ...) over each m: c in
-        parts, over (1 - Q)^n with Q = x^step, in canonical form (no gcd).
-        The caller shows that the monomials m differ in a variable that Q
-        does not hold, and that the numerator shares no factor with 1 - Q
-        other than its powers.  So 1 - Q divides the numerator iff it
-        divides every part, which holds iff the part's coefficients sum to
-        0, and then the quotient's coefficients are their running sums."""
-        while n and not any(map(sum, parts.values())):
-            parts = {m: list(accumulate(c))[:-1] for m, c in parts.items()}
-            n -= 1
-        den = LaurentPoly(variables, {tuple(i * b for b in step): (-1) ** i * comb(n, i) for i in range(n + 1)})
-        sign = -1 if den.lex_leading()[1] < 0 else 1
-        steps = [tuple(e * b for b in step) for e in range(max(map(len, parts.values()), default=0))]
-        num = {tuple(map(add, m, s)): sign * c for m, cs in parts.items() for s, c in zip(steps, cs) if c}
-        return cls._of(LaurentPoly(variables, num), den.scale(sign))
 
     @classmethod
     def zero(cls, variables: tuple[str, ...]) -> "RationalFn":

@@ -215,6 +215,30 @@ def test_usage_errors():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["kh", "2: 1 1 1", "--jwindow", "1_0..2_0"], id="jwindow-underscore"),
+        pytest.param(["kh", "2: 1 1 1", "--jwindow", "\u0662..\u0665"], id="jwindow-arabic-indic"),
+        pytest.param(["kh", "\u0662: \u0661 \u0661 \u0661"], id="braid-arabic-indic"),
+        pytest.param(["graph", "poly", "v 2\ne 1 2", "--pn", "1_0"], id="pn"),
+        pytest.param(["graph", "poly", "v 2\ne 1 2", "--qn", "\u0662", "--jwindow", "0..2"], id="qn"),
+        pytest.param(["graph", "poly", "v 2\ne 1 2", "--qn", "2", "--jwindow", "0..\u0662"], id="qn-jwindow"),
+        pytest.param(["graph", "kh", "v 2\ne 1 2", "--theory", "pn", "--n", "1_0"], id="graph-kh-n"),
+        pytest.param(["homfly", "2: 1 1 1", "--specialize", "\u0662"], id="specialize"),
+        # if a refusal failed these would run T(2,10) and T(2,3): seconds, not hours
+        pytest.param(["stable", "--m", "2", "--n", "3,1_0"], id="stable-n"),
+        pytest.param(["stable", "--m", "\u0662", "--n", "3"], id="stable-m"),
+        pytest.param(["verify", "theorem24", "--p", "\u0663", "--q", "4"], id="verify-p"),
+        pytest.param(["verify", "theorem24", "--p", "3", "--q", "\u0664"], id="verify-q"),
+    ],
+)
+def test_numbers_on_the_command_line_are_ascii_decimal(argv):
+    code, out, err = invoke(argv)
+    assert code == 2 and not out
+    assert err.startswith(("input error: malformed number", "usage error: argument --")) and "malformed number" in err
+
+
 def test_determinism_across_invocations():
     argv = ["kh", "3: 1 2 1 2", "--format", "json"]
     code, first, _ = invoke(argv)

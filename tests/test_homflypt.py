@@ -12,6 +12,7 @@ from linkhom.corpus import corpus_diagrams
 from linkhom.graphhom import Multigraph, dichromatic_DG
 from linkhom.homflypt import (
     HeckeElement,
+    _loop_sum,
     HomflyValue,
     alpha_value,
     hecke_normal_form,
@@ -242,8 +243,9 @@ def test_wide_edge_trace_single():
     [([2], "generator index"), ([-2], "generator index"), (["E2"], "generator index"), ([1, 0], "generator index"),
      ([True], "bad token True"), ([1.0], "bad token 1.0"), ([None], "bad token None"),
      (["E"], "malformed number '' in token 'E'"), (["E1.5"], "malformed number '1.5' in token 'E1.5'"),
-     (["Ex"], "malformed number 'X' in token 'Ex'")],
-    ids=["2", "-2", "E2", "0", "bool", "float", "none", "E", "E1.5", "Ex"],
+     (["Ex"], "malformed number 'X' in token 'Ex'"), (["E1_0"], "malformed number '1_0' in token 'E1_0'"),
+     (["E\u0661"], "malformed number '\u0661' in token 'E\u0661'")],
+    ids=["2", "-2", "E2", "0", "bool", "float", "none", "E", "E1.5", "Ex", "E1_0", "E-arabic-indic"],
 )
 def test_wide_edge_expand_refuses_bad_tokens(word, match):
     # a token is an int letter or an "Ei" string; True would read as sigma_1
@@ -535,6 +537,56 @@ def test_trace_fraction_equals_the_general_reduction():
         cancelled += v.den.is_one() and b.strands > 1
         kept.add(next(n for n in range(b.strands) if v.den in (one_minus_q2 ** n, -one_minus_q2 ** n)))
     assert cancelled > 0 and max(kept) == 4
+
+
+def _times_one_minus_Q(p, r):
+    """The coefficient list p, lowest first, times (1 - Q)^r."""
+    for _ in range(r):
+        p = [a - b for a, b in zip(p + [0], [0] + p)]
+    return p
+
+
+def _loop_sum_by_gcd(circles, step, m, low):
+    """sum_k P_k (1 + t^-1 q)^(m + k) (1 - Q)^(top - k) over (1 - Q)^top,
+    reduced by the general gcd."""
+    top = len(circles) - 1
+    one_minus_Q, one_plus = tq({(0, 0): 1, (0, step): -1}), tq({(0, 0): 1, (-1, 1): 1})
+    num = LaurentPoly.zero(TQ)
+    for k, p in enumerate(circles):
+        pk = tq({(0, low + step * e): c for e, c in enumerate(p)})
+        num = num + pk * one_plus ** (m + k) * one_minus_Q ** (top - k)
+    return RationalFn(num, one_minus_Q ** top)
+
+
+def test_loop_sum_equals_the_general_reduction():
+    one_minus_q = tq({(0, 0): 1, (0, 1): -1})
+    twice, four_times = _times_one_minus_Q([1], 2), _times_one_minus_Q([1], 4)
+    cases = [
+        ([[3, 0, -1]], 1, 2, 0),  # top = 0: the numerator alone
+        ([[], [0, 0], [], []], 1, 0, 0),  # zero over 1
+        ([[], [], [], [1]], 1, 0, 0),  # 1 - q never divides: (1 - q)^3 stays, sign fixed
+        ([twice, [], _times_one_minus_Q([2, 1], 2), twice], 1, 1, 0),  # two of three powers cancel
+        ([four_times, [], [], four_times], 1, 0, 0),  # every power cancels, one stays in the numerator
+        ([[], twice, [], twice], 2, 0, -6),  # Q = q^2, as in the trace
+    ]
+    # seeded random P_k sharing (1 - Q)^r: no, some or every power cancels
+    rng = random.Random(3207)
+    for step in (1, 2):
+        for m in (0, 3):
+            for top in range(5):
+                for low in (-2 * step, 0, 3 * step):
+                    r = rng.randint(0, top + 1)
+                    circles = [_times_one_minus_Q([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))], r)
+                               for _ in range(top + 1)]
+                    cases.append((circles, step, m, low))
+    cancelled = set()  # (step, powers of 1 - Q cancelled, of top)
+    for circles, step, m, low in cases:
+        got, want = _loop_sum(circles, step, m, low), _loop_sum_by_gcd(circles, step, m, low)
+        assert (got.num, got.den) == (want.num, want.den)
+        top, n = len(circles) - 1, max(e for _, e in got.den.terms) // step
+        cancelled.add((step, "none" if n == top else "all" if n == 0 else "some"))
+    assert cancelled == {(step, how) for step in (1, 2) for how in ("none", "some", "all")}
+    assert _loop_sum([[], [], [], [1]], 1).den == -one_minus_q ** 3
 
 
 def test_homfly_and_dg_run_no_generic_division_or_powers(monkeypatch):

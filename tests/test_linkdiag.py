@@ -22,8 +22,17 @@ from linkhom.linkdiag import (
     stabilize,
 )
 from linkhom.corpus import corpus_diagrams, random_words
-from linkhom.graphhom import Multigraph, cycle_graph, polygon_reference
-from linkhom.homflypt import HomflyValue, homfly_F, wide_edge_expand
+from linkhom.graphhom import (
+    Multigraph,
+    Pn_homology,
+    Qn_homology,
+    cycle_graph,
+    parse_graph,
+    polygon_reference,
+    specialize_Pn,
+    specialize_Qn,
+)
+from linkhom.homflypt import HomflyValue, homfly_F, homfly_G, specialize_Gn, wide_edge_expand
 from linkhom.khovanov import _states, jones_unnormalized, khovanov_homology, stability_check
 
 TREFOIL_PD = """
@@ -70,6 +79,24 @@ def test_parse_braid_out_of_range():
         parse_braid("0:")
     with pytest.raises(ValueError):
         parse_braid("just text")
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11", "\u00b9", "1.0", "+", "--1"],
+                         ids=["underscore", "arabic-indic", "fullwidth", "superscript", "point", "sign", "two-signs"])
+def test_numbers_are_ascii_decimal_only(token):
+    # int() reads the first three (1_0 as 10); no reader of input may
+    readers = [
+        lambda: parse_braid(f"2: 1 {token}"),
+        lambda: parse_braid(f"{token}: 1"),
+        lambda: parse_pd(f"X 1 2 2 {token}"),
+        lambda: parse_graph(f"v 2\ne 1 {token}"),
+        lambda: parse_graph(f"v {token}\ne 1 1"),
+        lambda: wide_edge_expand(2, [f"E{token}"]),
+    ]
+    for read in readers:
+        with pytest.raises(InputError, match="malformed number"):
+            read()
+    assert parse_braid("+3: +1 -2 001") == BraidWord(3, (1, -2, 1))
 
 
 def test_trivial_closure_is_unknot():
@@ -341,9 +368,27 @@ def test_value_types_hash_and_rebuild_equal():
         lambda: wide_edge_expand(2, ["F1"]),
         lambda: HomflyValue(homfly_F(parse_braid("2: 1")).value, 2),
         lambda: stability_check(1, [3]),
+        # a scalar parameter is exactly an int: True and 2.0 are refused, not read as 1 and 2
+        lambda: stabilize(parse_braid("2: 1"), True),
+        lambda: resolve_crossing(braid_closure(parse_braid("2: 1 1")), True, 0),
+        lambda: resolve_crossing(braid_closure(parse_braid("2: 1 1")), 0, True),
+        lambda: cycle_graph(True),
+        lambda: polygon_reference(3.0, 1),
+        lambda: polygon_reference(3, True),
+        lambda: Pn_homology(cycle_graph(3), True),
+        lambda: Qn_homology(cycle_graph(3), True, (0, 2)),
+        lambda: specialize_Pn(cycle_graph(3), True),
+        lambda: specialize_Qn(cycle_graph(3), True, (0, 2)),
+        lambda: wide_edge_expand(2.0, [1]),
+        lambda: specialize_Gn(homfly_G(parse_braid("2: 1 1 1")), True),
+        lambda: HomflyValue(homfly_F(parse_braid("2: 1")).value, True),
+        lambda: HomflyValue("x", 0),
     ],
     ids=["conjugate", "stabilize", "resolve-crossing", "resolve-bit", "cycle-graph", "polygon-k", "polygon-n",
-         "wide-edge-strands", "wide-edge-index", "wide-edge-type", "wide-edge-str", "homfly-value", "stability-p"],
+         "wide-edge-strands", "wide-edge-index", "wide-edge-type", "wide-edge-str", "homfly-value", "stability-p",
+         "stabilize-bool", "resolve-crossing-bool", "resolve-bit-bool", "cycle-graph-bool", "polygon-k-float",
+         "polygon-n-bool", "pn-homology-bool", "qn-homology-bool", "specialize-pn-bool", "specialize-qn-bool",
+         "wide-edge-strands-float", "specialize-gn-bool", "homfly-value-sqrt-alpha-bool", "homfly-value-str"],
 )
 def test_parameter_refusals_are_input_errors(call):
     # the CLI exits 2 on an InputError and 1 on any other ValueError

@@ -353,39 +353,3 @@ def test_rational_reduction_sweep_matches_pinned_digest():
         reduced += not f.den.is_one()
     assert (count, reduced, digest.hexdigest()) == (
         159, 154, "29e0ff8bd9d77a7bd7e737893816c7174c2ff14e37b792a29f3a48678e8d25eb")
-
-
-def _over_power_parts(num, s):
-    """num in (t, q) as _over_power's parts over Q = q^s: one coefficient
-    list for each t exponent and residue of the q exponent mod s."""
-    low = {}
-    for t, e in num.terms:
-        low[t, e % s] = min(low.get((t, e % s), e), e)
-    parts = {}
-    for (t, e), c in num.terms.items():
-        m = (t, low[t, e % s])
-        part, i = parts.setdefault(m, []), (e - m[1]) // s
-        part.extend([0] * (i + 1 - len(part)))
-        part[i] = c
-    return parts
-
-
-def test_over_power_edge_cases_equal_the_general_reduction():
-    one_minus_q = tq({(0, 0): 1, (0, 1): -1})
-    one_minus_q2 = tq({(0, 0): 1, (0, 2): -1})
-    one_plus_t = tq({(0, 0): 1, (1, 0): 1})
-    cases = [
-        (tq({(-1, 2): 3, (0, 0): -1}), 0, 1),  # n = 0: the numerator alone
-        (LaurentPoly.zero(QT), 3, 1),  # zero over 1
-        (one_plus_t.shift((2, -1)), 3, 1),  # base never divides: (1 - q)^3 stays, sign fixed
-        (one_plus_t * one_minus_q ** 2, 3, 1),  # two of three powers cancel
-        (one_plus_t * one_minus_q ** 4, 3, 1),  # every power cancels, one stays in the numerator
-        (tq({(0, 0): 1, (-1, 1): 1}).shift((0, -3)) * one_minus_q2 ** 2, 3, 2),  # Q = q^2, as in the trace
-    ]
-    for num, n, s in cases:
-        base = one_minus_q if s == 1 else one_minus_q2
-        got = RationalFn._over_power(QT, _over_power_parts(num, s), (0, s), n)
-        want = RationalFn(num, base ** n)
-        assert (got.num, got.den) == (want.num, want.den)
-    got = RationalFn._over_power(QT, _over_power_parts(one_plus_t, 1), (0, 1), 3)
-    assert got.den == -one_minus_q ** 3
