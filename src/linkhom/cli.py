@@ -34,7 +34,7 @@ from .khovanov import (
     stable_poincare,
     width_report,
 )
-from .linkdiag import Diagram, InputError, _int_token, braid_closure, parse_braid, parse_pd
+from .linkdiag import Diagram, InputError, _int_token, _window_of, braid_closure, parse_braid, parse_pd
 from .verify import SUITES, run_suite
 
 
@@ -94,10 +94,8 @@ def _parse_window(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise UsageError(f"window must look like a..b, got {text!r}")
-    a, b = (_int_token(bound, f"window {text!r}") for bound in (lo, hi))
-    if a > b:
-        raise UsageError(f"empty window {text!r}")
-    return a, b
+    where = f"window {text!r}"
+    return _window_of((_int_token(lo, where), _int_token(hi, where)), where)
 
 
 def _emit_table(table: HomologyTable, fmt: str, out) -> None:
@@ -258,10 +256,7 @@ def _parse_n_values(text: str) -> list[int]:
     if ".." in text:
         lo, hi = _parse_window(text)
         return list(range(lo, hi + 1))
-    values = [_int_token(t, f"twist list {text!r}") for t in text.replace(",", " ").split()]
-    if not values:
-        raise UsageError("empty twist list")
-    return values
+    return [_int_token(t, f"twist list {text!r}") for t in text.replace(",", " ").split()]
 
 
 def _cmd_stable(args, out) -> int:
@@ -278,10 +273,6 @@ def _cmd_stable(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    if args.suite != "all" and args.suite not in SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}, all")
-    if (args.p, args.q) != (None, None) and args.suite != "theorem24":
-        raise UsageError("--p and --q go only with suite theorem24")
     reports = run_suite(args.suite, p=args.p, q=args.q)
     code = 0
     for rep in reports:

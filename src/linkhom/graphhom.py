@@ -37,7 +37,7 @@ from math import comb
 
 from .homcore import CubeSpec, CubeStates, HomologyTable, cube_homology
 from .homflypt import _loop_sum
-from .linkdiag import InputError, _int_of, _int_token, _tuple_of
+from .linkdiag import InputError, _int_of, _int_token, _tuple_of, _window_of
 from .polyalg import LaurentPoly, RationalFn
 
 __all__ = [
@@ -69,9 +69,7 @@ class Multigraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if type(self.n_vertices) is not int:
-            raise InputError(f"vertex count must be an int, not {self.n_vertices!r}")
-        if self.n_vertices < 0:
+        if _int_of(self.n_vertices, "vertex count") < 0:
             raise InputError("negative vertex count")
         for e in _tuple_of(self.edges, "graph edges", tuple):
             u, v = _tuple_of(e, "graph edge", length=2)
@@ -243,9 +241,7 @@ def specialize_Qn(g: Multigraph, n: int, window: tuple[int, int]) -> LaurentPoly
     """
     if _int_of(n, "n") > 2:
         raise InputError("need n <= 2")
-    lo, hi = window
-    if lo > hi:
-        raise InputError("empty window")
+    lo, hi = _window_of(window, "degree window", optional=False)
     acc = {e: 0 for e in range(lo, hi + 1)}
     for (i, k), c in dichromatic(g).terms.items():
         # q^i * q^(k(n-1)) * sum_d C(d+k-1, k-1) q^(-d)
@@ -372,9 +368,7 @@ def Qn_homology(g: Multigraph, n: int, window: tuple[int, int]) -> HomologyTable
     preserve degree."""
     if _int_of(n, "n") > 2:
         raise InputError("need n <= 2 so the merge exponent 2-n is nonnegative")
-    if window[0] > window[1]:
-        raise InputError("empty degree window")
-    return cube_homology(_qn_spec(n), _graph_states(g), window)
+    return cube_homology(_qn_spec(n), _graph_states(g), _window_of(window, "degree window", optional=False))
 
 
 def dichromatic_DG(g: Multigraph) -> RationalFn:

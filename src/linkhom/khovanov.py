@@ -17,7 +17,8 @@ them into a whole complex, in cube indices, for ``les_check``, whose
 cone check reads the blocks, and for the Euler characteristic of the
 chain ranks.
 The homology functions take their windows in the table's own indices
-(normalized ones for ``khovanov_homology``) and hand them on as they are:
+(normalized ones for ``khovanov_homology``), read them by the one window
+rule (``linkdiag._window_of``) and hand them on as they are:
 ``cube_homology`` alone moves them into cube indices.  The bracket is a
 scan that keeps the matchings of the open arc ends (Bar-Natan,
 math/0606318), not a state sum over the 2^n resolutions.
@@ -39,7 +40,7 @@ from .homcore import (
     poincare_polynomial,
     strand_homology,
 )
-from .linkdiag import BraidWord, Diagram, InputError, braid_closure, resolve_crossing
+from .linkdiag import BraidWord, Diagram, InputError, _int_of, _twists_of, _window_of, braid_closure, resolve_crossing
 from .polyalg import LaurentPoly
 
 __all__ = [
@@ -166,11 +167,11 @@ def khovanov_homology(
     builds only the generators and cube degrees they need.
     """
     shift = (-d.n_minus, d.n_plus - 2 * d.n_minus)
-    return cube_homology(_KHOVANOV, _states(d), jwindow, shift, irange)
+    return cube_homology(_KHOVANOV, _states(d), _window_of(jwindow, "j-window"), shift, _window_of(irange, "i-range"))
 
 
 def unnormalized_homology(d: Diagram, irange: tuple[int, int] | None = None) -> HomologyTable:
-    return cube_homology(_KHOVANOV, _states(d), irange=irange)
+    return cube_homology(_KHOVANOV, _states(d), irange=_window_of(irange, "i-range"))
 
 
 @dataclass(frozen=True)
@@ -311,7 +312,7 @@ def _cone_structure_ok(d: Diagram, complexes, nu: int, violations: list[str]) ->
 
 def torus_diagram(p: int, q: int) -> Diagram:
     """Closure of (sigma_1 ... sigma_(p-1))^q on p strands."""
-    if p < 1 or q < 0:
+    if _int_of(p, "p") < 1 or _int_of(q, "q") < 0:
         raise InputError("torus parameters need p >= 1, q >= 0")
     word = tuple(range(1, p)) * q
     return braid_closure(BraidWord(p, word))
@@ -351,12 +352,10 @@ def stability_check(p: int, q_range, i_max: int | None = None) -> StabilityRepor
     H^(i,j)(D_(p,p)) = H^(i,j+1)(D_(p-1,p)) for i < 2p-3.  Each diagram's
     table is computed once, up to the largest i any comparison reads.
     """
-    qs = sorted(q_range)
-    if p < 2 or not qs or p >= qs[0]:
+    qs = _twists_of(q_range)
+    if not 2 <= _int_of(p, "p") < qs[0]:
         raise InputError("need 2 <= p < min(q_range)")
-    if len(set(qs)) < len(qs):
-        raise InputError(f"repeated twist value in {qs}")
-    cap = float("inf") if i_max is None else i_max + 1
+    cap = float("inf") if i_max is None else _int_of(i_max, "i_max") + 1
     # each comparison: (first diagram, second, i bound, j shift, tag)
     twists = [((p, q), (p, q - 1), min(p + q - 3, cap), 0, f"(p,q)=({p},{q}) vs ({p},{q-1})") for q in qs]
     windows = [((p, q1), (p, q2), min(2 * p - 1, cap), 0, f"window ({p},{q1}) vs ({p},{q2})")
@@ -385,11 +384,9 @@ def stable_poincare(m: int, n_values) -> tuple[list[tuple[int, LaurentPoly]], li
     for these positive braids are the normalized ones times q^(-(m-1)n),
     plus the stable-agreement report for consecutive n: the groups,
     torsion included, at t-powers below m+n-3."""
-    if m < 2:
+    if _int_of(m, "m") < 2:
         raise InputError("need m >= 2")
-    ns = sorted(n_values)
-    if len(set(ns)) < len(ns):
-        raise InputError(f"repeated twist value in {ns}")
+    ns = _twists_of(n_values)
     tables = [unnormalized_homology(torus_diagram(m, n)) for n in ns]
     agreements = [(n1, n2, m + n1 - 3, not _differences_below(t1, t2, m + n1 - 3))
                   for (n1, t1), (n2, t2) in pairwise(zip(ns, tables))]

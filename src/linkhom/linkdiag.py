@@ -59,6 +59,28 @@ def _int_of(value, what: str) -> int:
     return value
 
 
+def _window_of(value, what: str, optional: bool = True) -> tuple[int, int] | None:
+    """``value`` if it is an int pair (lo, hi) with lo <= hi, or None (every
+    degree) when ``optional``; else an InputError naming ``what``."""
+    if value is None and optional:
+        return None
+    lo, hi = _tuple_of(value, what, length=2)
+    if lo > hi:
+        raise InputError(f"{what} must have lo <= hi, not {value!r}")
+    return value
+
+
+def _twists_of(values) -> list[int]:
+    """The twist values of the iterable ``values``, sorted, if they are
+    exact ints, at least one and no two equal; else an InputError."""
+    ns = sorted(_int_of(n, "twist value") for n in values)
+    if not ns:
+        raise InputError("empty twist list")
+    if len(set(ns)) < len(ns):
+        raise InputError(f"repeated twist value in {ns}")
+    return ns
+
+
 def _int_token(token: str, where: str) -> int:
     """The integer that ``token`` spells in ASCII decimal, [+-]?[0-9]+ (so
     no '_', no other script's digits and no spaces), or an InputError

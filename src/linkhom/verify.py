@@ -49,7 +49,7 @@ from .khovanov import (
     unnormalized_homology,
     width_report,
 )
-from .linkdiag import BraidWord, InputError, braid_closure, conjugate, parse_braid, resolve_crossing, stabilize
+from .linkdiag import BraidWord, InputError, _int_of, braid_closure, conjugate, parse_braid, resolve_crossing, stabilize
 from .polyalg import LaurentPoly, RationalFn, quantum_integer
 
 Q = ("q",)
@@ -156,9 +156,9 @@ def theorem24_table(p: int, q: int) -> dict[tuple[int, int], tuple[int, tuple[in
 
 
 def suite_theorem24(p: int = 3, q: int = 4) -> SuiteReport:
-    rep = SuiteReport("theorem24")
-    if not (3 <= p <= q) or (p == 3 and q == 3):
+    if not 3 <= _int_of(p, "p") <= _int_of(q, "q") or p == q == 3:
         raise InputError("need 3 <= p <= q, not both 3")
+    rep = SuiteReport("theorem24")
     t = khovanov_homology(torus_diagram(p, q), irange=(0, 4))
     rep.add(f"low-degree table of T({p},{q})", t.entries == theorem24_table(p, q))
     return rep
@@ -449,7 +449,10 @@ SUITES = {
 
 def run_suite(name: str, p: int | None = None, q: int | None = None) -> list[SuiteReport]:
     """The reports of suite ``name``, or of every suite for "all": p and q,
-    where given, go to theorem24."""
+    where given, go to theorem24 and to no other suite."""
+    if name != "all" and name not in SUITES:
+        raise InputError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}, all")
     pq = {k: v for k, v in (("p", p), ("q", q)) if v is not None}
-    return [SUITES[key](**pq) if key == "theorem24" else SUITES[key]()
-            for key in (SUITES if name == "all" else [name])]
+    if pq and name != "theorem24":
+        raise InputError("p and q go only with suite theorem24")
+    return [SUITES[key](**pq) for key in (SUITES if name == "all" else [name])]

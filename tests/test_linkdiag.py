@@ -21,19 +21,30 @@ from linkhom.linkdiag import (
     resolve_crossing,
     stabilize,
 )
+from linkhom import homcore
 from linkhom.corpus import corpus_diagrams, random_words
 from linkhom.graphhom import (
     Multigraph,
     Pn_homology,
     Qn_homology,
     cycle_graph,
+    enhanced_homology,
     parse_graph,
     polygon_reference,
     specialize_Pn,
     specialize_Qn,
 )
 from linkhom.homflypt import HomflyValue, homfly_F, homfly_G, specialize_Gn, wide_edge_expand
-from linkhom.khovanov import _states, jones_unnormalized, khovanov_homology, stability_check
+from linkhom.khovanov import (
+    _states,
+    jones_unnormalized,
+    khovanov_homology,
+    stability_check,
+    stable_poincare,
+    torus_diagram,
+    unnormalized_homology,
+)
+from linkhom.verify import run_suite, suite_theorem24
 
 TREFOIL_PD = """
 X 1 4 2 5
@@ -352,46 +363,78 @@ def test_value_types_hash_and_rebuild_equal():
         assert hash(v) == hash(twin) and len({v, twin}) == 1, v
 
 
+def trefoil():
+    return braid_closure(parse_braid("2: 1 1 1"))
+
+
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: conjugate(parse_braid("2: 1"), 2),
-        lambda: stabilize(parse_braid("2: 1"), 0),
-        lambda: resolve_crossing(braid_closure(parse_braid("2: 1")), 1, 0),
-        lambda: resolve_crossing(braid_closure(parse_braid("2: 1")), 0, 2),
-        lambda: cycle_graph(0),
-        lambda: polygon_reference(2, 1),
-        lambda: polygon_reference(3, 0),
-        lambda: wide_edge_expand(0, []),
-        lambda: wide_edge_expand(2, [2]),
-        lambda: wide_edge_expand(2, [1.0]),
-        lambda: wide_edge_expand(2, ["F1"]),
-        lambda: HomflyValue(homfly_F(parse_braid("2: 1")).value, 2),
-        lambda: stability_check(1, [3]),
+        pytest.param(lambda: conjugate(parse_braid("2: 1"), 2), id="conjugate"),
+        pytest.param(lambda: stabilize(parse_braid("2: 1"), 0), id="stabilize"),
+        pytest.param(lambda: resolve_crossing(braid_closure(parse_braid("2: 1")), 1, 0), id="resolve-crossing"),
+        pytest.param(lambda: resolve_crossing(braid_closure(parse_braid("2: 1")), 0, 2), id="resolve-bit"),
+        pytest.param(lambda: cycle_graph(0), id="cycle-graph"),
+        pytest.param(lambda: polygon_reference(2, 1), id="polygon-k"),
+        pytest.param(lambda: polygon_reference(3, 0), id="polygon-n"),
+        pytest.param(lambda: wide_edge_expand(0, []), id="wide-edge-strands"),
+        pytest.param(lambda: wide_edge_expand(2, [2]), id="wide-edge-index"),
+        pytest.param(lambda: wide_edge_expand(2, [1.0]), id="wide-edge-type"),
+        pytest.param(lambda: wide_edge_expand(2, ["F1"]), id="wide-edge-str"),
+        pytest.param(lambda: HomflyValue(homfly_F(parse_braid("2: 1")).value, 2), id="homfly-value"),
+        pytest.param(lambda: stability_check(1, [3]), id="stability-p"),
         # a scalar parameter is exactly an int: True and 2.0 are refused, not read as 1 and 2
-        lambda: stabilize(parse_braid("2: 1"), True),
-        lambda: resolve_crossing(braid_closure(parse_braid("2: 1 1")), True, 0),
-        lambda: resolve_crossing(braid_closure(parse_braid("2: 1 1")), 0, True),
-        lambda: cycle_graph(True),
-        lambda: polygon_reference(3.0, 1),
-        lambda: polygon_reference(3, True),
-        lambda: Pn_homology(cycle_graph(3), True),
-        lambda: Qn_homology(cycle_graph(3), True, (0, 2)),
-        lambda: specialize_Pn(cycle_graph(3), True),
-        lambda: specialize_Qn(cycle_graph(3), True, (0, 2)),
-        lambda: wide_edge_expand(2.0, [1]),
-        lambda: specialize_Gn(homfly_G(parse_braid("2: 1 1 1")), True),
-        lambda: HomflyValue(homfly_F(parse_braid("2: 1")).value, True),
-        lambda: HomflyValue("x", 0),
+        pytest.param(lambda: stabilize(parse_braid("2: 1"), True), id="stabilize-bool"),
+        pytest.param(lambda: resolve_crossing(braid_closure(parse_braid("2: 1 1")), True, 0), id="resolve-crossing-bool"),
+        pytest.param(lambda: resolve_crossing(braid_closure(parse_braid("2: 1 1")), 0, True), id="resolve-bit-bool"),
+        pytest.param(lambda: cycle_graph(True), id="cycle-graph-bool"),
+        pytest.param(lambda: polygon_reference(3.0, 1), id="polygon-k-float"),
+        pytest.param(lambda: polygon_reference(3, True), id="polygon-n-bool"),
+        pytest.param(lambda: Pn_homology(cycle_graph(3), True), id="pn-homology-bool"),
+        pytest.param(lambda: Qn_homology(cycle_graph(3), True, (0, 2)), id="qn-homology-bool"),
+        pytest.param(lambda: specialize_Pn(cycle_graph(3), True), id="specialize-pn-bool"),
+        pytest.param(lambda: specialize_Qn(cycle_graph(3), True, (0, 2)), id="specialize-qn-bool"),
+        pytest.param(lambda: wide_edge_expand(2.0, [1]), id="wide-edge-strands-float"),
+        pytest.param(lambda: specialize_Gn(homfly_G(parse_braid("2: 1 1 1")), True), id="specialize-gn-bool"),
+        pytest.param(lambda: HomflyValue(homfly_F(parse_braid("2: 1")).value, True), id="homfly-value-sqrt-alpha-bool"),
+        pytest.param(lambda: HomflyValue("x", 0), id="homfly-value-str"),
+        # a window is a tuple (lo, hi) of exact ints with lo <= hi, or None for every degree
+        pytest.param(lambda: khovanov_homology(trefoil(), jwindow=(1.5, 9)), id="kh-jwindow-float"),
+        pytest.param(lambda: khovanov_homology(trefoil(), jwindow=(9, 1)), id="kh-jwindow-reversed"),
+        pytest.param(lambda: khovanov_homology(trefoil(), irange=(3, 1)), id="kh-irange-reversed"),
+        pytest.param(lambda: khovanov_homology(trefoil(), irange=(True, 2)), id="kh-irange-bool"),
+        pytest.param(lambda: khovanov_homology(trefoil(), jwindow=5), id="kh-jwindow-int"),
+        pytest.param(lambda: khovanov_homology(trefoil(), jwindow=[1, 9]), id="kh-jwindow-list"),
+        pytest.param(lambda: unnormalized_homology(trefoil(), irange=(0.5, 2)), id="unnormalized-irange-float"),
+        pytest.param(lambda: Qn_homology(cycle_graph(3), 2, (0.5, 2)), id="qn-window-float"),
+        pytest.param(lambda: Qn_homology(cycle_graph(3), 2, ("0", "2")), id="qn-window-str"),
+        pytest.param(lambda: Qn_homology(cycle_graph(3), 2, None), id="qn-window-none"),
+        pytest.param(lambda: specialize_Qn(cycle_graph(3), 2, ("0", "2")), id="specialize-qn-window-str"),
+        pytest.param(lambda: specialize_Qn(cycle_graph(3), 2, (0, 2, 9)), id="specialize-qn-window-three"),
+        pytest.param(lambda: enhanced_homology(cycle_graph(3), (0, 2, 3)), id="enhanced-window-three"),
+        # a twist list is a non-empty list of distinct exact ints
+        pytest.param(lambda: stable_poincare(2, [True]), id="stable-twist-bool"),
+        pytest.param(lambda: stable_poincare(2, [3, True]), id="stable-twist-bool-beside-3"),
+        pytest.param(lambda: stable_poincare(2, []), id="stable-twists-empty"),
+        pytest.param(lambda: stable_poincare(2.0, [3]), id="stable-m-float"),
+        pytest.param(lambda: stability_check(3.0, [4]), id="stability-p-float"),
+        pytest.param(lambda: stability_check(3, [4.0]), id="stability-twist-float"),
+        pytest.param(lambda: stability_check(3, [4], i_max=1.5), id="stability-imax-float"),
+        pytest.param(lambda: stability_check(3, [4], i_max=True), id="stability-imax-bool"),
+        pytest.param(lambda: torus_diagram(2.0, 3), id="torus-p-float"),
+        pytest.param(lambda: suite_theorem24(3.0, 4), id="theorem24-p-float"),
+        # run_suite refuses what the CLI refuses
+        pytest.param(lambda: run_suite("nope"), id="run-suite-unknown"),
+        pytest.param(lambda: run_suite("appendixB", 3), id="run-suite-p-without-theorem24"),
     ],
-    ids=["conjugate", "stabilize", "resolve-crossing", "resolve-bit", "cycle-graph", "polygon-k", "polygon-n",
-         "wide-edge-strands", "wide-edge-index", "wide-edge-type", "wide-edge-str", "homfly-value", "stability-p",
-         "stabilize-bool", "resolve-crossing-bool", "resolve-bit-bool", "cycle-graph-bool", "polygon-k-float",
-         "polygon-n-bool", "pn-homology-bool", "qn-homology-bool", "specialize-pn-bool", "specialize-qn-bool",
-         "wide-edge-strands-float", "specialize-gn-bool", "homfly-value-sqrt-alpha-bool", "homfly-value-str"],
 )
-def test_parameter_refusals_are_input_errors(call):
-    # the CLI exits 2 on an InputError and 1 on any other ValueError
+def test_parameter_refusals_are_input_errors(call, monkeypatch):
+    # the CLI exits 2 on an InputError and 1 on any other ValueError; a
+    # refusal comes before any cube is built
+    def no_cube(*args, **kwargs):
+        raise AssertionError("a cube was built before the refusal")
+
+    monkeypatch.setattr(homcore, "cube_blocks", no_cube)
     with pytest.raises(InputError):
         call()
 
