@@ -55,6 +55,7 @@ from .linkdiag import (
     InputError,
     braid_closure,
     conjugate,
+    markov_reduce,
     mirror,
     parse_braid,
     parse_pd,

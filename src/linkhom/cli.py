@@ -34,7 +34,7 @@ from .khovanov import (
     stable_poincare,
     width_report,
 )
-from .linkdiag import Diagram, InputError, _int_token, _window_of, braid_closure, parse_braid, parse_pd
+from .linkdiag import Diagram, InputError, _int_token, _window_of, braid_closure, markov_reduce, parse_braid, parse_pd
 from .verify import SUITES, run_suite
 
 
@@ -69,15 +69,16 @@ def _read(spec: str) -> str:
         raise InputError(f"{spec!r} is not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
-def _load_diagram(spec: str) -> Diagram:
-    """Inline braid text, or a path to a file holding braid or PD lines."""
+def _load_diagram(spec: str, reduce: bool = False) -> Diagram:
+    """Inline braid text, or a path to a file of braid or PD lines; ``reduce`` Markov-reduces a braid."""
     stripped = _read(spec).strip()
     if not stripped:
         raise UsageError("empty diagram input")
     if stripped[:1].upper() == "X":
         return parse_pd(stripped)
     if ":" in stripped:
-        return braid_closure(parse_braid(stripped))
+        b = parse_braid(stripped)
+        return braid_closure(markov_reduce(b) if reduce else b)
     raise UsageError(f"cannot interpret {spec!r} as a braid or PD code")
 
 
@@ -178,11 +179,11 @@ def _cmd_bracket(args, out) -> None:
 
 
 def _cmd_jones(args, out) -> None:
-    print(jones_unnormalized(_load_diagram(args.input)).render(), file=out)
+    print(jones_unnormalized(_load_diagram(args.input, reduce=True)).render(), file=out)
 
 
 def _cmd_kh(args, out) -> None:
-    d = _load_diagram(args.input)
+    d = _load_diagram(args.input, reduce=True)
     window = _parse_window(args.jwindow) if args.jwindow else None
     table = khovanov_homology(d, jwindow=window)
     if args.poincare:

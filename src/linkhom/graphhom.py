@@ -37,7 +37,7 @@ from math import comb
 
 from .homcore import CubeSpec, CubeStates, HomologyTable, cube_homology
 from .homflypt import _loop_sum
-from .linkdiag import InputError, _int_of, _int_token, _tuple_of, _window_of
+from .linkdiag import InputError, _int_in, _int_token, _tuple_of, _window_of
 from .polyalg import LaurentPoly, RationalFn
 
 __all__ = [
@@ -69,8 +69,7 @@ class Multigraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if _int_of(self.n_vertices, "vertex count") < 0:
-            raise InputError("negative vertex count")
+        _int_in(self.n_vertices, "vertex count", lo=0)
         for e in _tuple_of(self.edges, "graph edges", tuple):
             u, v = _tuple_of(e, "graph edge", length=2)
             if not (1 <= u <= self.n_vertices and 1 <= v <= self.n_vertices):
@@ -105,8 +104,7 @@ class Multigraph:
 
 
 def cycle_graph(k: int) -> Multigraph:
-    if _int_of(k, "cycle length") < 1:
-        raise InputError("cycle needs at least one vertex")
+    _int_in(k, "cycle length", lo=1)
     if k == 1:
         return Multigraph(1, ((1, 1),))
     edges = tuple((i, i % k + 1) for i in range(1, k + 1))
@@ -222,10 +220,8 @@ def tutte_recursive(g: Multigraph) -> LaurentPoly:
 
 def specialize_Pn(g: Multigraph, n: int) -> LaurentPoly:
     """P(q^n, 1 + q + ... + q^n), exactly."""
-    if _int_of(n, "n") < 1:
-        raise InputError("need n >= 1")
     p = dichromatic(g)
-    qn = LaurentPoly.monomial(Q, n)
+    qn = LaurentPoly.monomial(Q, _int_in(n, "n", lo=1))
     braces = LaurentPoly.from_terms(Q, {i: 1 for i in range(n + 1)})
     out = LaurentPoly.zero(Q)
     for (eq, ev), c in p.terms.items():
@@ -239,8 +235,7 @@ def specialize_Qn(g: Multigraph, n: int, window: tuple[int, int]) -> LaurentPoly
     v expands as q^(n-1) (1 + q^-1 + q^-2 + ...); with finitely many
     states the coefficient of each power of q in the window is exact.
     """
-    if _int_of(n, "n") > 2:
-        raise InputError("need n <= 2")
+    _int_in(n, "n", hi=2)
     lo, hi = _window_of(window, "degree window", optional=False)
     acc = {e: 0 for e in range(lo, hi + 1)}
     for (i, k), c in dichromatic(g).terms.items():
@@ -279,8 +274,7 @@ def Pn_homology(g: Multigraph, n: int, variant: str = "zero") -> HomologyTable:
     an edge landing inside a component applies the chosen variant: the
     zero map, or 1 -> X^n with X^a -> 0 for a > 0.
     """
-    if _int_of(n, "n") < 1:
-        raise InputError("need n >= 1")
+    _int_in(n, "n", lo=1)
     if variant not in ("zero", "xn"):
         raise InputError("variant must be 'zero' or 'xn'")
     return cube_homology(_pn_spec(n, variant), _graph_states(g))
@@ -292,10 +286,8 @@ def polygon_reference(k: int, n: int) -> HomologyTable:
     Transcribed free Poincare polynomial plus one Z_(n+1) torsion summand
     per listed bidegree; serves as the oracle for Pn_homology on cycles.
     """
-    if _int_of(k, "k") < 3:
-        raise InputError("need a polygon with k >= 3")
-    if _int_of(n, "n") < 1:
-        raise InputError("need n >= 1")
+    _int_in(k, "k", lo=3)
+    _int_in(n, "n", lo=1)
     low = LaurentPoly.from_terms(TQ, {(0, i): 1 for i in range(n)})  # 1 + ... + q^(n-1)
     full = LaurentPoly.from_terms(TQ, {(0, i): 1 for i in range(n + 1)})  # 1 + ... + q^n
 
@@ -366,8 +358,7 @@ def Qn_homology(g: Multigraph, n: int, window: tuple[int, int]) -> HomologyTable
     substituting the larger variable and multiplying by x^(2-n), internal
     edges multiplying by x.  Exact inside the window since differentials
     preserve degree."""
-    if _int_of(n, "n") > 2:
-        raise InputError("need n <= 2 so the merge exponent 2-n is nonnegative")
+    _int_in(n, "n", hi=2)  # so the merge exponent 2-n is nonnegative
     return cube_homology(_qn_spec(n), _graph_states(g), _window_of(window, "degree window", optional=False))
 
 

@@ -37,7 +37,7 @@ from itertools import accumulate
 from math import comb
 from typing import Sequence
 
-from .linkdiag import BraidWord, InputError, _int_of, _int_token
+from .linkdiag import BraidWord, InputError, _int_in, _int_of, _int_token, markov_reduce
 from .polyalg import LaurentPoly, RationalFn
 
 __all__ = [
@@ -270,8 +270,9 @@ def homfly_F(b: BraidWord) -> HomflyValue:
 
 
 def homfly_G(b: BraidWord) -> HomflyValue:
-    """Markov-invariant normalization sqrt(alpha)^omega F with
-    omega = n+ - n- - strands + 1."""
+    """Markov-invariant normalization sqrt(alpha)^omega F, omega = n+ - n- - strands
+    + 1, of ``markov_reduce(b)``: ``_normalize_G(homfly_F(b), b)`` from a shorter trace."""
+    b = markov_reduce(b)
     return _normalize_G(homfly_F(b), b)
 
 
@@ -290,18 +291,35 @@ def _normalize_G(f: HomflyValue, b: BraidWord) -> HomflyValue:
 def specialize_Gn(g: HomflyValue, n: int) -> LaurentPoly:
     """Set t = -q^(1-2n); sqrt(alpha) becomes q^(n-1).  The result must be
     a Laurent polynomial; a surviving denominator is reported as a defect."""
-    if _int_of(n, "n") < 1:
-        raise InputError("need n >= 1")
-    tval = LaurentPoly.monomial(("q",), 1 - 2 * n, -1)
+    tval = LaurentPoly.monomial(("q",), 1 - 2 * _int_in(n, "n", lo=1), -1)
     # t is a unit monomial, so each part comes back over 1
     num, den = (p._substitute_parts("t", tval)[0] for p in (g.value.num, g.value.den))
-    try:
-        out = num.divide_exact(den)
-    except ValueError:
-        raise ArithmeticError(f"specialization left a denominator: {RationalFn(num, den).den}") from None
+    out = _over_q2_minus_1(num, den)
+    if out is None:  # a remainder, or a value that no G has
+        frac = RationalFn(num, den)
+        if not frac.den.is_one():
+            raise ArithmeticError(f"specialization left a denominator: {frac.den}")
+        out = frac.num
     if g.sqrt_alpha:
         out = out.shift(n - 1)
     return out
+
+
+def _over_q2_minus_1(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
+    """num / den in q if den is (q^2 - 1)^k, as every G's is, and num a nonzero
+    multiple of it, else None: each parity class of num's exponents divides by
+    q^2 - 1 alone, iff its coefficients sum to 0, into minus their running sums."""
+    k = max(e for (e,) in den.terms) // 2
+    if not num or den.terms != {(2 * i,): (-1) ** (k - i) * comb(k, i) for i in range(k + 1)}:
+        return None
+    lo = min(e for (e,) in num.terms)
+    dense = [num.terms.get((e,), 0) for e in range(lo, max(e for (e,) in num.terms) + 1)]
+    classes = [dense[0::2], dense[1::2]]
+    for _ in range(k):
+        if any(map(sum, classes)):
+            return None
+        classes = [[-c for c in accumulate(part)][:-1] for part in classes]
+    return LaurentPoly(num.vars, {(lo + r + 2 * e,): c for r, part in enumerate(classes) for e, c in enumerate(part)})
 
 
 def homfly_skein_form(g: HomflyValue) -> RationalFn:

@@ -40,7 +40,7 @@ from .homcore import (
     poincare_polynomial,
     strand_homology,
 )
-from .linkdiag import BraidWord, Diagram, InputError, _int_of, _twists_of, _window_of, braid_closure, resolve_crossing
+from .linkdiag import BraidWord, Diagram, InputError, _int_in, _int_of, _twists_of, _window_of, braid_closure, resolve_crossing
 from .polyalg import LaurentPoly
 
 __all__ = [
@@ -384,8 +384,7 @@ def stable_poincare(m: int, n_values) -> tuple[list[tuple[int, LaurentPoly]], li
     for these positive braids are the normalized ones times q^(-(m-1)n),
     plus the stable-agreement report for consecutive n: the groups,
     torsion included, at t-powers below m+n-3."""
-    if _int_of(m, "m") < 2:
-        raise InputError("need m >= 2")
+    _int_in(m, "m", lo=2)
     ns = _twists_of(n_values)
     tables = [unnormalized_homology(torus_diagram(m, n)) for n in ns]
     agreements = [(n1, n2, m + n1 - 3, not _differences_below(t1, t2, m + n1 - 3))

@@ -29,6 +29,7 @@ __all__ = [
     "mirror",
     "conjugate",
     "stabilize",
+    "markov_reduce",
 ]
 
 
@@ -59,6 +60,13 @@ def _int_of(value, what: str) -> int:
     return value
 
 
+def _int_in(value, what: str, lo: float = float("-inf"), hi: float = float("inf")) -> int:
+    """``value`` if it is exactly an int in [lo, hi]; else an InputError naming ``what``."""
+    if not lo <= _int_of(value, what) <= hi:
+        raise InputError(f"need {what} >= {lo}" if value < lo else f"need {what} <= {hi}")
+    return value
+
+
 def _window_of(value, what: str, optional: bool = True) -> tuple[int, int] | None:
     """``value`` if it is an int pair (lo, hi) with lo <= hi, or None (every
     degree) when ``optional``; else an InputError naming ``what``."""
@@ -73,6 +81,8 @@ def _window_of(value, what: str, optional: bool = True) -> tuple[int, int] | Non
 def _twists_of(values) -> list[int]:
     """The twist values of the iterable ``values``, sorted, if they are
     exact ints, at least one and no two equal; else an InputError."""
+    if not hasattr(values, "__iter__"):
+        raise InputError(f"twist values must be an iterable of ints, not {values!r}")
     ns = sorted(_int_of(n, "twist value") for n in values)
     if not ns:
         raise InputError("empty twist list")
@@ -99,8 +109,7 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        if _int_of(self.strands, "strand count") < 1:
-            raise InputError("a braid needs at least one strand")
+        _int_in(self.strands, "strand count", lo=1)
         for w in _tuple_of(self.letters, "braid letters"):
             if w == 0 or abs(w) >= self.strands:
                 raise InputError(f"letter {w} out of range for {self.strands} strands")
@@ -144,9 +153,7 @@ def parse_braid(text: str) -> BraidWord:
 
 
 def conjugate(b: BraidWord, k: int) -> BraidWord:
-    """Prepend k^-1 and append k."""
-    if k == 0 or abs(k) >= b.strands:
-        raise InputError(f"conjugating letter {k} out of range")
+    """Prepend k^-1 and append k; the word refuses a k out of range."""
     return BraidWord(b.strands, (-k,) + b.letters + (k,))
 
 
@@ -155,6 +162,49 @@ def stabilize(b: BraidWord, sign: int = 1) -> BraidWord:
     if _int_of(sign, "stabilization sign") not in (1, -1):
         raise InputError("stabilization sign must be +1 or -1")
     return BraidWord(b.strands + 1, b.letters + (sign * b.strands,))
+
+
+def markov_reduce(b: BraidWord) -> BraidWord:
+    """A word with the closure of ``b``, as an oriented link, from these moves
+    until none applies: a letter and its inverse cancel when only letters of
+    generators two or more away lie between them, read cyclically; a sigma_1
+    or sigma_(p-1) used once goes, with the bottom or top strand (a
+    destabilization; for sigma_1 each sigma_i becomes sigma_(i-1)).  A strand
+    no letter touches stays.  For invariants of the link only."""
+    p, st = b.strands, list(b.letters)
+    while True:
+        # read once: each letter meets the last earlier one it does not commute
+        # with, and a cancellation never unblocks a letter already read
+        word, st = st, []
+        for w in word:
+            i, j = abs(w), len(st) - 1
+            while j >= 0 and not -2 < abs(st[j]) - i < 2:
+                j -= 1
+            if j >= 0 and st[j] == -w:
+                del st[j]
+            else:
+                st.append(w)
+        # a pair left crosses the end (a letter after only commuting ones, and
+        # the last letter it does not commute with); with none, destabilize
+        seen: set[int] = set()
+        for k, v in enumerate(st):
+            i, j = abs(v), len(st) - 1
+            if not (i - 1 in seen or i in seen or i + 1 in seen):
+                while j > k and not -2 < abs(st[j]) - i < 2:
+                    j -= 1
+                if j > k and st[j] == -v:
+                    del st[j], st[k]
+                    break
+            seen.add(i)
+        else:
+            gens = [abs(w) for w in st]
+            if gens.count(p - 1) == 1:
+                del st[gens.index(p - 1)]
+            elif gens.count(1) == 1:
+                st = [w - 1 if w > 0 else w + 1 for w in st if abs(w) != 1]
+            else:
+                return BraidWord(p, tuple(st))
+            p -= 1
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,22 @@ def test_homfly_command_traces_once(monkeypatch, extra):
     assert calls == [3]
 
 
+def test_kh_and_jones_read_braids_reduced_and_print_the_same_bytes(monkeypatch):
+    from linkhom.khovanov import jones_unnormalized, kauffman_bracket, khovanov_homology
+    from linkhom.linkdiag import braid_closure, parse_braid
+
+    text = "5: 1 2 -2 1 1 3 4 -3"  # Markov-reduces to 4: 1 1 1
+    d = braid_closure(parse_braid(text))
+    closed, closure = [], cli.braid_closure
+    monkeypatch.setattr(cli, "braid_closure", lambda b: closed.append(b.text()) or closure(b))
+    assert invoke(["kh", text, "--format", "json"]) == (0, khovanov_homology(d).to_json() + "\n", "")
+    assert invoke(["kh", text, "--poincare"]) == invoke(["kh", "4: 1 1 1", "--poincare"])
+    assert invoke(["jones", text]) == (0, jones_unnormalized(d).render() + "\n", "")
+    # the bracket reads the diagram itself, so its braid is closed as written
+    assert invoke(["bracket", text]) == (0, kauffman_bracket(d).render() + "\n", "")
+    assert closed == ["4: 1 1 1"] * 4 + [text]
+
+
 def test_graph_poly_commands(tmp_path):
     gfile = tmp_path / "tri.g"
     gfile.write_text("v 3\ne 1 2\ne 2 3\ne 1 3\n")

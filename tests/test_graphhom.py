@@ -265,6 +265,25 @@ def test_pn_parameter_validation():
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: specialize_Pn(TRIANGLE, 0), "need n >= 1"),
+        (lambda: Pn_homology(TRIANGLE, 0), "need n >= 1"),
+        (lambda: polygon_reference(3, 0), "need n >= 1"),
+        (lambda: polygon_reference(2, 1), "need k >= 3"),
+        (lambda: specialize_Qn(TRIANGLE, 3, (0, 2)), "need n <= 2"),
+        (lambda: Qn_homology(TRIANGLE, 3, (0, 2)), "need n <= 2"),
+        (lambda: cycle_graph(0), "need cycle length >= 1"),
+        (lambda: Multigraph(-1, ()), "need vertex count >= 0"),
+    ],
+    ids=["specialize-pn", "pn-homology", "polygon-n", "polygon-k", "specialize-qn", "qn-homology", "cycle", "vertices"],
+)
+def test_integer_ranges_share_one_rule(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize(
     "n_vertices, edges",
     [(2.0, ((1, 2),)), (True, ((1, 1),)), (2, ((1.0, 2),)), (2, ((1, True),)), (2, [(1, 2)]), (2, ((1, 2, 3),)),
      (2, ((1,),)), (2, (5,))],

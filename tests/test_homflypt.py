@@ -13,6 +13,8 @@ from linkhom.graphhom import Multigraph, dichromatic_DG
 from linkhom.homflypt import (
     HeckeElement,
     _loop_sum,
+    _normalize_G,
+    _over_q2_minus_1,
     HomflyValue,
     alpha_value,
     hecke_normal_form,
@@ -46,6 +48,12 @@ def F(text):
 
 def G(text):
     return homfly_G(parse_braid(text))
+
+
+def G_unreduced(text):
+    """G traced on the word as written; homfly_G would Markov-reduce it first."""
+    b = parse_braid(text)
+    return _normalize_G(homfly_F(b), b)
 
 
 def random_word(rng, max_strands=4, max_len=8):
@@ -132,10 +140,28 @@ def test_skein_relation_on_random_words():
 
 
 def test_markov_invariance_of_G():
-    assert G("2: 1 1 1").value == G("3: 1 1 1 2").value
-    assert G("2: 1 1 1").value == G("3: 1 1 1 -2").value
+    # homfly_G reduces each of these words to 2: 1 1 1, so the words are
+    # compared through the unreduced trace
+    assert G_unreduced("2: 1 1 1").value == G_unreduced("3: 1 1 1 2").value
+    assert G_unreduced("2: 1 1 1").value == G_unreduced("3: 1 1 1 -2").value
     b = parse_braid("2: 1 1 1")
-    assert G(b.text()).value == G(conjugate(b, 1).text()).value
+    assert G_unreduced(b.text()).value == G_unreduced(conjugate(b, 1).text()).value
+
+
+def test_homfly_G_traces_the_reduced_word(monkeypatch):
+    import linkhom.homflypt as homflypt
+
+    traced, trace = [], homflypt.markov_trace
+
+    def recorded(h):
+        traced.append(h.n)
+        return trace(h)
+
+    monkeypatch.setattr(homflypt, "markov_trace", recorded)
+    # 5: 1 2 -2 1 1 3 4 -3 reduces to 4: 1 1 1, whose strands 3 and 4 no
+    # letter touches; the unreduced path traces all 5 strands
+    assert G("5: 1 2 -2 1 1 3 4 -3") == G_unreduced("5: 1 2 -2 1 1 3 4 -3")
+    assert traced == [4, 5]
 
 
 def test_G_distinguishes_mirror_trefoils():
@@ -321,6 +347,39 @@ def test_appendix_identities_model_two():
 def test_specialization_bad_n():
     with pytest.raises(ValueError):
         specialize_Gn(G("2: 1"), 0)
+
+
+def test_running_sum_division_matches_divide_exact():
+    rng = random.Random(34)
+    ks = set()
+    for _ in range(60):
+        g = homfly_G(random_word(rng, max_strands=5, max_len=9))
+        for n in (1, 2, 3, 4):
+            tval = LaurentPoly.monomial(("q",), 1 - 2 * n, -1)
+            num, den = (p._substitute_parts("t", tval)[0] for p in (g.value.num, g.value.den))
+            want = num.divide_exact(den)
+            assert _over_q2_minus_1(num, den) == want
+            assert specialize_Gn(g, n) == (want.shift(n - 1) if g.sqrt_alpha else want)
+            ks.add(max(e for (e,) in den.terms) // 2)
+    assert {0, 1, 2, 3} <= ks
+    q = ("q",)
+    q2_minus_1 = LaurentPoly.from_terms(q, {2: 1, 0: -1})
+    # a remainder, a denominator of another shape and a zero numerator go
+    # to the general division
+    assert _over_q2_minus_1(LaurentPoly.monomial(q, 1), q2_minus_1) is None
+    assert _over_q2_minus_1(q2_minus_1, q2_minus_1 * q2_minus_1) is None
+    assert _over_q2_minus_1(q2_minus_1, LaurentPoly.from_terms(q, {1: 1, 0: -1})) is None
+    assert _over_q2_minus_1(LaurentPoly.zero(q), q2_minus_1) is None
+
+
+def test_specialize_refuses_a_partial_division():
+    # at n = 1, t = -q^-1 turns -t q^3 - 1 into q^2 - 1: one of the two
+    # factors q^2 - 1 divides out and the other is reported
+    value = rf(tq({(1, 3): -1, (0, 0): -1}), tq({(0, 4): 1, (0, 2): -2, (0, 0): 1}))
+    with pytest.raises(ArithmeticError, match="^specialization left a denominator: q\\^2 - 1$"):
+        specialize_Gn(HomflyValue(value), 1)
+    # at n = 2, t = -q^-3 makes the numerator 0
+    assert specialize_Gn(HomflyValue(value), 2) == LaurentPoly.zero(("q",))
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +667,7 @@ def test_homfly_and_dg_run_no_generic_division_or_powers(monkeypatch):
     with pytest.raises(AssertionError, match="generic polynomial work"):
         tq({(0, 0): 1, (0, 2): -1}).divide_exact(tq({(0, 0): 1, (0, 1): 1}))
     assert [G(text) for text in braids] == want_g
+    assert [(specialize_Gn(g, 2), specialize_Gn(g, 3)) for g in want_g] == [w[:2] for w in want_n]
     assert [dichromatic_DG(g) for g in graphs] == want_dg
 
 

@@ -15,6 +15,7 @@ from linkhom.linkdiag import (
     InputError,
     braid_closure,
     conjugate,
+    markov_reduce,
     mirror,
     parse_braid,
     parse_pd,
@@ -34,7 +35,7 @@ from linkhom.graphhom import (
     specialize_Pn,
     specialize_Qn,
 )
-from linkhom.homflypt import HomflyValue, homfly_F, homfly_G, specialize_Gn, wide_edge_expand
+from linkhom.homflypt import HomflyValue, _normalize_G, homfly_F, homfly_G, specialize_Gn, wide_edge_expand
 from linkhom.khovanov import (
     _states,
     jones_unnormalized,
@@ -204,6 +205,74 @@ def test_conjugate_and_stabilize():
     assert stabilize(b, -1).text() == "3: 1 1 1 -2"
     with pytest.raises(ValueError):
         conjugate(b, 2)
+
+
+def reduced(text: str) -> str:
+    return markov_reduce(parse_braid(text)).text()
+
+
+def test_markov_reduce_cancels_across_commuting_letters():
+    assert reduced("4: 1 3 -1 2 2 3 1 1 2") == "4: 3 2 2 3 1 1 2"
+    assert reduced("3: 1 1 2 -1 1 2 2") == "3: 1 1 2 2 2"
+
+
+def test_markov_reduce_cancels_across_the_end_of_the_word():
+    # the last letter and the first meet around the closure (a conjugation),
+    # in the second with sigma_3, which commutes with sigma_1, between them
+    assert reduced("3: 1 2 2 1 1 2 2 -1") == "3: 2 2 1 1 2 2"
+    assert reduced("4: 3 -1 2 2 1 1 3 2 2 1 1") == "4: 3 2 2 1 1 3 2 2 1"
+
+
+def test_markov_reduce_drops_the_top_strand():
+    assert reduced("3: 1 1 1 2") == "2: 1 1 1"
+    assert reduced("3: 1 1 -2 1") == "2: 1 1 1"
+
+
+def test_markov_reduce_drops_the_bottom_strand():
+    assert reduced("3: 1 2 2 2") == "2: 1 1 1"
+    assert reduced("4: 2 -1 3 3 2 3") == "3: 1 2 2 1 2"
+
+
+def test_markov_reduce_repeats_its_moves():
+    # sigma_2 sigma_-2 cancel, then sigma_4 goes, which brings sigma_3 to
+    # its inverse; the two strands left untouched stay
+    assert reduced("5: 1 2 -2 1 1 3 4 -3") == "4: 1 1 1"
+    assert reduced("3: 1 2 -1") == "2:"
+    assert reduced("2: 1") == "1:"
+
+
+def test_markov_reduce_keeps_a_pair_across_a_neighbouring_generator():
+    # sigma_2 lies between 1 and -1 on both sides of the cycle
+    assert reduced("3: 1 2 -1 2") == "3: 1 2 -1 2"
+    assert reduced("4: 2 1 -2 3 3 1 2 3") == "4: 2 1 -2 3 3 1 2 3"
+
+
+def test_markov_reduce_keeps_a_generator_used_twice():
+    assert reduced("3: 1 1 2 2") == "3: 1 1 2 2"
+    assert reduced("3: 1 2 -1 -2") == "3: 1 2 -1 -2"
+
+
+def test_markov_reduce_keeps_an_untouched_strand():
+    assert reduced("3: 1 1 1") == "3: 1 1 1"
+    assert reduced("3: 2 2 2") == "3: 2 2 2"
+    assert reduced("3: 1 1 1 2 -2") == "3: 1 1 1"
+    assert reduced("2: 1 -1") == "2:"
+
+
+def test_markov_reduce_keeps_every_invariant_of_the_link():
+    # the normalized Khovanov table (torsion included), the unnormalized
+    # Jones and G of the word and of its reduction agree
+    words = random_words(34, 200, max_strands=5, max_crossings=8)
+    crossings = [0, 0]
+    for b in words:
+        r = markov_reduce(b)
+        d, dr = braid_closure(b), braid_closure(r)
+        assert khovanov_homology(dr) == khovanov_homology(d), b.text()
+        assert jones_unnormalized(dr) == jones_unnormalized(d), b.text()
+        assert homfly_G(b) == _normalize_G(homfly_F(b), b), b.text()
+        crossings[0] += len(b.letters)
+        crossings[1] += len(r.letters)
+    assert crossings[1] < crossings[0] / 2, crossings
 
 
 def test_perfect_matching_of_arc_ends():
@@ -416,6 +485,8 @@ def trefoil():
         pytest.param(lambda: stable_poincare(2, [True]), id="stable-twist-bool"),
         pytest.param(lambda: stable_poincare(2, [3, True]), id="stable-twist-bool-beside-3"),
         pytest.param(lambda: stable_poincare(2, []), id="stable-twists-empty"),
+        pytest.param(lambda: stable_poincare(2, 5), id="stable-twists-int"),
+        pytest.param(lambda: stability_check(2, None), id="stability-twists-none"),
         pytest.param(lambda: stable_poincare(2.0, [3]), id="stable-m-float"),
         pytest.param(lambda: stability_check(3.0, [4]), id="stability-p-float"),
         pytest.param(lambda: stability_check(3, [4.0]), id="stability-twist-float"),
