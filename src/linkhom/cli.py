@@ -73,13 +73,13 @@ def _load_diagram(spec: str, reduce: bool = False) -> Diagram:
     """Inline braid text, or a path to a file of braid or PD lines; ``reduce`` Markov-reduces a braid."""
     stripped = _read(spec).strip()
     if not stripped:
-        raise UsageError("empty diagram input")
+        raise InputError("empty diagram input")
     if stripped[:1].upper() == "X":
         return parse_pd(stripped)
     if ":" in stripped:
         b = parse_braid(stripped)
         return braid_closure(markov_reduce(b) if reduce else b)
-    raise UsageError(f"cannot interpret {spec!r} as a braid or PD code")
+    raise InputError(f"cannot interpret {spec!r} as a braid or PD code")
 
 
 def _int_option(text: str) -> int:

@@ -37,7 +37,7 @@ from itertools import accumulate
 from math import comb
 from typing import Sequence
 
-from .linkdiag import BraidWord, InputError, _int_in, _int_of, _int_token, markov_reduce
+from .linkdiag import BraidWord, InputError, _int_in, _int_token, markov_reduce
 from .polyalg import LaurentPoly, RationalFn
 
 __all__ = [
@@ -188,8 +188,7 @@ def wide_edge_expand(strands: int, tokens: Sequence) -> HeckeElement:
     Tokens are integers (+-i for braid letters) or strings "Ei" for the
     wide edge between strands i and i+1.
     """
-    if _int_of(strands, "strand count") < 1:
-        raise InputError("need at least one strand")
+    _int_in(strands, "strand count", lo=1)
     # the identity, packed once at the width that the word and its trace need
     width = _width(3 ** len(tokens) * _trace_growth(strands))
     terms, shift = {tuple(range(1, strands + 1)): 1}, 0
@@ -224,8 +223,7 @@ class HomflyValue:
     def __post_init__(self):
         if type(self.value) is not RationalFn:
             raise InputError(f"a HOMFLYPT value must be a RationalFn, not {self.value!r}")
-        if _int_of(self.sqrt_alpha, "sqrt_alpha") not in (0, 1):
-            raise InputError("sqrt_alpha must be 0 or 1")
+        _int_in(self.sqrt_alpha, "sqrt_alpha", 0, 1)
 
     def render(self) -> str:
         if self.sqrt_alpha:

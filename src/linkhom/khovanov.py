@@ -182,9 +182,11 @@ class WidthReport:
 
 
 def width_report(t: HomologyTable) -> WidthReport:
+    """The diagonals j - 2i that carry free rank and the width they span;
+    an InputError for a table with no free rank."""
     diags = sorted({j - 2 * i for (i, j), (rank, _) in t.entries.items() if rank > 0})
     if not diags:
-        raise ValueError("empty homology table")
+        raise InputError("empty homology table")
     width = (diags[-1] - diags[0]) // 2 + 1
     return WidthReport(tuple(diags), width, thin=(width == 2))
 
@@ -312,9 +314,7 @@ def _cone_structure_ok(d: Diagram, complexes, nu: int, violations: list[str]) ->
 
 def torus_diagram(p: int, q: int) -> Diagram:
     """Closure of (sigma_1 ... sigma_(p-1))^q on p strands."""
-    if _int_of(p, "p") < 1 or _int_of(q, "q") < 0:
-        raise InputError("torus parameters need p >= 1, q >= 0")
-    word = tuple(range(1, p)) * q
+    word = tuple(range(1, _int_in(p, "p", lo=1))) * _int_in(q, "q", lo=0)
     return braid_closure(BraidWord(p, word))
 
 
@@ -353,8 +353,7 @@ def stability_check(p: int, q_range, i_max: int | None = None) -> StabilityRepor
     table is computed once, up to the largest i any comparison reads.
     """
     qs = _twists_of(q_range)
-    if not 2 <= _int_of(p, "p") < qs[0]:
-        raise InputError("need 2 <= p < min(q_range)")
+    _int_in(p, "p", 2, qs[0] - 1)
     cap = float("inf") if i_max is None else _int_of(i_max, "i_max") + 1
     # each comparison: (first diagram, second, i bound, j shift, tag)
     twists = [((p, q), (p, q - 1), min(p + q - 3, cap), 0, f"(p,q)=({p},{q}) vs ({p},{q-1})") for q in qs]

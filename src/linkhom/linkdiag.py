@@ -213,7 +213,7 @@ class Crossing:
     arcs: tuple[int, int, int, int]  # PD slots (a, b, c, d)
 
     def __post_init__(self):
-        if type(self.sign) is not int or self.sign not in (1, -1):
+        if _int_of(self.sign, "crossing sign") not in (1, -1):
             raise InputError(f"crossing sign must be +1 or -1, not {self.sign!r}")
         _tuple_of(self.arcs, "crossing arcs", length=4)
 
@@ -359,8 +359,7 @@ def resolve_crossing(d: Diagram, crossing: int, bit: int) -> Diagram:
     """Replace one crossing by its 0- or 1-smoothing; fresh diagram."""
     if not 0 <= _int_of(crossing, "crossing index") < d.n_crossings:
         raise InputError(f"unknown crossing {crossing}")
-    if _int_of(bit, "smoothing bit") not in (0, 1):
-        raise InputError("bit must be 0 or 1")
+    _int_in(bit, "smoothing bit", 0, 1)
     (a, b), (c, e) = d.crossings[crossing].joins(bit)
     # each group of joined arcs, with the number of joins inside it
     groups = [({a, b, c, e}, 2)] if {a, b} & {c, e} else [({a, b}, 1), ({c, e}, 1)]

@@ -601,6 +601,6 @@ class RationalFn:
 
 def quantum_integer(k: int) -> LaurentPoly:
     """[k] = q^(k-1) + q^(k-3) + ... + q^(1-k); [0] = 0."""
-    if k < 0:
+    if (k := _integer(k)) < 0:
         raise ValueError("quantum integer defined for k >= 0")
     return LaurentPoly.from_terms(("q",), {k - 1 - 2 * i: 1 for i in range(k)})

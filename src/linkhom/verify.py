@@ -382,9 +382,9 @@ def fixed_jones_orientation() -> str:
 
 def apply_orientation(p: LaurentPoly, orientation: str) -> LaurentPoly:
     """``p`` under ``orientation``: "identity", the one value
-    ``fixed_jones_orientation`` returns, keeps p; any other raises."""
+    ``fixed_jones_orientation`` returns, keeps p; any other is an InputError."""
     if orientation != "identity":
-        raise ValueError(f"unknown Jones orientation {orientation!r}")
+        raise InputError(f"unknown Jones orientation {orientation!r}")
     return p
 
 

@@ -9,8 +9,9 @@ import sys
 import pytest
 
 import linkhom
-from linkhom import cli
+from linkhom import cli, khovanov, verify
 from linkhom.cli import _build_parser, run
+from linkhom.homcore import HomologyTable
 
 
 def invoke(argv):
@@ -172,6 +173,43 @@ def test_stable_command():
     assert out.count("PASS agreement") == 2
 
 
+def test_stable_exits_1_on_a_failed_agreement(monkeypatch):
+    # T(2,4)'s table, the second one read, comes back empty
+    real, calls = khovanov.unnormalized_homology, []
+
+    def second_empty(d, **kwargs):
+        calls.append(d)
+        return HomologyTable() if len(calls) == 2 else real(d, **kwargs)
+
+    monkeypatch.setattr(khovanov, "unnormalized_homology", second_empty)
+    code, out, err = invoke(["stable", "--m", "2", "--n", "3..4"])
+    assert code == 1 and not err
+    assert out.splitlines()[-1] == "FAIL agreement n=3 vs n=4 for t-powers below 2"
+
+
+@pytest.mark.parametrize(
+    "suite, name, broken, line",
+    [
+        pytest.param("kauffman", "resolve_crossing", lambda real: lambda d, c, bit: real(d, c, 1 - bit),
+                     "FAIL kauffman: recursive bracket axiom at every crossing (", id="kauffman"),
+        pytest.param("jones-euler", "build_khovanov_complex",
+                     lambda real: lambda d, normalized: real(d, normalized=not normalized),
+                     "FAIL jones-euler: graded Euler characteristic equals unnormalized Jones (", id="jones-euler"),
+        pytest.param("theorem8", "tutte_recursive", lambda real: lambda g: real(g) + real(g),
+                     "FAIL theorem8: state sum vs deletion-contraction on 25 random multigraphs", id="theorem8"),
+    ],
+)
+def test_verify_exits_1_on_a_failed_check(monkeypatch, suite, name, broken, line):
+    monkeypatch.setattr(verify, name, broken(getattr(verify, name)))
+    [report] = verify.run_suite(suite)
+    assert report.ok is False
+    code, out, err = invoke(["verify", suite])
+    assert code == 1 and not err
+    lines = out.splitlines()
+    [failed] = [x for x in lines if x.startswith("FAIL")]
+    assert failed.startswith(line) and lines[-1] == "OVERALL FAIL"
+
+
 def test_verify_suite_and_exit_codes():
     code, out, _ = invoke(["verify", "appendixB"])
     assert code == 0
@@ -253,6 +291,23 @@ def test_numbers_on_the_command_line_are_ascii_decimal(argv):
     code, out, err = invoke(argv)
     assert code == 2 and not out
     assert err.startswith(("input error: malformed number", "usage error: argument --")) and "malformed number" in err
+
+
+@pytest.mark.parametrize("text", ["abc", ""], ids=["neither-braid-nor-pd", "empty"])
+def test_diagram_text_that_is_no_diagram_exits_2(text):
+    code, out, err = invoke(["kh", text])
+    assert code == 2 and not out
+    assert err.startswith("input error:")
+
+
+def test_graph_kh_qn_without_jwindow_exits_2():
+    code, out, err = invoke(["graph", "kh", "v 2\ne 1 2", "--theory", "qn"])
+    assert code == 2 and not out
+    assert err.startswith("usage error: theory 'qn' requires --jwindow")
+
+
+def test_kh_window_outside_the_table_prints_the_empty_table():
+    assert invoke(["kh", "2: 1 1 1", "--jwindow=100..200"]) == (0, "(empty homology table)\n", "")
 
 
 def test_determinism_across_invocations():

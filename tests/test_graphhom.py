@@ -57,6 +57,30 @@ def test_parse_graph():
         parse_graph("e 1 2\nv 2")
 
 
+def test_parse_graph_skips_blank_and_comment_lines():
+    assert parse_graph("# a triangle\nv 3\n\ne 1 2\n  # and two more edges\ne 2 3\ne 1 3\n") == TRIANGLE
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("v 2\nv 2", "duplicate vertex-count line", id="repeated-v"),
+        pytest.param("v 2 3", "malformed vertex line 'v 2 3'", id="malformed-v"),
+        pytest.param("v 2\ne 1", "malformed edge line 'e 1'", id="malformed-e"),
+        pytest.param("v 2\nx 1 2", "unrecognized line 'x 1 2'", id="unknown-line"),
+        pytest.param("# no vertex count", "missing vertex-count line", id="missing-v"),
+    ],
+)
+def test_parse_graph_refusals(text, message):
+    with pytest.raises(InputError) as caught:
+        parse_graph(text)
+    assert str(caught.value) == message
+
+
+def test_cycle_graph_of_length_one_is_a_loop():
+    assert cycle_graph(1) == Multigraph(1, ((1, 1),))
+
+
 def test_graph_state_components():
     # only edge 1-2 present: vertices 1, 2 (elements 0, 1) form part 0
     count, part, least = _graph_states(TRIANGLE).state(0b001)

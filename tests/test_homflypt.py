@@ -260,7 +260,7 @@ def test_wide_edge_trace_single():
         tq({(0, 0): 1, (0, 2): -1}),
     )
     assert markov_trace(h).value == expected
-    with pytest.raises(ValueError, match="at least one strand"):
+    with pytest.raises(ValueError, match="need strand count >= 1"):
         wide_edge_expand(0, [])
 
 

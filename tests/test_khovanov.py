@@ -349,6 +349,35 @@ def test_les_check_runs_the_d_squared_check(monkeypatch):
         les_check(torus_diagram(3, 4), 0)
 
 
+def test_les_check_reports_a_bracket_that_does_not_add_up(monkeypatch):
+    # the bracket of d is read first, then those of its two resolutions
+    real, calls = khovanov.kauffman_bracket, []
+
+    def doubled_first(d):
+        calls.append(d)
+        return real(d) + real(d) if len(calls) == 1 else real(d)
+
+    monkeypatch.setattr(khovanov, "kauffman_bracket", doubled_first)
+    rep = les_check(closure("2: 1"), 0)
+    assert (rep.ok, rep.bracket_ok, rep.rank_ok, rep.cone_ok) == (False, False, True, True)
+    assert rep.violations == ["bracket additivity failed"]
+
+
+def test_les_check_reports_a_rank_above_the_bound(monkeypatch):
+    # the homology of d is read first: with its resolutions' tables empty,
+    # each free rank of d is above the bound
+    real, calls = khovanov.strand_homology, []
+
+    def resolutions_empty(*args):
+        calls.append(args)
+        return real(*args) if len(calls) == 1 else HomologyTable()
+
+    monkeypatch.setattr(khovanov, "strand_homology", resolutions_empty)
+    rep = les_check(closure("2: 1"), 0)
+    assert (rep.ok, rep.bracket_ok, rep.rank_ok, rep.cone_ok) == (False, True, False, True)
+    assert rep.violations == ["rank bound violated at (0,-2)", "rank bound violated at (0,0)"]
+
+
 def test_les_random_pairs():
     rng = random.Random(11)
     for _ in range(6):

@@ -23,6 +23,7 @@ from linkhom.linkdiag import (
     stabilize,
 )
 from linkhom import homcore
+from linkhom.homcore import HomologyTable
 from linkhom.corpus import corpus_diagrams, random_words
 from linkhom.graphhom import (
     Multigraph,
@@ -44,8 +45,10 @@ from linkhom.khovanov import (
     stable_poincare,
     torus_diagram,
     unnormalized_homology,
+    width_report,
 )
-from linkhom.verify import run_suite, suite_theorem24
+from linkhom.polyalg import LaurentPoly
+from linkhom.verify import apply_orientation, run_suite, suite_theorem24
 
 TREFOIL_PD = """
 X 1 4 2 5
@@ -493,6 +496,12 @@ def trefoil():
         pytest.param(lambda: stability_check(3, [4], i_max=1.5), id="stability-imax-float"),
         pytest.param(lambda: stability_check(3, [4], i_max=True), id="stability-imax-bool"),
         pytest.param(lambda: torus_diagram(2.0, 3), id="torus-p-float"),
+        pytest.param(lambda: torus_diagram(2, -1), id="torus-q-negative"),
+        pytest.param(lambda: stability_check(4, [4]), id="stability-p-above-min-twist"),
+        pytest.param(lambda: Crossing(True, (1, 2, 3, 4)), id="crossing-sign-bool"),
+        # a value the function cannot read: a table with no free rank, an orientation G_2 never takes
+        pytest.param(lambda: width_report(HomologyTable({(3, 7): (0, (2,))})), id="width-report-torsion-only"),
+        pytest.param(lambda: apply_orientation(LaurentPoly.one(("q",)), "inverse"), id="unknown-orientation"),
         pytest.param(lambda: suite_theorem24(3.0, 4), id="theorem24-p-float"),
         # run_suite refuses what the CLI refuses
         pytest.param(lambda: run_suite("nope"), id="run-suite-unknown"),
@@ -508,6 +517,27 @@ def test_parameter_refusals_are_input_errors(call, monkeypatch):
     monkeypatch.setattr(homcore, "cube_blocks", no_cube)
     with pytest.raises(InputError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: wide_edge_expand(0, []), "need strand count >= 1", id="wide-edge-strands"),
+        pytest.param(lambda: HomflyValue(homfly_F(parse_braid("2: 1")).value, 2), "need sqrt_alpha <= 1",
+                     id="sqrt-alpha"),
+        pytest.param(lambda: torus_diagram(0, 3), "need p >= 1", id="torus-p"),
+        pytest.param(lambda: torus_diagram(2, -1), "need q >= 0", id="torus-q"),
+        pytest.param(lambda: stability_check(1, [3]), "need p >= 2", id="stability-p-below"),
+        pytest.param(lambda: stability_check(4, [4]), "need p <= 3", id="stability-p-above"),
+        pytest.param(lambda: resolve_crossing(trefoil(), 0, 2), "need smoothing bit <= 1", id="smoothing-bit"),
+        pytest.param(lambda: Crossing(True, (1, 2, 3, 4)), "crossing sign must be an int, not True", id="crossing-sign"),
+    ],
+)
+def test_range_refusals_take_the_rule_wording(call, message):
+    # each check goes through linkdiag._int_in or _int_of, so the refusals read alike
+    with pytest.raises(InputError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def pd_text(crossings) -> str:

@@ -68,6 +68,12 @@ def test_quantum_integers(k, expected):
     assert quantum_integer(k) == qp(expected)
 
 
+@pytest.mark.parametrize("k", [2.5, "3"])
+def test_quantum_integer_of_a_non_integer_is_refused(k):
+    with pytest.raises(ValueError, match="is not an integer"):
+        quantum_integer(k)
+
+
 def test_quantum_integer_defining_relation():
     qm = qp({1: 1, -1: -1})  # q - q^-1
     for k in range(21):
