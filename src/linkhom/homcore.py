@@ -24,7 +24,8 @@ blocks are held, and a block's rows are freed as they are cancelled.
 The Smith normal form is the same unit cancellation followed by Euclid
 steps, so there is one way to eliminate a ±1 entry.
 
-The Khovanov and graph complexes come from one cube engine,
+The graph complexes and the Khovanov cube (for ``les_check``, and the
+oracle of ``tangle``'s scan) come from one cube engine,
 ``cube_blocks``: a ``CubeStates`` table gives the parts (circles or
 components) at each vertex of the cube, and a ``CubeSpec`` gives the
 labels on parts, the grading and the merge, split and inside maps, and
@@ -804,8 +805,9 @@ def strand_homology(
     and the nonzero ``blocks`` in strand order (j, then i): free rank and
     torsion, exact over Z, at (i, j) moved by ``shift``.  ``cube_homology``
     feeds it a cube's blocks as they are built (or runs its strand pass
-    on half of them, with a worker on the other half), and
-    ``khovanov.les_check`` the blocks of the whole complexes it has read.
+    on half of them, with a worker on the other half),
+    ``khovanov.les_check`` the blocks of the whole complexes it has read,
+    and ``tangle.scan_homology`` the integer blocks its scan leaves.
 
     A ±1 entry from generator x of C_i to y of C_{i+1} is cancelled by
     Gaussian elimination: its block becomes the Schur complement of the

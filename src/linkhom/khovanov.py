@@ -1,27 +1,27 @@
 """Kauffman bracket, Jones polynomial, and integral Khovanov homology.
 
-The cube of resolutions is built by the shared cube engine
+``khovanov_homology`` and ``unnormalized_homology`` compute the whole
+table by Bar-Natan's local scan (``tangle.scan_homology``): crossing by
+crossing, in dotted cobordisms over Z, with delooping and the
+cancellation of every isomorphism, so no 2^n cube is built.  Their
+windows, in the table's own indices (normalized ones for
+``khovanov_homology``) and read by the one window rule
+(``linkdiag._window_of``), cut the whole table.  The bracket is the same
+scan decategorified: it keeps, per matching of the open arc ends, the sum
+over the partial resolutions giving it.
+
+The cube of resolutions stays for ``les_check``, whose cone check reads
+its blocks, for the Euler characteristic of its chain ranks, and as the
+scan's test oracle.  It is built by the shared cube engine
 (``homcore.cube_blocks``) from a short spec: circles are the parts of a
 resolution, numbered by their least arc label; a generator labels each
 circle 1 or X, and j = i + (circles) - 2 (number of X).  Block (i, j)
 lists the resolutions of i one-smoothings by increasing mask, each with
-its labelings in lexicographic order (1 < X, circle 0 first), and a
-generator's position is worked out from its resolution's offset and its
-labeling's rank.  The merge m and split Delta are tabulated once per edge
-shape (circle counts, where each circle lands, the circle the crossing
-touches) on the module's one spec, so every diagram shares the tables,
-and replayed with the alternating cube signs, so every square
-anticommutes.  The homology reads the engine's blocks one j-strand at a
-time (``homcore.cube_homology``); ``build_khovanov_complex`` collects
-them into a whole complex, in cube indices, for ``les_check``, whose
-cone check reads the blocks, and for the Euler characteristic of the
-chain ranks.
-The homology functions take their windows in the table's own indices
-(normalized ones for ``khovanov_homology``), read them by the one window
-rule (``linkdiag._window_of``) and hand them on as they are:
-``cube_homology`` alone moves them into cube indices.  The bracket is a
-scan that keeps the matchings of the open arc ends (Bar-Natan,
-math/0606318), not a state sum over the 2^n resolutions.
+its labelings in lexicographic order (1 < X, circle 0 first).  The merge
+m and split Delta are tabulated once per edge shape on the module's one
+spec and replayed with the alternating cube signs, so every square
+anticommutes; ``build_khovanov_complex`` collects the blocks into a
+whole complex, in cube indices.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ from .homcore import (
     GradedComplex,
     HomologyTable,
     cube_blocks,
-    cube_homology,
     poincare_polynomial,
     strand_homology,
 )
 from .linkdiag import BraidWord, Diagram, InputError, _int_in, _int_of, _twists_of, _window_of, braid_closure, resolve_crossing
 from .polyalg import LaurentPoly
+from .tangle import _glue, scan_homology, scan_order
 
 __all__ = [
     "kauffman_bracket",
@@ -79,34 +79,23 @@ def _states(d: Diagram) -> CubeStates:
 def kauffman_bracket(d: Diagram) -> LaurentPoly:
     """<D> = sum over resolutions of (-1)^|e| q^|e| (q+q^-1)^c, by a scan.
 
-    Each step takes the crossing with the most open arc labels (seen once
-    so far).  Per matching of the open labels by paths, the scan keeps the
-    sum of (-q)^(one-smoothings) (q+q^-1)^(circles) over the partial
-    resolutions giving it: crossings times matchings (at most 2^k after k
-    crossings, and 20 on the 3- to 5-strand closures tested), not 2^n.
+    The crossings come in ``tangle.scan_order``.  Per matching of the open
+    labels by paths, the scan keeps the sum of (-q)^(one-smoothings)
+    (q+q^-1)^(circles) over the partial resolutions giving it: crossings
+    times matchings (at most 2^k after k crossings, and 20 on the 3- to
+    5-strand closures tested), not 2^n.
     """
-    rest, loops = list(d.crossings), len(d.loops)
+    loops = len(d.loops)
     # a matching as the frozenset of its (end, other end) items, both ways
     matchings = {frozenset(): {loops - 2 * k: comb(loops, k) for k in range(loops + 1)}}
-    while rest:
-        open_ = dict(next(iter(matchings)))  # every matching has the open labels as its ends
-        x = max(rest, key=lambda y: sum(map(open_.__contains__, y.arcs)))
-        rest.remove(x)
+    for x in scan_order(d.crossings):
         nxt: dict[frozenset, dict[int, int]] = {}
         for key, poly in matchings.items():
             for bit in (0, 1):
-                m, circles = dict(key), 0
-                for u, v in x.joins(bit):
-                    eu = m.pop(u, u)  # the path end at u: its other end if u is open, else u
-                    if eu == v:  # u = v, or u and v end one path: a circle
-                        m.pop(v, None)
-                        circles += 1
-                    else:
-                        ev = m.pop(v, v)
-                        m[eu], m[ev] = ev, eu
+                m, circles = _glue(dict(key), x.joins(bit))
                 acc = nxt.setdefault(frozenset(m.items()), {})
-                for k in range(circles + 1):  # times (-q)^bit (q + q^-1)^circles
-                    s, w = bit + circles - 2 * k, (-1) ** bit * comb(circles, k)
+                for k in range(len(circles) + 1):  # times (-q)^bit (q + q^-1)^circles
+                    s, w = bit + len(circles) - 2 * k, (-1) ** bit * comb(len(circles), k)
                     for e, c in poly.items():
                         acc[e + s] = acc.get(e + s, 0) + w * c
         matchings = nxt
@@ -160,18 +149,23 @@ def khovanov_homology(
     jwindow: tuple[int, int] | None = None,
     irange: tuple[int, int] | None = None,
 ) -> HomologyTable:
-    """Normalized integral Khovanov homology, torsion included.
-
-    ``jwindow`` and ``irange`` select bidegrees of this table, that is
-    normalized ones; ``cube_homology`` moves them into cube indices, and
-    builds only the generators and cube degrees they need.
-    """
-    shift = (-d.n_minus, d.n_plus - 2 * d.n_minus)
-    return cube_homology(_KHOVANOV, _states(d), _window_of(jwindow, "j-window"), shift, _window_of(irange, "i-range"))
+    """Normalized integral Khovanov homology, torsion included, by the
+    scan; ``jwindow`` and ``irange`` keep the bidegrees of this table,
+    normalized ones, that they hold."""
+    jwindow, irange = _window_of(jwindow, "j-window"), _window_of(irange, "i-range")
+    return _cut(scan_homology(d, (-d.n_minus, d.n_plus - 2 * d.n_minus)), jwindow, irange)
 
 
 def unnormalized_homology(d: Diagram, irange: tuple[int, int] | None = None) -> HomologyTable:
-    return cube_homology(_KHOVANOV, _states(d), irange=_window_of(irange, "i-range"))
+    irange = _window_of(irange, "i-range")
+    return _cut(scan_homology(d), None, irange)
+
+
+def _cut(t: HomologyTable, jwindow, irange) -> HomologyTable:
+    # the entries of t at the j of jwindow and the i of irange (all for None)
+    return HomologyTable({(i, j): g for (i, j), g in t.entries.items()
+                          if (jwindow is None or jwindow[0] <= j <= jwindow[1])
+                          and (irange is None or irange[0] <= i <= irange[1])})
 
 
 @dataclass(frozen=True)
@@ -350,9 +344,11 @@ def stability_check(p: int, q_range, i_max: int | None = None) -> StabilityRepor
     the q and q-1 twist diagrams for i < p+q-3; the shared stable window
     i < 2p-1 across all listed q; and the strand-reduction identity
     H^(i,j)(D_(p,p)) = H^(i,j+1)(D_(p-1,p)) for i < 2p-3.  Each diagram's
-    table is computed once, up to the largest i any comparison reads.
+    table is computed once.
     """
     qs = _twists_of(q_range)
+    if qs[0] < 3:
+        raise InputError(f"twist values {qs} leave no valid p: need 2 <= p < min(q) = {qs[0]}")
     _int_in(p, "p", 2, qs[0] - 1)
     cap = float("inf") if i_max is None else _int_of(i_max, "i_max") + 1
     # each comparison: (first diagram, second, i bound, j shift, tag)
@@ -360,11 +356,8 @@ def stability_check(p: int, q_range, i_max: int | None = None) -> StabilityRepor
     windows = [((p, q1), (p, q2), min(2 * p - 1, cap), 0, f"window ({p},{q1}) vs ({p},{q2})")
                for q1, q2 in pairwise(qs)]
     reduction = ((p, p), (p - 1, p), min(2 * p - 3, cap), 1, f"({p},{p}) vs ({p-1},{p}) shifted")
-    reads: dict[tuple[int, int], int] = {}
-    for first, second, bound, _, _ in (*twists, *windows, reduction):
-        for key in (first, second):
-            reads[key] = max(bound, reads.get(key, bound))
-    tables = {key: unnormalized_homology(torus_diagram(*key), irange=(0, bound - 1)) for key, bound in reads.items()}
+    keys = dict.fromkeys(key for c in (*twists, *windows, reduction) for key in c[:2])
+    tables = {key: unnormalized_homology(torus_diagram(*key)) for key in keys}
     report = StabilityReport()
 
     def agree(first, second, bound, dj, tag) -> bool:

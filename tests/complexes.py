@@ -1,9 +1,11 @@
 """Whole cube complexes and their homology, for the tests that read a
 complex itself: the package streams a cube's blocks into the strand pass
-and keeps no whole complex, except ``build_khovanov_complex``'s."""
+and keeps no whole complex, except ``build_khovanov_complex``'s.  Also
+Khovanov homology by the cube path, the oracle of the scan."""
 
 from linkhom.graphhom import _graph_states, _pn_spec, _qn_spec
-from linkhom.homcore import GradedComplex, SparseIntMatrix, cube_blocks, strand_homology
+from linkhom.homcore import GradedComplex, SparseIntMatrix, cube_blocks, cube_homology, strand_homology
+from linkhom.khovanov import _KHOVANOV, _states
 
 
 def cube_complex(spec, states, window=None):
@@ -33,3 +35,9 @@ def strands(c):
 def homology(c):
     """The homology of a stored complex, which is not changed."""
     return strand_homology(c.dims, strands(c), c.shift)
+
+
+def cube_khovanov(d, jwindow=None, irange=None):
+    """``khovanov_homology(d, jwindow, irange)`` by the cube of resolutions,
+    which forks a strand worker on a large cube."""
+    return cube_homology(_KHOVANOV, _states(d), jwindow, (-d.n_minus, d.n_plus - 2 * d.n_minus), irange)

@@ -22,6 +22,7 @@ from linkhom.homcore import (
     HomologyTable,
     SparseIntMatrix,
     cube_blocks,
+    cube_homology,
     euler_characteristic,
     poincare_polynomial,
     smith_normal_form,
@@ -31,14 +32,12 @@ from linkhom.khovanov import (
     _KHOVANOV,
     _states,
     build_khovanov_complex,
-    khovanov_homology,
     torus_diagram,
-    unnormalized_homology,
 )
 from linkhom.linkdiag import braid_closure, parse_braid
 from linkhom.polyalg import LaurentPoly
 
-from complexes import cube_complex, homology, pn_complex, qn_complex, strands
+from complexes import cube_complex, cube_khovanov, homology, pn_complex, qn_complex, strands
 
 
 def mat(rows, cols, data):
@@ -486,16 +485,16 @@ def test_homology_matches_per_block_oracle_on_cube_complexes():
     cases = []
     for b in corpus_diagrams(max_crossings=8):
         d = braid_closure(b)
-        cases.append((b.text(), build_khovanov_complex(d), unnormalized_homology(d), None))
-        cases.append((b.text(), build_khovanov_complex(d, normalized=True), khovanov_homology(d), None))
+        cases.append((b.text(), build_khovanov_complex(d), cube_homology(_KHOVANOV, _states(d)), None))
+        cases.append((b.text(), build_khovanov_complex(d, normalized=True), cube_khovanov(d), None))
     # windowed complexes straight from the engine, whose columns and
     # window are cube indices; the homology functions take the table's
     b = corpus_diagrams(max_crossings=8)[-1]
     d = braid_closure(b)
     shift = (-d.n_minus, d.n_plus - 2 * d.n_minus)
     for columns, window, moved, streamed, irange in (
-        ((0, 4), None, (0, 0), unnormalized_homology(d, irange=(1, 3)), (1, 3)),
-        (None, (-1, 3), shift, khovanov_homology(d, jwindow=(shift[1] - 1, shift[1] + 3)), None),
+        ((0, 4), None, (0, 0), cube_homology(_KHOVANOV, _states(d), irange=(1, 3)), (1, 3)),
+        (None, (-1, 3), shift, cube_khovanov(d, jwindow=(shift[1] - 1, shift[1] + 3)), None),
     ):
         dims, blocks = cube_blocks(_KHOVANOV, _states(d), columns, window)
         cases.append((b.text(), GradedComplex(dims, dict(blocks()), moved), streamed, irange))
@@ -649,7 +648,7 @@ def test_elimination_row_ops_pinned(monkeypatch):
         row_op(st, r2, r1, q)
 
     monkeypatch.setattr(homcore._Elimination, "row_op", counting)
-    khovanov_homology(torus_diagram(3, 5))
+    cube_khovanov(torus_diagram(3, 5))
     assert len(counts) == 8716
     counts.clear()
     Pn_homology(THETA, 2, "zero")
@@ -680,7 +679,7 @@ def test_streaming_frees_blocks(monkeypatch):
         return dims, stream
 
     monkeypatch.setattr(homcore, "cube_blocks", watched)
-    assert khovanov_homology(d) == expected
+    assert cube_khovanov(d) == expected
     assert len(seen) > 20
     assert all(ref() is None for _, ref in seen)
 

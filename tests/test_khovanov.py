@@ -529,8 +529,8 @@ def test_mirror_duality_of_integral_homology():
     assert len(diagrams) >= 30 and torsion >= 20
 
 
-def table_sha256(p, q):
-    t = khovanov_homology(torus_diagram(p, q))
+def table_sha256(p, q, irange=None):
+    t = khovanov_homology(torus_diagram(p, q), irange=irange)
     return hashlib.sha256((t.to_json() + t.pretty()).encode()).hexdigest()
 
 
@@ -541,6 +541,11 @@ def table_sha256(p, q):
         pytest.param(4, 4, "8ff63e7259e596a602fde2a26b8c022a2be46c1fae9fa9dce464bbc2dfcff5cc", id="T(4,4)"),
         pytest.param(3, 7, "3909488254349cde5b002e17f5ee45e1008c9086deb263377f4b4f9d78f83af8", id="T(3,7)",
                      marks=pytest.mark.slow),
+        # taken from the cube path, which took 11 s, 87 s and 104 s for them
+        # (2 cores, Python 3.11); the scan takes 0.04-0.3 s
+        pytest.param(3, 8, "3bbeca6e849133d3e414b7796f17fc74881d628ea296465833dc135165d91443", id="T(3,8)"),
+        pytest.param(3, 9, "b36fa55648e532423cf486a68741a38878c44761b6a74c1b1c4daf215ae8314a", id="T(3,9)"),
+        pytest.param(4, 6, "4e523aa011d168e436ddd0ccfa4690448a178e54c300a4e7e6a7ea1a40351a09", id="T(4,6)"),
     ],
 )
 def test_torus_table_hash(p, q, digest):
@@ -548,15 +553,23 @@ def test_torus_table_hash(p, q, digest):
     assert table_sha256(p, q) == digest
 
 
+def test_torus_4_7_low_degrees_equal_the_cube():
+    # T(4,7), 21 crossings: the cube path's table for i in 0..6 (61 s and
+    # 0.9 GB, 2 cores) against the same cut of the scan's whole table
+    assert table_sha256(4, 7, (0, 6)) == "7f5f3abab4e582204ca033f2e95477ba9a458ada1692d3f9f1d0f38936508eaf"
+
+
 @pytest.mark.slow
 def test_torus_3_8_table_and_peak_memory():
-    # a fresh process, so that ru_maxrss is this computation's own peak;
-    # the strand worker's peak is that of the process's children, and the
-    # two peaks together bound what was resident at once
+    # the cube path, which forks a strand worker: a fresh process, so that
+    # ru_maxrss is this computation's own peak; the strand worker's peak is
+    # that of the process's children, and the two peaks together bound what
+    # was resident at once
     code = (
         "import hashlib, resource\n"
-        "from linkhom.khovanov import khovanov_homology, torus_diagram\n"
-        "t = khovanov_homology(torus_diagram(3, 8))\n"
+        "from linkhom.homcore import cube_homology\n"
+        "from linkhom.khovanov import _KHOVANOV, _states, torus_diagram\n"
+        "t = cube_homology(_KHOVANOV, _states(torus_diagram(3, 8)), shift=(0, 16))\n"
         "print(hashlib.sha256((t.to_json() + t.pretty()).encode()).hexdigest())\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"

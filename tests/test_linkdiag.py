@@ -22,7 +22,7 @@ from linkhom.linkdiag import (
     resolve_crossing,
     stabilize,
 )
-from linkhom import homcore
+from linkhom import homcore, khovanov
 from linkhom.homcore import HomologyTable
 from linkhom.corpus import corpus_diagrams, random_words
 from linkhom.graphhom import (
@@ -510,11 +510,12 @@ def trefoil():
 )
 def test_parameter_refusals_are_input_errors(call, monkeypatch):
     # the CLI exits 2 on an InputError and 1 on any other ValueError; a
-    # refusal comes before any cube is built
+    # refusal comes before any cube is built or any diagram scanned
     def no_cube(*args, **kwargs):
-        raise AssertionError("a cube was built before the refusal")
+        raise AssertionError("a complex was built before the refusal")
 
     monkeypatch.setattr(homcore, "cube_blocks", no_cube)
+    monkeypatch.setattr(khovanov, "scan_homology", no_cube)
     with pytest.raises(InputError):
         call()
 
@@ -529,6 +530,9 @@ def test_parameter_refusals_are_input_errors(call, monkeypatch):
         pytest.param(lambda: torus_diagram(2, -1), "need q >= 0", id="torus-q"),
         pytest.param(lambda: stability_check(1, [3]), "need p >= 2", id="stability-p-below"),
         pytest.param(lambda: stability_check(4, [4]), "need p <= 3", id="stability-p-above"),
+        # no p at all: the twist list is at fault, not p
+        pytest.param(lambda: stability_check(2, [2]), "twist values [2] leave no valid p: need 2 <= p < min(q) = 2",
+                     id="stability-twists-leave-no-p"),
         pytest.param(lambda: resolve_crossing(trefoil(), 0, 2), "need smoothing bit <= 1", id="smoothing-bit"),
         pytest.param(lambda: Crossing(True, (1, 2, 3, 4)), "crossing sign must be an int, not True", id="crossing-sign"),
     ],

@@ -17,10 +17,10 @@ import linkhom
 from linkhom import homcore
 from linkhom.forkjoin import fork_join
 from linkhom.homcore import CubeSpec, cube_blocks, cube_homology
-from linkhom.khovanov import _KHOVANOV, _states, khovanov_homology, torus_diagram
+from linkhom.khovanov import _KHOVANOV, _states, torus_diagram
 from linkhom.linkdiag import braid_closure, parse_braid
 
-from complexes import cube_complex
+from complexes import cube_complex, cube_khovanov
 
 # the Khovanov inputs of the benchmark whose split holds at least
 # _FORK_MIN generators on each side
@@ -90,36 +90,36 @@ def forks(monkeypatch, affinity):
 @pytest.mark.parametrize("label", list(FORKED))
 def test_worker_tables_equal_the_serial_path(label, forks, monkeypatch):
     d = diagram(label)
-    forked = khovanov_homology(d)
+    forked = cube_khovanov(d)
     assert len(forks) == 1
     assert_no_child()
     monkeypatch.setattr(homcore, "_FORK_MIN", float("inf"))
-    serial = khovanov_homology(d)
+    serial = cube_khovanov(d)
     assert len(forks) == 1
     assert forked.to_json() == serial.to_json() and forked.pretty() == serial.pretty()
 
 
 def test_small_cube_stays_serial(forks):
-    khovanov_homology(torus_diagram(3, 4))  # 801 generators per side
+    cube_khovanov(torus_diagram(3, 4))  # 801 generators per side
     assert forks == []
 
 
 def test_no_worker_on_one_cpu(forks, monkeypatch):
     d = torus_diagram(3, 5)
-    expected = khovanov_homology(d)
+    expected = cube_khovanov(d)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert khovanov_homology(d).to_json() == expected.to_json()
+    assert cube_khovanov(d).to_json() == expected.to_json()
     assert len(forks) == 1
 
 
 def test_no_worker_while_another_thread_runs(forks):
     d = torus_diagram(3, 5)
-    expected = khovanov_homology(d)
+    expected = cube_khovanov(d)
     done = threading.Event()
     t = threading.Thread(target=done.wait)
     t.start()
     try:
-        assert khovanov_homology(d) == expected
+        assert cube_khovanov(d) == expected
     finally:
         done.set()
         t.join(timeout=10)
@@ -174,7 +174,7 @@ class StrandError(Exception):
 def _serial(d, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(homcore, "_FORK_MIN", float("inf"))
-        return khovanov_homology(d)
+        return cube_khovanov(d)
 
 
 @pytest.mark.parametrize("error", [ZeroDivisionError, StrandError])
@@ -191,7 +191,7 @@ def test_worker_only_exception_gives_the_serial_table(error, forks, monkeypatch)
         return real(blocks)
 
     monkeypatch.setattr(homcore, "_strand_pass", failing)
-    assert khovanov_homology(d).to_json() == expected.to_json()
+    assert cube_khovanov(d).to_json() == expected.to_json()
     assert len(forks) == 1
     assert_no_child()
 
@@ -212,7 +212,7 @@ def test_exception_in_both_processes_keeps_its_class(error, forks, monkeypatch):
 
     monkeypatch.setattr(homcore, "_strand_pass", failing)
     with pytest.raises(error, match="in the worker's strands") as info:
-        khovanov_homology(torus_diagram(3, 5))
+        cube_khovanov(torus_diagram(3, 5))
     assert type(info.value) is error and info.traceback[-1].name == "failing"
     assert passes == [parent, parent]
     assert len(forks) == 1
@@ -235,7 +235,7 @@ def test_worker_killed_mid_pass_gives_the_serial_table(forks, monkeypatch):
         return real(stream())
 
     monkeypatch.setattr(homcore, "_strand_pass", killed)
-    assert khovanov_homology(d).to_json() == expected.to_json()
+    assert cube_khovanov(d).to_json() == expected.to_json()
     assert len(forks) == 1
     assert_no_child()
 
@@ -249,10 +249,10 @@ def test_worker_that_dies_without_a_reply(affinity):
 
 def test_failed_fork_runs_both_sides_here(forks, monkeypatch):
     d = torus_diagram(3, 5)
-    expected = khovanov_homology(d)
+    expected = cube_khovanov(d)
     assert len(forks) == 1
     monkeypatch.setattr(os, "fork", _no_process)
-    assert khovanov_homology(d).to_json() == expected.to_json()
+    assert cube_khovanov(d).to_json() == expected.to_json()
 
 
 def test_parent_interrupt_kills_and_reaps_the_worker(forks, monkeypatch):
@@ -266,7 +266,7 @@ def test_parent_interrupt_kills_and_reaps_the_worker(forks, monkeypatch):
 
     monkeypatch.setattr(homcore, "_strand_pass", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        khovanov_homology(torus_diagram(3, 5))
+        cube_khovanov(torus_diagram(3, 5))
     assert len(forks) == 1
     assert_no_child()
 
@@ -278,7 +278,8 @@ def test_worker_flushes_nothing_and_runs_no_exit_handler():
     # workers it forked.
     code = (
         "import atexit, os, sys\n"
-        "from linkhom.khovanov import khovanov_homology, torus_diagram\n"
+        "from linkhom.homcore import cube_homology\n"
+        "from linkhom.khovanov import _KHOVANOV, _states, torus_diagram\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "os.sched_setaffinity = lambda pid, cpus: None\n"
         "pids, real = [], os.fork\n"
@@ -290,7 +291,7 @@ def test_worker_flushes_nothing_and_runs_no_exit_handler():
         "os.fork = fork\n"
         "atexit.register(lambda: print('exit handler'))\n"
         "sys.stdout.write('buffered\\n')\n"
-        "khovanov_homology(torus_diagram(3, 5))\n"
+        "cube_homology(_KHOVANOV, _states(torus_diagram(3, 5)))\n"
         "sys.stderr.write(f'forked {len(pids)}\\n')\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(linkhom.__file__)))
@@ -409,11 +410,11 @@ def test_worker_without_pinning(pinning, forks, monkeypatch):
         monkeypatch.setattr(os, "sched_setaffinity", _refused)
     else:
         monkeypatch.delattr(os, "sched_setaffinity")
-    forked = khovanov_homology(d)
+    forked = cube_khovanov(d)
     assert len(forks) == 1
     assert_no_child()
     monkeypatch.setattr(homcore, "_FORK_MIN", float("inf"))
-    serial = khovanov_homology(d)
+    serial = cube_khovanov(d)
     assert len(forks) == 1
     assert forked.to_json() == serial.to_json() and forked.pretty() == serial.pretty()
 
